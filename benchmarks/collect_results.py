@@ -487,10 +487,12 @@ def e15_columnar_stream() -> None:
         f"peak resident {stream.peak_resident} "
         f"({stream.peak_resident / total:.1%} of n)"
     )
+    sorts = columnar_layout_sorts([2_000, 20_000] if QUICK else [2_000, 20_000, 200_000])
     write_bench_json(
         "e15",
         {
             "experiment": "E15",
+            "layout_sorts": sorts,
             "n": len(graph),
             "dict_kernel_s": t_dict,
             "columnar_kernel_s": t_columnar,
@@ -503,6 +505,45 @@ def e15_columnar_stream() -> None:
         },
     )
     print()
+
+
+def columnar_layout_sorts(sizes: list[int]) -> list[dict]:
+    """``freeze()``'s permutation sorts: numpy against ``sorted()``.
+
+    Times the numpy path of ``_stable_order`` / ``_stable_order2`` (list to
+    array conversion and ``.tolist()`` included) against the pure-python
+    fallback expression on random label ids, the way ``freeze`` calls them.
+    """
+    import random
+
+    from repro.pg.columnar import _stable_order, _stable_order2
+
+    rows = []
+    for size in sizes:
+        rng = random.Random(size)
+        primary = [rng.randrange(16) for _ in range(size)]
+        secondary = [rng.randrange(8) for _ in range(size)]
+        row = {
+            "keys": size,
+            "argsort_s": timed(_stable_order, primary, repeat=5),
+            "sorted_s": timed(
+                lambda: sorted(range(size), key=primary.__getitem__), repeat=5
+            ),
+            "lexsort_s": timed(_stable_order2, primary, secondary, repeat=5),
+            "sorted2_s": timed(
+                lambda: sorted(
+                    range(size), key=lambda index: (primary[index], secondary[index])
+                ),
+                repeat=5,
+            ),
+        }
+        print(
+            f"layout sort over {size} keys: argsort {row['argsort_s'] * 1000:.1f} ms "
+            f"vs sorted {row['sorted_s'] * 1000:.1f} ms; lexsort "
+            f"{row['lexsort_s'] * 1000:.1f} ms vs sorted {row['sorted2_s'] * 1000:.1f} ms"
+        )
+        rows.append(row)
+    return rows
 
 
 def e16_cdc() -> None:

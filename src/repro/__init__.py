@@ -46,26 +46,29 @@ Quickstart::
     assert report.conforms
 """
 
-from .errors import (
-    ConsistencyError,
-    GraphError,
-    QueryError,
-    ReproError,
-    SchemaError,
-    SDLSyntaxError,
-)
-from .lint import Diagnostic, Severity, lint_schema
-from .pg import GraphBuilder, PropertyGraph
-from .satisfiability import SatisfiabilityChecker
-from .schema import GraphQLSchema, TypeRef, parse_schema, print_schema
-from .validation import (
-    ValidationReport,
-    Violation,
-    satisfies_directives,
-    strongly_satisfies,
-    validate,
-    weakly_satisfies,
-)
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .errors import (
+        ConsistencyError,
+        GraphError,
+        QueryError,
+        ReproError,
+        SchemaError,
+        SDLSyntaxError,
+    )
+    from .lint import Diagnostic, Severity, lint_schema
+    from .pg import GraphBuilder, PropertyGraph
+    from .satisfiability import SatisfiabilityChecker
+    from .schema import GraphQLSchema, TypeRef, parse_schema, print_schema
+    from .validation import (
+        ValidationReport,
+        Violation,
+        satisfies_directives,
+        strongly_satisfies,
+        validate,
+        weakly_satisfies,
+    )
 
 __version__ = "1.0.0"
 
@@ -94,3 +97,43 @@ __all__ = [
     "validate",
     "weakly_satisfies",
 ]
+
+# Exported name -> the subpackage that defines it.  The names resolve on
+# first access (PEP 562), so ``python -m repro.cli lint`` never imports the
+# validation engines or the satisfiability checker; keep this table in step
+# with the TYPE_CHECKING imports above (tests/test_meta.py pins both).
+_EXPORTS = {
+    "ConsistencyError": "errors",
+    "GraphError": "errors",
+    "QueryError": "errors",
+    "ReproError": "errors",
+    "SchemaError": "errors",
+    "SDLSyntaxError": "errors",
+    "Diagnostic": "lint",
+    "Severity": "lint",
+    "lint_schema": "lint",
+    "GraphBuilder": "pg",
+    "PropertyGraph": "pg",
+    "SatisfiabilityChecker": "satisfiability",
+    "GraphQLSchema": "schema",
+    "TypeRef": "schema",
+    "parse_schema": "schema",
+    "print_schema": "schema",
+    "ValidationReport": "validation",
+    "Violation": "validation",
+    "satisfies_directives": "validation",
+    "strongly_satisfies": "validation",
+    "validate": "validation",
+    "weakly_satisfies": "validation",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module_name}", __name__), name)
+    globals()[name] = value
+    return value

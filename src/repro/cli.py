@@ -56,14 +56,12 @@ import sys
 from contextlib import contextmanager
 
 from . import obs
-from .api import GraphQLExecutor, extend_to_api_schema
-from .dl import schema_to_tbox
 from .errors import GraphLoadError, ReproError, exit_code_for, render_error
-from .pg import load_graph
 from .resilience import Budget, faults
-from .satisfiability import SatisfiabilityChecker
-from .schema import consistency_errors, parse_schema
-from .validation import validate
+
+# Everything else is imported by the handler that runs it: a cold
+# ``pgschema lint`` then never pays for the validation engines, the
+# satisfiability checker or the service (docs/PERFORMANCE.md, "Cold start").
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -459,6 +457,8 @@ def _budget_from_args(args) -> Budget | None:
 
 
 def _load_schema(path: str, check: bool = True):
+    from .schema import parse_schema
+
     with open(path) as handle:
         return parse_schema(handle.read(), check=check)
 
@@ -470,6 +470,8 @@ def _load_graph(path: str, backend: str = "dict"):
 
         with open(path) as handle:
             return load_graph_jsonl(handle, source=path, backend=backend)
+    from .pg import load_graph
+
     with open(path) as handle:
         graph = load_graph(handle)
     if backend == "columnar":
@@ -480,6 +482,8 @@ def _load_graph(path: str, backend: str = "dict"):
 
 
 def _cmd_check(args) -> int:
+    from .schema import consistency_errors
+
     schema = _load_schema(args.schema, check=False)
     for warning in schema.warnings:
         print(f"warning: {warning}")
@@ -592,6 +596,8 @@ def _cmd_validate(args) -> int:
             file=sys.stderr,
         )
     else:
+        from .validation import validate
+
         report = validate(
             schema,
             graph,
@@ -646,6 +652,8 @@ def _cmd_cdc(args) -> int:
 
 
 def _cmd_sat(args) -> int:
+    from .satisfiability import SatisfiabilityChecker
+
     schema = _load_schema(args.schema, check=False)
     checker = SatisfiabilityChecker(
         schema,
@@ -692,7 +700,7 @@ def _cmd_sat(args) -> int:
     return 3 if any_unknown else 0
 
 
-def _print_sat_profile(checker: SatisfiabilityChecker) -> None:
+def _print_sat_profile(checker) -> None:
     from .satisfiability import sat_cache_info
 
     profile = checker.last_profile
@@ -722,6 +730,8 @@ def _print_sat_profile(checker: SatisfiabilityChecker) -> None:
 
 
 def _cmd_translate(args) -> int:
+    from .dl import schema_to_tbox
+
     schema = _load_schema(args.schema, check=False)
     tbox = schema_to_tbox(schema)
     for axiom in tbox.axioms:
@@ -734,12 +744,16 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_api(args) -> int:
+    from .api import extend_to_api_schema
+
     schema = _load_schema(args.schema)
     print(extend_to_api_schema(schema).sdl, end="")
     return 0
 
 
 def _cmd_query(args) -> int:
+    from .api import GraphQLExecutor, extend_to_api_schema
+
     schema = _load_schema(args.schema)
     graph = _load_graph(args.graph)
     executor = GraphQLExecutor(extend_to_api_schema(schema), graph)

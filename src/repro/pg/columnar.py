@@ -30,27 +30,26 @@ mutable graph with :func:`freeze` (or ``graph.freeze()``), build one
 directly from a loader with :class:`ColumnarBuilder`, and get a mutable
 copy back with :meth:`ColumnarGraph.thaw`.
 
-Integer columns use the stdlib :mod:`array` module; when numpy is
-importable the build-time permutation sorts go through ``np.lexsort``,
-but numpy is never required and the stored representation is identical
-(and picklable) either way.
+Integer columns use the stdlib :mod:`array` module.  The build-time
+permutation sorts over more than 1024 keys go through ``np.argsort`` /
+``np.lexsort`` when numpy is importable; numpy is imported on that first
+large sort, not with this module, so a process that never freezes a big
+graph never loads it.  numpy is never required and the stored
+representation is identical (and picklable) either way.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from functools import cache
+from types import ModuleType
 from typing import Any, Iterator, Mapping
 
 from .. import obs
 from ..errors import GraphError
 from .model import _EMPTY_PROPERTIES, ElementId, PropertyGraph
 from .values import PropertyValue, normalize_value
-
-try:  # optional acceleration only -- the pure-python paths are canonical
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None  # type: ignore[assignment]
 
 #: Sentinel group-role bits used by the out-of-core loader (re-exported
 #: here so the spill format has one authoritative home).
@@ -1071,22 +1070,38 @@ class ColumnarBuilder:
 # layout helpers (numpy-accelerated when importable, never required)
 # --------------------------------------------------------------------------- #
 
+#: Sorts over more keys than this go through numpy (docs/PERFORMANCE.md
+#: has the measured crossover); smaller ones never import it.
+_NUMPY_SORT_MIN = 1024
+
+
+@cache
+def _numpy_module() -> ModuleType | None:
+    """numpy, imported on first use; ``None`` when it is not installed."""
+    try:  # optional acceleration only -- the pure-python paths are canonical
+        import numpy
+    except ImportError:  # pragma: no cover - numpy is present in CI
+        return None
+    return numpy
+
 
 def _stable_order(keys: list[int]) -> list[int]:
     """Positions sorted by key, ties in position order."""
-    if _np is not None and len(keys) > 1024:
-        order = _np.argsort(_np.asarray(keys, dtype=_np.int64), kind="stable")
+    np = _numpy_module() if len(keys) > _NUMPY_SORT_MIN else None
+    if np is not None:
+        order = np.argsort(np.asarray(keys, dtype=np.int64), kind="stable")
         return order.tolist()  # type: ignore[no-any-return]
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _stable_order2(primary: list[int], secondary: list[int]) -> list[int]:
     """Positions sorted by (primary, secondary), ties in position order."""
-    if _np is not None and len(primary) > 1024:
-        order = _np.lexsort(
+    np = _numpy_module() if len(primary) > _NUMPY_SORT_MIN else None
+    if np is not None:
+        order = np.lexsort(
             (
-                _np.asarray(secondary, dtype=_np.int64),
-                _np.asarray(primary, dtype=_np.int64),
+                np.asarray(secondary, dtype=np.int64),
+                np.asarray(primary, dtype=np.int64),
             )
         )
         return order.tolist()  # type: ignore[no-any-return]

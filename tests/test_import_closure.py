@@ -1,0 +1,106 @@
+"""Import closure of the ``pgschema`` CLI: each subcommand loads only what it runs.
+
+Every check runs in a fresh interpreter and inspects ``sys.modules``
+afterwards, so it tests which modules load, never how long they take --
+the outcome is deterministic on any host.  docs/PERFORMANCE.md ("Cold
+start") explains the rule these tests pin.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.pg import dumps_graph
+from repro.workloads import CORPUS, user_session_graph
+
+_SRC = str(Path(repro.__file__).resolve().parent.parent)
+
+# Runs *code* and prints which of *watched* ended up in sys.modules.
+_PROBE = """
+import json, sys
+{code}
+print(json.dumps(sorted(name for name in {watched!r} if name in sys.modules)))
+"""
+
+
+def _loaded_after(code: str, watched: tuple[str, ...]) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env.pop("PGSCHEMA_FAULTS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(code=code, watched=watched)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _run_cli(argv: list[str]) -> str:
+    # stdout is the probe's channel: send the command's own output away;
+    # exit 0 proves the command ran to the end, not out on an early error
+    return (
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("closure")
+    schema = root / "user_session.graphql"
+    schema.write_text(CORPUS["user_session_edge_props"].sdl)
+    library = root / "library.graphql"
+    library.write_text(CORPUS["library"].sdl)
+    graph = root / "graph.json"
+    graph.write_text(dumps_graph(user_session_graph(3, 1, seed=0)))
+    return {"schema": str(schema), "library": str(library), "graph": str(graph)}
+
+
+def test_importing_the_cli_loads_no_subcommand_machinery():
+    heavy = (
+        "numpy",
+        "asyncio",
+        "repro.service",
+        "repro.perf",
+        "repro.satisfiability",
+        "repro.validation",
+        "repro.analysis",
+    )
+    assert _loaded_after("import repro.cli", heavy) == []
+
+
+def test_lint_loads_neither_validation_nor_satisfiability(inputs):
+    watched = ("numpy", "repro.validation", "repro.satisfiability")
+    assert _loaded_after(_run_cli(["lint", inputs["library"]]), watched) == []
+
+
+def test_validate_does_not_load_numpy(inputs):
+    code = _run_cli(["validate", inputs["schema"], inputs["graph"]])
+    assert _loaded_after(code, ("numpy",)) == []
+
+
+def test_sat_does_not_load_numpy(inputs):
+    assert _loaded_after(_run_cli(["sat", inputs["library"]]), ("numpy",)) == []
+
+
+def test_numpy_loads_on_the_first_large_columnar_sort():
+    code = (
+        "from repro.pg import GraphBuilder, freeze\n"
+        "builder = GraphBuilder()\n"
+        "for index in range(1100):\n"
+        "    builder.node(f'n{index}', 'AB'[index % 2])\n"
+        "freeze(GraphBuilder().node('x', 'A').graph())\n"
+        "assert 'numpy' not in sys.modules\n"
+        "freeze(builder.graph())\n"
+    )
+    assert _loaded_after(code, ("numpy",)) == ["numpy"]

@@ -1,5 +1,12 @@
 """Meta-tests: catalogue completeness and cross-module wiring."""
 
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
 from repro.fo.sentences import SENTENCES
 from repro.validation import (
     ALL_RULES,
@@ -52,17 +59,65 @@ class TestRuleCatalogue:
         assert violation.key() == ("WS1", "User.login", ("u1",))
 
 
+def _defining_modules(package) -> dict[str, tuple[str, str | None]]:
+    """Exported name -> (module, attribute) its ``__init__`` imports it from.
+
+    Read from the ``from .x import name`` statements of the package's
+    ``__init__`` (including ones under ``if TYPE_CHECKING:``).  A bare
+    ``from . import name`` re-exports the submodule itself: attribute
+    ``None``.
+    """
+    tree = ast.parse(Path(package.__file__).read_text())
+    origins = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    origin = (f"{package.__name__}.{alias.name}", None)
+                else:
+                    origin = (f"{package.__name__}.{node.module}", alias.name)
+                origins[alias.asname or alias.name] = origin
+    return origins
+
+
+def _import_all_submodules(package) -> None:
+    for info in pkgutil.walk_packages(package.__path__, f"{package.__name__}."):
+        if not info.name.endswith(".__main__"):
+            importlib.import_module(info.name)
+
+
+def _assert_exports_are_the_defining_objects(package_name: str) -> None:
+    package = importlib.import_module(package_name)
+    _import_all_submodules(package)
+    origins = _defining_modules(package)
+    for name in package.__all__:
+        exported = getattr(package, name)
+        assert exported is not None, (package_name, name)
+        if name not in origins:  # defined in the __init__ itself
+            assert name in vars(package), (package_name, name)
+            continue
+        module_name, attribute = origins[name]
+        module = importlib.import_module(module_name)
+        expected = module if attribute is None else getattr(module, attribute)
+        assert exported is expected, (package_name, name, module_name)
+
+
 class TestPublicAPI:
+    """Every exported name is the object its defining module binds.
+
+    Checked after importing every submodule, because importing a submodule
+    rebinds the package attribute of the same name: ``repro.dl.nnf`` (the
+    function) would silently become the module if the package resolved it
+    lazily.  A not-``None`` check cannot see that -- a module is not
+    ``None`` either.
+    """
+
     def test_top_level_exports_resolve(self):
-        import repro
+        _assert_exports_are_the_defining_objects("repro")
 
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
-
-    def test_subpackage_exports_resolve(self):
-        import importlib
-
-        for module_name in (
+    @pytest.mark.parametrize(
+        "package_name",
+        (
             "repro.pg",
             "repro.sdl",
             "repro.schema",
@@ -75,10 +130,20 @@ class TestPublicAPI:
             "repro.api",
             "repro.baselines",
             "repro.workloads",
-        ):
-            module = importlib.import_module(module_name)
-            for name in module.__all__:
-                assert getattr(module, name) is not None, (module_name, name)
+        ),
+    )
+    def test_subpackage_exports_resolve(self, package_name):
+        _assert_exports_are_the_defining_objects(package_name)
+
+    def test_top_level_exports_match_the_lazy_table(self):
+        import repro
+
+        origins = {
+            name: module_name.split(".")[1]
+            for name, (module_name, _) in _defining_modules(repro).items()
+        }
+        assert origins == repro._EXPORTS
+        assert set(repro._EXPORTS) | {"__version__"} == set(repro.__all__)
 
     def test_version(self):
         import repro
