@@ -312,6 +312,7 @@ def e12_parallel_validation() -> None:
         f"({t_indexed / t_parallel:.2f}x); plan cache cold "
         f"{t_cold * 1000:.3f} ms, warm {t_warm * 1000:.3f} ms"
     )
+    jobs, sweep = e12_executor_sweep(schema, plan)
     write_bench_json(
         "e12",
         {
@@ -322,9 +323,42 @@ def e12_parallel_validation() -> None:
             "speedup": t_indexed / t_parallel,
             "plan_cache_cold_s": t_cold,
             "plan_cache_warm_s": t_warm,
+            "sweep_jobs": jobs,
+            "executor_sweep": sweep,
         },
     )
     print()
+
+
+def e12_executor_sweep(schema, plan) -> tuple[int, list[dict]]:
+    """The measurement behind the default executor policy: the plan kernel
+    inline on one shard (the default) against thread and process pools at
+    ``jobs=usable_cores()``, on user/session graphs of 5k to 200k
+    elements (five elements per user)."""
+    from repro.validation.parallel import usable_cores
+
+    jobs = usable_cores()
+    validators = {
+        "inline": ParallelValidator(schema, plan=plan),
+        "thread": ParallelValidator(schema, jobs=jobs, executor="thread", plan=plan),
+        "process": ParallelValidator(schema, jobs=jobs, executor="process", plan=plan),
+    }
+    print(f"executor sweep at jobs={jobs} (best of 3, ms)")
+    print(f"{'n':>7} | {'inline':>8} | {'thread':>8} | {'process':>8}")
+    rows = []
+    for num_users in (100, 400) if QUICK else (1_000, 4_000, 16_000, 40_000):
+        graph = user_session_graph(num_users, 2, seed=42)
+        reference = validators["inline"].validate(graph).keys()
+        row: dict = {"n": len(graph)}
+        for name, validator in validators.items():
+            assert validator.validate(graph).keys() == reference, name
+            row[f"{name}_s"] = timed(validator.validate, graph)
+        rows.append(row)
+        print(
+            f"{row['n']:>7} | {row['inline_s'] * 1000:>8.1f} | "
+            f"{row['thread_s'] * 1000:>8.1f} | {row['process_s'] * 1000:>8.1f}"
+        )
+    return jobs, rows
 
 
 def e13_portfolio_sat() -> None:

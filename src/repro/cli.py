@@ -129,15 +129,19 @@ def _build_parser() -> argparse.ArgumentParser:
         default="strong",
     )
     validate_cmd.add_argument(
-        "--engine", choices=("indexed", "naive", "parallel"), default="indexed"
+        "--engine", choices=("parallel", "indexed", "naive"), default="parallel",
+        help="parallel: the fused plan kernel (default); indexed: one pass "
+        "per rule; naive: the quantifier-faithful baseline",
     )
     validate_cmd.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker count for --engine parallel (default: all usable cores)",
+        help="shard --engine parallel over N workers on a thread or process "
+        "pool (default: run the kernel inline, one shard, no pool)",
     )
     validate_cmd.add_argument(
         "--profile", action="store_true",
-        help="print per-rule wall time to stderr (forces the indexed engine)",
+        help="print the engine's stage split (partition, kernel, merge), "
+        "its executor and plan-cache statistics to stderr",
     )
     jsonl_group = validate_cmd.add_argument_group("JSONL input")
     jsonl_group.add_argument(
@@ -580,34 +584,73 @@ def _cmd_validate(args) -> int:
         ).validate(args.graph, mode=args.mode)
         return _finish_validate(report)
     graph = _load_graph(args.graph, backend=args.backend)
-    if args.profile:
-        from .validation import IndexedValidator, compile_plan, plan_cache_info
+    from .validation import make_validator
 
-        validator = IndexedValidator(schema, plan=compile_plan(schema))
-        report, timings = validator.profile_rules(graph, mode=args.mode)
-        total = sum(timings.values())
-        for rule, seconds in sorted(timings.items(), key=lambda kv: -kv[1]):
-            print(f"  {rule:4s} {seconds * 1000:9.3f} ms", file=sys.stderr)
-        print(f"  {'all':4s} {total * 1000:9.3f} ms", file=sys.stderr)
-        info = plan_cache_info()
+    validator = make_validator(
+        schema,
+        args.engine,
+        jobs=args.jobs,
+        budget=_budget_from_args(args),
+        on_budget=args.on_budget,
+    )
+    if not args.profile:
+        return _finish_validate(validator.validate(graph, args.mode))
+    report, spans = _with_spans(lambda: validator.validate(graph, args.mode))
+    _print_validate_profile(args.engine, validator, graph, spans)
+    return _finish_validate(report)
+
+
+def _with_spans(run):
+    """Call ``run()`` with span tracing on; return its result and spans.
+
+    An observation installed by ``--trace``/``--metrics`` keeps its metrics
+    registry during the call, and the spans are added to its trace too.
+    """
+    outer = obs.active()
+    tracer = obs.Tracer()
+    obs.install(tracer, outer.registry if outer is not None else None)
+    try:
+        result = run()
+    finally:
+        if outer is None:
+            obs.uninstall()
+        else:
+            obs.install(outer.tracer, outer.registry)
+            if outer.tracer is not None:
+                outer.tracer.absorb(tracer.events())
+    return result, tracer.events()
+
+
+def _print_validate_profile(engine: str, validator, graph, spans) -> None:
+    """``validate --profile``: the stage split of the engine that ran."""
+    from .validation import plan_cache_info
+
+    def span_ms(name: str) -> float:
+        return 1000 * sum(
+            span.duration or 0.0 for span in spans if span.name == name
+        )
+
+    if engine == "parallel":
         print(
-            f"  plan cache: {info['hits']} hit(s), {info['misses']} miss(es), "
-            f"{info['size']}/{info['maxsize']} plan(s)",
+            f"  engine    parallel (executor {validator.choose_executor(graph)}, "
+            f"{validator.shard_count} shard(s))",
             file=sys.stderr,
         )
+        for stage, name in (
+            ("partition", "validation.partition"),
+            ("kernel", "validation.shard"),
+            ("merge", "validation.merge"),
+        ):
+            print(f"  {stage:9s} {span_ms(name):9.3f} ms", file=sys.stderr)
     else:
-        from .validation import validate
-
-        report = validate(
-            schema,
-            graph,
-            mode=args.mode,
-            engine=args.engine,
-            jobs=args.jobs,
-            budget=_budget_from_args(args),
-            on_budget=args.on_budget,
-        )
-    return _finish_validate(report)
+        print(f"  engine    {engine}", file=sys.stderr)
+    print(f"  {'total':9s} {span_ms('validation.run'):9.3f} ms", file=sys.stderr)
+    info = plan_cache_info()
+    print(
+        f"  plan cache: {info['hits']} hit(s), {info['misses']} miss(es), "
+        f"{info['size']}/{info['maxsize']} plan(s)",
+        file=sys.stderr,
+    )
 
 
 def _finish_validate(report) -> int:

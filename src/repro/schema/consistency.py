@@ -40,7 +40,7 @@ def interface_consistency_errors(schema: "GraphQLSchema") -> list[str]:
     """All violations of Definition 4.3, as human-readable messages."""
     errors: list[str] = []
     for interface_name, interface_type in schema.interface_types.items():
-        for object_name in schema.implementation(interface_name):
+        for object_name in sorted(schema.implementation(interface_name)):
             object_type = schema.object_types[object_name]
             for interface_field in interface_type.fields:
                 object_field = object_type.field(interface_field.name)

@@ -4,6 +4,14 @@
 one (schema, graph) pair; the convenience predicates mirror the paper's
 three satisfaction notions.
 
+The default engine is ``"parallel"``: the fused plan kernel
+(:func:`repro.validation.parallel.validate_shard`), which checks every rule
+in one pass per element -- the shape Theorem 1's AC0 bound describes.
+Without ``jobs`` it runs inline on one shard; an explicit ``jobs`` fans it
+out over a thread or process pool.  ``"indexed"`` (one pass per rule) stays
+available as a reference engine; the incremental validator and the bounded
+model finder are still built on it.
+
 Validator construction goes through the compiled-plan cache
 (:func:`repro.validation.plan.compile_plan`), so repeated ``validate()``
 calls against the same schema no longer repay the schema-analysis cost
@@ -30,7 +38,7 @@ ENGINES = ("indexed", "naive", "parallel")
 
 def make_validator(
     schema: "GraphQLSchema",
-    engine: str = "indexed",
+    engine: str = "parallel",
     jobs: int | None = None,
     executor: str = "auto",
     budget: "Budget | None" = None,
@@ -39,9 +47,11 @@ def make_validator(
     """Instantiate a validator by engine name.
 
     Args:
-        engine: ``"indexed"``, ``"naive"`` or ``"parallel"``.
-        jobs: Worker count for the parallel engine (default: all usable
-            cores); ignored by the sequential engines.
+        engine: ``"parallel"`` (default), ``"indexed"`` or ``"naive"``.
+        jobs: Worker count for the parallel engine.  None (default) runs
+            its kernel inline on one shard under ``executor="auto"``; an
+            explicit count fans out over a pool.  Ignored by the
+            sequential engines.
         executor: Executor policy for the parallel engine (``"auto"``,
             ``"serial"``, ``"thread"`` or ``"process"``).
         budget: Template :class:`~repro.resilience.Budget`; each
@@ -72,7 +82,7 @@ def validate(
     schema: "GraphQLSchema",
     graph: "PropertyGraph",
     mode: str = "strong",
-    engine: str = "indexed",
+    engine: str = "parallel",
     jobs: int | None = None,
     budget: "Budget | None" = None,
     on_budget: str = "unknown",
@@ -83,10 +93,11 @@ def validate(
         mode: ``"weak"`` (Definition 5.1), ``"directives"`` (Definition 5.2)
             or ``"strong"`` (Definition 5.3, the default -- this is the
             Schema Validation Problem).
-        engine: ``"indexed"`` (near-linear; default), ``"naive"``
-            (quantifier-faithful baseline) or ``"parallel"`` (compiled
-            plans fanned over worker shards).
-        jobs: Worker count for the parallel engine.
+        engine: ``"parallel"`` (the fused plan kernel; default),
+            ``"indexed"`` (one pass per rule) or ``"naive"``
+            (quantifier-faithful baseline).
+        jobs: Worker count for the parallel engine; None (default) runs
+            the kernel inline, without a pool.
         budget: Optional execution budget; when it runs out the report is
             returned *partial* (``complete=False``, ``verdict=="unknown"``
             unless violations were already found) rather than wrong.

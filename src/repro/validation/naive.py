@@ -7,9 +7,11 @@ scratch.  This is the "straightforward implementation of the first-order
 logical formulas" whose cost Theorem 1's discussion bounds at O(n²) data
 complexity, and it serves as the baseline in experiment E1.
 
-For production use prefer :class:`repro.validation.indexed.IndexedValidator`,
-which finds exactly the same violations (the differential tests enforce
-this) in near-linear time.
+For production use prefer the default engine of
+:func:`repro.validation.validate`, the fused plan kernel of
+:class:`repro.validation.parallel.ParallelValidator`, which finds exactly
+the same violations (the differential tests enforce this) in near-linear
+time.
 """
 
 from __future__ import annotations

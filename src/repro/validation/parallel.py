@@ -18,10 +18,16 @@ speedup comes from; the shard fan-out adds multi-core scaling on top.
 
 Executor selection (``executor="auto"``):
 
-* ``jobs == 1`` or a single-core host -- run the kernel inline, no pool
-  (pool machinery is pure overhead for CPU-bound work without spare cores);
-* small graphs (``len(graph) < SMALL_GRAPH_THRESHOLD``) -- thread pool
-  (cheap to start; process startup would dominate);
+* no ``jobs`` given (the default of :func:`~repro.validation.validate` and
+  ``pgschema validate``) -- run the kernel inline on one shard, no pool.
+  Measured on a 2-core host, inline beat both pools at every size from 5k
+  to 200k elements (``BENCH_e12.json``, docs/PERFORMANCE.md);
+* ``jobs == 1`` or a single-core host -- inline as well, over ``jobs``
+  shards (pool machinery is pure overhead for CPU-bound work without
+  spare cores);
+* an explicit ``jobs > 1`` on a small graph
+  (``len(graph) < SMALL_GRAPH_THRESHOLD``) -- thread pool (cheap to start;
+  process startup would dominate);
 * otherwise -- process pool, sidestepping the GIL for true multi-core runs.
   Workers receive the schema and graph once (via the pool initializer) and
   recompile the plan locally, so the plan's closures are never pickled.
@@ -114,7 +120,9 @@ def usable_cores() -> int:
 
 
 class ParallelValidator:
-    """Multi-core validator; agrees with IndexedValidator on every input."""
+    """The fused plan-kernel validator: inline by default, sharded over a
+    thread or process pool when ``jobs`` asks for workers.  Agrees with the
+    naive and indexed engines on every input."""
 
     #: Below this graph size (|V| + |E|), "auto" prefers threads to
     #: processes: worker startup and graph transfer would dominate.
@@ -133,8 +141,12 @@ class ParallelValidator:
         shard_timeout: float | None = None,
         fallback: bool = True,
     ) -> None:
-        """Resilience knobs (all optional; defaults preserve PR-2 behaviour
-        on healthy runs):
+        """``jobs`` is the worker count; left at None it defaults to the
+        usable cores for an explicit ``executor``, while ``"auto"`` then runs
+        the kernel inline on one shard.
+
+        Resilience knobs (all optional; the defaults leave healthy runs
+        untouched):
 
         * ``budget`` -- a template :class:`~repro.resilience.Budget`; every
           ``validate()`` call runs under a fresh renewal of it.
@@ -160,6 +172,8 @@ class ParallelValidator:
         self.plan = plan if plan is not None else compile_plan(schema)
         self.jobs = max(1, jobs) if jobs is not None else usable_cores()
         self.executor = executor
+        #: "auto" without a worker count runs the kernel inline on one shard.
+        self.inline = jobs is None and executor == "auto"
         self.budget = budget
         self.on_budget = on_budget
         self.max_retries = max(0, max_retries)
@@ -181,7 +195,7 @@ class ParallelValidator:
             "validation.run",
             engine="parallel",
             mode=mode,
-            jobs=self.jobs,
+            jobs=self.shard_count,
             elements=len(graph),
         ):
             return self._validate(graph, mode, budget)
@@ -195,8 +209,8 @@ class ParallelValidator:
         rules = rules_for_mode(mode)
         if budget is None and self.budget is not None:
             budget = self.budget.renew()
-        with obs.span("validation.partition", jobs=self.jobs):
-            shards = partition_graph(graph, self.jobs)
+        with obs.span("validation.partition", jobs=self.shard_count):
+            shards = partition_graph(graph, self.shard_count)
         observation = obs.active()
         if observation is not None and observation.registry is not None:
             registry = observation.registry
@@ -222,14 +236,20 @@ class ParallelValidator:
             interruption = stop.reason
         return self._merge(results, mode, rules, interruption)
 
+    @property
+    def shard_count(self) -> int:
+        """How many shards :meth:`validate` partitions the graph into."""
+        return 1 if self.inline else self.jobs
+
     def choose_executor(self, graph: "PropertyGraph") -> str:
         """The executor "auto" resolves to for this graph."""
         if self.executor != "auto":
             return self.executor
-        if self.jobs <= 1 or usable_cores() <= 1:
-            # One worker -- or one core, where pool machinery is pure
-            # overhead for this CPU-bound kernel.  The compiled-plan kernel
-            # still beats the indexed engine; fan-out needs real cores.
+        if self.inline or self.jobs <= 1 or usable_cores() <= 1:
+            # No worker count asked for, one worker, or one core: pool
+            # machinery is overhead for this CPU-bound kernel, and on the
+            # measured 2-core host the inline kernel beat both pools at
+            # every size.  Fan-out is opt-in through an explicit jobs.
             return "serial"
         if len(graph) < self.SMALL_GRAPH_THRESHOLD:
             return "thread"

@@ -55,6 +55,34 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_output_independent_of_hash_seed(self, tmp_path):
+        """Interface problems print in sorted order, not set order."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        path = tmp_path / "bad.graphql"
+        path.write_text(CORPUS["example_6_1_a"].sdl)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH", "")])
+            )
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "check", str(path)],
+                capture_output=True,
+                env=env,
+                timeout=60,
+            )
+            assert done.returncode == 1, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"(implements IT)") == 2
+
 
 class TestLint:
     @pytest.fixture
@@ -125,6 +153,34 @@ class TestValidate:
         for mode in ("weak", "directives", "strong", "extended"):
             assert main(["validate", schema_file, graph_file, "--mode", mode]) == 0
         assert main(["validate", schema_file, graph_file, "--engine", "naive"]) == 0
+
+    def test_profile_reports_the_default_engine_stages(
+        self, schema_file, graph_file, capsys
+    ):
+        assert main(["validate", schema_file, graph_file, "--profile"]) == 0
+        captured = capsys.readouterr()
+        assert "conforms" in captured.out
+        lines = captured.err.splitlines()
+        assert lines[0] == "  engine    parallel (executor serial, 1 shard(s))"
+        stages = [line.split()[0] for line in lines[1:5]]
+        assert stages == ["partition", "kernel", "merge", "total"]
+        assert all(float(line.split()[1]) >= 0 for line in lines[1:5])
+        assert lines[5].startswith("  plan cache: ")
+
+    def test_profile_names_a_pool_when_jobs_given(
+        self, schema_file, graph_file, capsys
+    ):
+        argv = ["validate", schema_file, graph_file, "--profile", "--jobs", "2"]
+        assert main(argv) == 0
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.endswith(", 2 shard(s))")
+
+    def test_profile_keeps_trace_spans(self, schema_file, graph_file, tmp_path):
+        trace = tmp_path / "trace.json"
+        argv = ["validate", schema_file, graph_file, "--profile", "--trace", str(trace)]
+        assert main(argv) == 0
+        names = {event["name"] for event in json.loads(trace.read_text())["traceEvents"]}
+        assert {"validation.run", "validation.shard", "validation.merge"} <= names
 
 
 class TestSat:

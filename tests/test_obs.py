@@ -11,7 +11,7 @@ Three contracts are pinned here:
    (which therefore stays byte-identical with tracing on or off);
 3. **frozen artifact shapes**: the exported Chrome-trace and metrics JSON
    conform to the checked-in schemas under ``docs/schemas/``, and the legacy
-   profiling surfaces (``validate --profile`` timings, ``sat --profile``
+   profiling surfaces (``profile_rules`` timings, ``sat --profile``
    ``last_profile``) keep their historical keys while being derived from
    the registry.
 """
