@@ -29,6 +29,7 @@ from repro.fo import FOValidator
 from repro.baselines import AnglesValidator, sdl_to_angles
 from repro.sat import random_ksat, solve
 from repro.satisfiability import (
+    BoundedModelFinder,
     SatCache,
     SatisfiabilityChecker,
     reduce_cnf_to_schema,
@@ -213,7 +214,70 @@ def e6_satisfiability() -> None:
         )
         assert verdict.tableau_satisfiable == want_tableau
         assert verdict.finitely_satisfiable == want_finite
+    e6_bounded_hub()
+    e6_sat_cli_jobs()
     print()
+
+
+def e6_bounded_hub() -> None:
+    """The bounded witness search over every object type of the oneshot
+    benchmark's sat input, ``hub_chain_schema(8, 6)``, at bound 4 (one
+    finder, best of 5)."""
+    schema = hub_chain_schema(depth=8, leaves=6)
+    types = sorted(schema.object_types)
+
+    def search_all() -> None:
+        finder = BoundedModelFinder(schema)
+        for type_name in types:
+            finder.find_model(type_name, max_nodes=4)
+
+    print(
+        f"find_model over all {len(types)} types of hub_chain_schema(8, 6): "
+        f"{timed(search_all, repeat=5) * 1000:.1f} ms"
+    )
+
+
+def e6_sat_cli_jobs() -> None:
+    """``pgschema sat`` on that schema, exec to exit, with the default
+    ``--jobs`` (a process pool on a multi-core host) against ``--jobs 1``.
+    Children run without a bytecode cache, like a fresh CI checkout;
+    runs alternate between the two settings and the medians are printed."""
+    import subprocess
+    import tempfile
+
+    import repro
+    from repro.schema import print_schema
+
+    rounds = 3 if QUICK else 11
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PGSCHEMA_FAULTS", None)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "hub.graphql")
+        with open(path, "w") as handle:
+            handle.write(print_schema(hub_chain_schema(depth=8, leaves=6)))
+        settings = {"default": [], "--jobs 1": ["--jobs", "1"]}
+        samples: dict[str, list[float]] = {name: [] for name in settings}
+        outputs = set()
+        for _ in range(rounds):
+            for name, extra in settings.items():
+                start = time.perf_counter()
+                done = subprocess.run(
+                    [sys.executable, "-m", "repro.cli", "sat", path, *extra],
+                    capture_output=True,
+                    text=True,
+                    env=env,
+                )
+                samples[name].append(time.perf_counter() - start)
+                outputs.add((done.returncode, done.stdout))
+    assert len(outputs) == 1, "sat output differs between --jobs settings"
+    medians = {name: sorted(times)[len(times) // 2] for name, times in samples.items()}
+    print(
+        f"pgschema sat hub_chain_schema(8, 6), exec to exit (median of {rounds}): "
+        f"default --jobs {medians['default'] * 1000:.0f} ms, "
+        f"--jobs 1 {medians['--jobs 1'] * 1000:.0f} ms"
+    )
 
 
 def e8_baseline() -> None:

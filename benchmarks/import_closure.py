@@ -1,0 +1,83 @@
+"""How much of ``repro`` each one-shot ``pgschema`` subcommand loads.
+
+Run directly: ``python benchmarks/import_closure.py`` (with ``src`` on
+``PYTHONPATH``).  Each subcommand runs once in a fresh interpreter on a
+corpus input; the table lists the ``repro`` modules in ``sys.modules``
+afterwards and their source lines.  Without a bytecode cache
+(``PYTHONDONTWRITEBYTECODE=1``, or a fresh checkout) every one of those
+lines is compiled again on every exec.  Informational only:
+``tests/test_import_closure.py`` is the gate on which modules load.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import repro
+from repro.pg import dumps_graph
+from repro.schema import print_schema
+from repro.workloads import CORPUS, hub_chain_schema, user_session_graph
+
+_PROBE = """
+import contextlib, io, json, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main({argv!r})
+names = sorted(n for n in sys.modules if n == "repro" or n.startswith("repro."))
+lines = 0
+for name in names:
+    with open(sys.modules[name].__file__, encoding="utf-8") as handle:
+        lines += sum(1 for _ in handle)
+print(json.dumps([len(names), lines]))
+"""
+
+
+def closure(argv: list[str]) -> tuple[int, int]:
+    """(modules, source lines) of ``repro`` loaded by ``pgschema *argv*``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PGSCHEMA_FAULTS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(argv=argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    modules, lines = json.loads(done.stdout.strip().splitlines()[-1])
+    return modules, lines
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as directory:
+
+        def write(name: str, text: str) -> str:
+            path = os.path.join(directory, name)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return path
+
+        schema = write("user_session.graphql", CORPUS["user_session_edge_props"].sdl)
+        graph = write("graph.json", dumps_graph(user_session_graph(40, 2, seed=0)))
+        runs = {
+            "lint figure_1": ["lint", write("figure_1.graphql", CORPUS["figure_1"].sdl)],
+            "validate user_session_edge_props": ["validate", schema, graph],
+            "sat library": ["sat", write("library.graphql", CORPUS["library"].sdl)],
+            "sat hub_chain_schema(8, 6)": [
+                "sat",
+                write("hub.graphql", print_schema(hub_chain_schema(depth=8, leaves=6))),
+            ],
+        }
+        print(f"{'subcommand':<34} | {'modules':>7} | {'lines':>6}")
+        for label, argv in runs.items():
+            modules, lines = closure(argv)
+            print(f"{label:<34} | {modules:>7} | {lines:>6}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,30 +1,38 @@
-"""Property Graph substrate (Definition 2.1 of the paper)."""
+"""Property Graph substrate (Definition 2.1 of the paper).
 
-from .build import GraphBuilder
-from .columnar import ColumnarBuilder, ColumnarGraph, StringPool, freeze
-from .generate import chain_graph, random_graph, star_graph
-from .io import (
-    dump_graph,
-    dump_graph_jsonl,
-    dumps_graph,
-    graph_from_dict,
-    graph_to_dict,
-    iter_graph_jsonl,
-    load_graph,
-    load_graph_jsonl,
-    loads_graph,
-)
-from .model import ElementId, PropertyGraph
-from .stats import GraphProfile, profile_graph
-from .values import (
-    PropertyValue,
-    is_array_value,
-    is_atomic_value,
-    is_property_value,
-    normalize_value,
-    value_signature,
-    values_equal,
-)
+Exports resolve on first access (PEP 562), like the top-level package:
+loading a graph file does not import the columnar backend, the
+generators or the profiler.
+"""
+
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .build import GraphBuilder
+    from .columnar import ColumnarBuilder, ColumnarGraph, StringPool, freeze
+    from .generate import chain_graph, random_graph, star_graph
+    from .io import (
+        dump_graph,
+        dump_graph_jsonl,
+        dumps_graph,
+        graph_from_dict,
+        graph_to_dict,
+        iter_graph_jsonl,
+        load_graph,
+        load_graph_jsonl,
+        loads_graph,
+    )
+    from .model import ElementId, PropertyGraph
+    from .stats import GraphProfile, profile_graph
+    from .values import (
+        PropertyValue,
+        is_array_value,
+        is_atomic_value,
+        is_property_value,
+        normalize_value,
+        value_signature,
+        values_equal,
+    )
 
 __all__ = [
     "ColumnarBuilder",
@@ -56,3 +64,47 @@ __all__ = [
     "value_signature",
     "values_equal",
 ]
+
+# Exported name -> the submodule that defines it; keep in step with the
+# TYPE_CHECKING imports above (tests/test_meta.py pins both).
+_EXPORTS = {
+    "GraphBuilder": "build",
+    "ColumnarBuilder": "columnar",
+    "ColumnarGraph": "columnar",
+    "StringPool": "columnar",
+    "freeze": "columnar",
+    "chain_graph": "generate",
+    "random_graph": "generate",
+    "star_graph": "generate",
+    "dump_graph": "io",
+    "dump_graph_jsonl": "io",
+    "dumps_graph": "io",
+    "graph_from_dict": "io",
+    "graph_to_dict": "io",
+    "iter_graph_jsonl": "io",
+    "load_graph": "io",
+    "load_graph_jsonl": "io",
+    "loads_graph": "io",
+    "ElementId": "model",
+    "PropertyGraph": "model",
+    "GraphProfile": "stats",
+    "profile_graph": "stats",
+    "PropertyValue": "values",
+    "is_array_value": "values",
+    "is_atomic_value": "values",
+    "is_property_value": "values",
+    "normalize_value": "values",
+    "value_signature": "values",
+    "values_equal": "values",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module_name}", __name__), name)
+    globals()[name] = value
+    return value

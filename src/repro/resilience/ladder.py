@@ -32,6 +32,7 @@ engine that knows its own data.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from typing import Callable, Sequence
@@ -39,13 +40,21 @@ from typing import Callable, Sequence
 from .. import obs
 from ..errors import BudgetExhaustedError, WorkerFailureError
 
-__all__ = ["EXECUTORS", "FALLBACK", "ExecutorLadder"]
+__all__ = ["EXECUTORS", "FALLBACK", "ExecutorLadder", "usable_cores"]
 
 #: Executor rungs a ladder run may start on.
 EXECUTORS = ("serial", "thread", "process")
 
 #: The fallback ladder for failing tasks.
 FALLBACK = {"process": "thread", "thread": "serial"}
+
+
+def usable_cores() -> int:
+    """CPUs actually available to this process (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 class ExecutorLadder:

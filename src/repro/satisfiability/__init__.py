@@ -1,21 +1,29 @@
-"""Schema satisfiability: Theorems 2 and 3 made executable."""
+"""Schema satisfiability: Theorems 2 and 3 made executable.
 
-from .bounded import BoundedModelFinder, BoundedSearchResult
-from .cache import SatCache, sat_cache_clear, sat_cache_for, sat_cache_info
-from .engine import (
-    SatisfiabilityChecker,
-    SchemaSatisfiabilityReport,
-    TypeSatisfiability,
-)
-from .portfolio import SatUnit, UnitResult, build_units, check_unit, run_portfolio
-from .sat_encoding import SATModelFinder
-from .reduction import (
-    ANCHOR_TYPE,
-    Reduction,
-    assignment_from_graph,
-    graph_from_assignment,
-    reduce_cnf_to_schema,
-)
+Exports resolve on first access (PEP 562), like the top-level package:
+``pgschema sat`` loads the checker and the bounded finder, not the SAT
+encoding or the Theorem-2 reduction.
+"""
+
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .bounded import BoundedModelFinder, BoundedSearchResult
+    from .cache import SatCache, sat_cache_clear, sat_cache_for, sat_cache_info
+    from .engine import (
+        SatisfiabilityChecker,
+        SchemaSatisfiabilityReport,
+        TypeSatisfiability,
+    )
+    from .portfolio import SatUnit, UnitResult, build_units, check_unit, run_portfolio
+    from .reduction import (
+        ANCHOR_TYPE,
+        Reduction,
+        assignment_from_graph,
+        graph_from_assignment,
+        reduce_cnf_to_schema,
+    )
+    from .sat_encoding import SATModelFinder
 
 __all__ = [
     "ANCHOR_TYPE",
@@ -39,3 +47,39 @@ __all__ = [
     "sat_cache_for",
     "sat_cache_info",
 ]
+
+# Exported name -> the submodule that defines it; keep in step with the
+# TYPE_CHECKING imports above (tests/test_meta.py pins both).
+_EXPORTS = {
+    "BoundedModelFinder": "bounded",
+    "BoundedSearchResult": "bounded",
+    "SatCache": "cache",
+    "sat_cache_clear": "cache",
+    "sat_cache_for": "cache",
+    "sat_cache_info": "cache",
+    "SatisfiabilityChecker": "engine",
+    "SchemaSatisfiabilityReport": "engine",
+    "TypeSatisfiability": "engine",
+    "SatUnit": "portfolio",
+    "UnitResult": "portfolio",
+    "build_units": "portfolio",
+    "check_unit": "portfolio",
+    "run_portfolio": "portfolio",
+    "ANCHOR_TYPE": "reduction",
+    "Reduction": "reduction",
+    "assignment_from_graph": "reduction",
+    "graph_from_assignment": "reduction",
+    "reduce_cnf_to_schema": "reduction",
+    "SATModelFinder": "sat_encoding",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module_name}", __name__), name)
+    globals()[name] = value
+    return value

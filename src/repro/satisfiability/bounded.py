@@ -24,13 +24,42 @@ one at a time by adding justified edges, backtracking across target/source
 choices; cardinality constraints (WS4/DS3/DS2) are checked on the fly, and
 every candidate is confirmed with the real validator (with required scalar
 properties filled in with fresh distinct values) before being returned.
+
+The finder compiles the schema into lookup tables once, in its
+constructor, so the edge search never walks the schema:
+
+* the subtype pairs ``(l, t)`` with ``l ⊑_S t`` for every object label
+  ``l`` (rules 1-3; labels are always object types here);
+* each label's obligation templates in search order -- the DS6 "out"
+  demands of every ``@required`` relationship site above the label, then
+  the DS4 "in" demands of every ``@requiredForTarget`` site whose target
+  type is above it;
+* each ``(label, field)``'s relationship base type and list-ness (WS2's
+  ``type_F``), and the DS2/DS3 declaring types per field name;
+* each obligation's *partner labels*: the labels that can stand at the
+  other end of an edge meeting it -- targets below the field's base type
+  for "out", sources below the declaring type whose own declaration
+  admits the node for "in".
+
+Before searching a label multiset, the finder rejects it when some
+obligation has no partner among its labels.  The pruning is exact.  An
+obligation with no partner has no candidate edge, and an edge meets an
+obligation only if it satisfies that obligation's candidate conditions:
+every edge the search adds is a candidate of *some* obligation, and the
+candidate conditions depend on the edge alone (its source label declares
+the field as a relationship whose base type is above the target label,
+plus, for "in", the source label is below the declaring type, which
+meeting an "in" obligation demands anyway).  So such an obligation is
+never met, and the search would return ``None`` for the multiset after
+trying every candidate.  The enumeration order, the assignment count and
+the budget charges are the same with or without the pruning.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ..errors import BudgetExhaustedError, BudgetReason
 from ..pg.model import PropertyGraph
@@ -67,8 +96,7 @@ class BoundedSearchResult:
         return self.reason is not None
 
 
-@dataclass(frozen=True)
-class _Obligation:
+class _Obligation(NamedTuple):
     """One required edge: ``kind`` is "out" (DS6: node needs an outgoing
     f-edge) or "in" (DS4: node needs an incoming f-edge from a source
     below the declaring type)."""
@@ -92,11 +120,65 @@ class BoundedModelFinder:
         self.max_assignments = max_assignments
         self.budget = budget
         self._validator = IndexedValidator(schema)
-        self._required_edge = sites.required_edge_sites(schema)
-        self._required_ft = sites.required_for_target_sites(schema)
-        self._no_loops = {
-            (site.type_name, site.field_name) for site in sites.no_loops_sites(schema)
+        labels = sorted(schema.object_types)
+        named = (*schema.object_types, *schema.interface_types, *schema.union_types)
+        below = frozenset(
+            (label, type_name)
+            for label in labels
+            for type_name in named
+            if is_named_subtype(schema, label, type_name)
+        )
+        self._below = below
+        # (label, field) -> (base type, is list) of each relationship field
+        # the label declares
+        relationship = {
+            (label, field_def.name): (field_def.type.base, field_def.type.is_list)
+            for label in labels
+            for field_def in schema.object_types[label].fields
+            if not field_def.is_attribute
         }
+        self._relationship = relationship
+        self._no_loops = _declaring_by_field(sites.no_loops_sites(schema))
+        self._unique_for_target = _declaring_by_field(
+            sites.unique_for_target_sites(schema)
+        )
+        # label -> its (kind, field, declaring type) demands, in search order
+        required_edge = sites.required_edge_sites(schema)
+        required_ft = sites.required_for_target_sites(schema)
+        self._templates: dict[str, tuple[tuple[str, str, str], ...]] = {
+            label: tuple(
+                [
+                    ("out", site.field_name, site.type_name)
+                    for site in required_edge
+                    if (label, site.type_name) in below
+                ]
+                + [
+                    ("in", site.field_name, site.type_name)
+                    for site in required_ft
+                    if (label, site.field.type.base) in below
+                ]
+            )
+            for label in labels
+        }
+        # (label, field) -> labels an "out" edge of that field may target
+        self._out_partners = {
+            key: frozenset(
+                target for target in labels if (target, base) in below
+            )
+            for key, (base, _is_list) in relationship.items()
+        }
+        # (label, field, declaring type) -> labels an "in" edge may come from
+        self._in_partners: dict[tuple[str, str, str], frozenset[str]] = {}
+        for label, templates in self._templates.items():
+            for kind, field_name, declaring in templates:
+                if kind == "in":
+                    self._in_partners[(label, field_name, declaring)] = frozenset(
+                        source
+                        for source in labels
+                        if (source, declaring) in below
+                        and (source, field_name) in relationship
+                        and (label, relationship[(source, field_name)][0]) in below
+                    )
 
     def find_model(
         self,
@@ -167,6 +249,8 @@ class BoundedModelFinder:
             # treats the extra demand exactly like a DS6 obligation
             if ("out", 0, field_name) not in met:
                 obligations.append(_Obligation("out", 0, field_name, labels[0]))
+        if not self._feasible(labels, obligations):
+            return None
         edges = self._search_edges(labels, frozenset(), obligations, 0)
         if edges is None:
             return None
@@ -175,19 +259,34 @@ class BoundedModelFinder:
         return graph if report.conforms else None
 
     def _collect_obligations(self, labels: tuple[str, ...]) -> list[_Obligation]:
-        obligations: list[_Obligation] = []
-        for node, label in enumerate(labels):
-            for site in self._required_edge:
-                if is_named_subtype(self.schema, label, site.type_name):
-                    obligations.append(
-                        _Obligation("out", node, site.field_name, site.type_name)
-                    )
-            for site in self._required_ft:
-                if is_named_subtype(self.schema, label, site.field.type.base):
-                    obligations.append(
-                        _Obligation("in", node, site.field_name, site.type_name)
-                    )
-        return obligations
+        return [
+            _Obligation(kind, node, field_name, declaring)
+            for node, label in enumerate(labels)
+            for kind, field_name, declaring in self._templates[label]
+        ]
+
+    def _feasible(
+        self, labels: tuple[str, ...], obligations: list[_Obligation]
+    ) -> bool:
+        """Does every obligation have a partner label in the multiset?
+
+        False means no edge among *labels* can meet some obligation, so
+        :meth:`_search_edges` would return None (see the module docstring).
+        """
+        present = frozenset(labels)
+        for obligation in obligations:
+            label = labels[obligation.node]
+            if obligation.kind == "out":
+                partners = self._out_partners.get(
+                    (label, obligation.field_name), frozenset()
+                )
+            else:
+                partners = self._in_partners[
+                    (label, obligation.field_name, obligation.declaring_type)
+                ]
+            if partners.isdisjoint(present):
+                return False
+        return True
 
     def _search_edges(
         self,
@@ -221,17 +320,19 @@ class BoundedModelFinder:
         edges: frozenset[tuple[int, str, int]],
         obligation: _Obligation,
     ) -> bool:
+        node = obligation.node
+        field_name = obligation.field_name
         if obligation.kind == "out":
             return any(
-                source == obligation.node and label == obligation.field_name
+                source == node and label == field_name
                 for source, label, _target in edges
             )
+        below = self._below
+        declaring = obligation.declaring_type
         return any(
-            target == obligation.node
-            and label == obligation.field_name
-            and is_named_subtype(
-                self.schema, labels[source], obligation.declaring_type
-            )
+            target == node
+            and label == field_name
+            and (labels[source], declaring) in below
             for source, label, target in edges
         )
 
@@ -241,30 +342,29 @@ class BoundedModelFinder:
         edges: frozenset[tuple[int, str, int]],
         obligation: _Obligation,
     ) -> Iterable[tuple[int, str, int]]:
+        below = self._below
         field_name = obligation.field_name
         if obligation.kind == "out":
             source = obligation.node
-            declaration = self.schema.field(labels[source], field_name)
-            if declaration is None or declaration.is_attribute:
+            declaration = self._relationship.get((labels[source], field_name))
+            if declaration is None:
                 return
+            base = declaration[0]
             for target, target_label in enumerate(labels):
-                if is_named_subtype(self.schema, target_label, declaration.type.base):
+                if (target_label, base) in below:
                     candidate = (source, field_name, target)
                     if candidate not in edges:
                         yield candidate
         else:
             target = obligation.node
+            target_label = labels[target]
             for source, source_label in enumerate(labels):
-                if not is_named_subtype(
-                    self.schema, source_label, obligation.declaring_type
-                ):
+                if (source_label, obligation.declaring_type) not in below:
                     continue
-                declaration = self.schema.field(source_label, field_name)
-                if declaration is None or declaration.is_attribute:
+                declaration = self._relationship.get((source_label, field_name))
+                if declaration is None:
                     continue
-                if not is_named_subtype(
-                    self.schema, labels[target], declaration.type.base
-                ):
+                if (target_label, declaration[0]) not in below:
                     continue
                 candidate = (source, field_name, target)
                 if candidate not in edges:
@@ -278,11 +378,12 @@ class BoundedModelFinder:
     ) -> bool:
         """Quick rejection of the newly added edge against WS4/DS2/DS3."""
         source, field_name, target = added
-        declaration = self.schema.field(labels[source], field_name)
-        if declaration is None or declaration.is_attribute:
+        declaration = self._relationship.get((labels[source], field_name))
+        if declaration is None:
             return False
+        below = self._below
         # WS4: non-list declarations allow at most one outgoing edge
-        if not declaration.type.is_list:
+        if not declaration[1]:
             count = sum(
                 1
                 for other_source, other_label, _t in edges
@@ -292,23 +393,17 @@ class BoundedModelFinder:
                 return False
         # DS2: @noLoops forbids self-loops for sources below the declaring type
         if source == target:
-            for declaring, loop_field in self._no_loops:
-                if loop_field == field_name and is_named_subtype(
-                    self.schema, labels[source], declaring
-                ):
+            for declaring in self._no_loops.get(field_name, ()):
+                if (labels[source], declaring) in below:
                     return False
         # DS3: @uniqueForTarget bounds incoming edges per declaring type
-        for site in sites.unique_for_target_sites(self.schema):
-            if site.field_name != field_name:
-                continue
+        for declaring in self._unique_for_target.get(field_name, ()):
             count = sum(
                 1
                 for other_source, other_label, other_target in edges
                 if other_target == target
                 and other_label == field_name
-                and is_named_subtype(
-                    self.schema, labels[other_source], site.type_name
-                )
+                and (labels[other_source], declaring) in below
             )
             if count > 1:
                 return False
@@ -318,6 +413,16 @@ class BoundedModelFinder:
         self, labels: tuple[str, ...], edges: frozenset[tuple[int, str, int]]
     ) -> PropertyGraph:
         return materialise_graph(self.schema, labels, edges)
+
+
+def _declaring_by_field(
+    field_sites: "list[sites.FieldSite]",
+) -> dict[str, tuple[str, ...]]:
+    """Field name -> the declaring types of the sites on that field."""
+    grouped: dict[str, list[str]] = {}
+    for site in field_sites:
+        grouped.setdefault(site.field_name, []).append(site.type_name)
+    return {field_name: tuple(types) for field_name, types in grouped.items()}
 
 
 def fresh_value(schema: "GraphQLSchema", type_ref, seed: int) -> object:

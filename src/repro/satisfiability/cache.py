@@ -77,9 +77,9 @@ class LabelSetCache:
     """Known-satisfiable / known-clashing root label sets for one TBox.
 
     Thread-compatible by construction: lookups read append-only structures
-    (CPython list iteration tolerates concurrent appends), stores take a
-    lock.  A lost update under a race costs a re-proof, never a wrong
-    verdict.
+    (CPython list iteration tolerates concurrent appends), stores and the
+    hit/miss counters take a lock.  A lost store under a race costs a
+    re-proof, never a wrong verdict.
     """
 
     def __init__(self, max_entries: int = LABEL_CACHE_MAXSIZE) -> None:
@@ -93,19 +93,24 @@ class LabelSetCache:
 
     def lookup(self, initial: "frozenset[Concept]") -> bool | None:
         """A cached verdict for this initial root label, or None."""
+        verdict = self._find(initial)
+        with self._lock:
+            if verdict is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return verdict
+
+    def _find(self, initial: "frozenset[Concept]") -> bool | None:
         verdict = self._exact.get(initial)
-        if verdict is not None or initial in self._exact:
-            self.hits += 1
+        if verdict is not None:
             return verdict
         for completed in self._sat_roots:
             if initial <= completed:
-                self.hits += 1
                 return True
         for seed in self._unsat_seeds:
             if seed <= initial:
-                self.hits += 1
                 return False
-        self.misses += 1
         return None
 
     def store(
@@ -163,13 +168,8 @@ class SatCache:
     def get_type(self, type_name: str) -> "TypeSatisfiability | None":
         """A fresh copy of the cached verdict (``bounded`` not attached)."""
         cached = self._types.get(type_name)
-        if cached is None:
-            self.misses += 1
-            obs.count("sat.cache.misses")
-            return None
-        self.hits += 1
-        obs.count("sat.cache.hits")
-        return replace(cached)
+        self._count(cached is not None)
+        return None if cached is None else replace(cached)
 
     def put_type(self, verdict: "TypeSatisfiability") -> None:
         if verdict.tableau_satisfiable is None:
@@ -183,12 +183,7 @@ class SatCache:
 
     def get_field(self, key: tuple[str, str]) -> bool | None:
         cached = self._fields.get(key)
-        if cached is None and key not in self._fields:
-            self.misses += 1
-            obs.count("sat.cache.misses")
-            return None
-        self.hits += 1
-        obs.count("sat.cache.hits")
+        self._count(cached is not None)
         return cached
 
     def put_field(self, key: tuple[str, str], verdict: bool | None) -> None:
@@ -203,12 +198,7 @@ class SatCache:
         self, type_name: str, bound: int
     ) -> "BoundedSearchResult | None":
         cached = self._bounded.get((type_name, bound))
-        if cached is None:
-            self.misses += 1
-            obs.count("sat.cache.misses")
-            return None
-        self.hits += 1
-        obs.count("sat.cache.hits")
+        self._count(cached is not None)
         return cached
 
     def put_bounded(
@@ -220,6 +210,14 @@ class SatCache:
             self._bounded.setdefault((type_name, bound), result)
 
     # -- observability --------------------------------------------------- #
+
+    def _count(self, hit: bool) -> None:
+        with self._lock:
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
+        obs.count("sat.cache.hits" if hit else "sat.cache.misses")
 
     def cache_info(self) -> dict:
         """Hit/miss counters for the verdict layer and the label layer."""

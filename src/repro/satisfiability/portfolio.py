@@ -48,8 +48,7 @@ from .. import obs
 from ..dl.concepts import And, Exists, Name, Role
 from ..errors import BudgetExhaustedError
 from ..resilience import Budget, faults
-from ..resilience.ladder import ExecutorLadder
-from ..validation.parallel import usable_cores
+from ..resilience.ladder import ExecutorLadder, usable_cores
 from .engine import (
     SatisfiabilityChecker,
     SchemaSatisfiabilityReport,

@@ -1,37 +1,45 @@
-"""Schema validation: the satisfaction semantics of Section 5."""
+"""Schema validation: the satisfaction semantics of Section 5.
 
-from .engine import (
-    ENGINES,
-    make_validator,
-    satisfies_directives,
-    strongly_satisfies,
-    validate,
-    weakly_satisfies,
-)
-from .cdc import CDCConsumer, CDCResult, ViolationEvent
-from .incremental import IncrementalValidator, migrated_validator
-from .indexed import IndexedValidator
-from .journal import JournalWriter, MutationEvent, MutationJournal
-from .naive import NaiveValidator
-from .parallel import ParallelValidator, merge_shard_results, validate_shard
-from .plan import (
-    ValidationPlan,
-    compile_plan,
-    plan_cache_clear,
-    plan_cache_info,
-)
-from .shard import ColumnarShard, GraphShard, partition_graph
-from .stream import StreamValidator, validate_jsonl
-from .violations import (
-    ALL_RULES,
-    DIRECTIVE_RULES,
-    EXTENSION_RULES,
-    RULES,
-    STRONG_RULES,
-    WEAK_RULES,
-    ValidationReport,
-    Violation,
-)
+Exports resolve on first access (PEP 562), like the top-level package:
+``pgschema validate`` loads the plan kernel it runs, not the CDC consumer,
+the stream validator or the reference engines.
+"""
+
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .cdc import CDCConsumer, CDCResult, ViolationEvent
+    from .engine import (
+        ENGINES,
+        make_validator,
+        satisfies_directives,
+        strongly_satisfies,
+        validate,
+        weakly_satisfies,
+    )
+    from .incremental import IncrementalValidator, migrated_validator
+    from .indexed import IndexedValidator
+    from .journal import JournalWriter, MutationEvent, MutationJournal
+    from .naive import NaiveValidator
+    from .parallel import ParallelValidator, merge_shard_results, validate_shard
+    from .plan import (
+        ValidationPlan,
+        compile_plan,
+        plan_cache_clear,
+        plan_cache_info,
+    )
+    from .shard import ColumnarShard, GraphShard, partition_graph
+    from .stream import StreamValidator, validate_jsonl
+    from .violations import (
+        ALL_RULES,
+        DIRECTIVE_RULES,
+        EXTENSION_RULES,
+        RULES,
+        STRONG_RULES,
+        WEAK_RULES,
+        ValidationReport,
+        Violation,
+    )
 
 __all__ = [
     "ALL_RULES",
@@ -71,3 +79,55 @@ __all__ = [
     "validate_shard",
     "weakly_satisfies",
 ]
+
+# Exported name -> the submodule that defines it; keep in step with the
+# TYPE_CHECKING imports above (tests/test_meta.py pins both).
+_EXPORTS = {
+    "CDCConsumer": "cdc",
+    "CDCResult": "cdc",
+    "ViolationEvent": "cdc",
+    "ENGINES": "engine",
+    "make_validator": "engine",
+    "satisfies_directives": "engine",
+    "strongly_satisfies": "engine",
+    "validate": "engine",
+    "weakly_satisfies": "engine",
+    "IncrementalValidator": "incremental",
+    "migrated_validator": "incremental",
+    "IndexedValidator": "indexed",
+    "JournalWriter": "journal",
+    "MutationEvent": "journal",
+    "MutationJournal": "journal",
+    "NaiveValidator": "naive",
+    "ParallelValidator": "parallel",
+    "merge_shard_results": "parallel",
+    "validate_shard": "parallel",
+    "ValidationPlan": "plan",
+    "compile_plan": "plan",
+    "plan_cache_clear": "plan",
+    "plan_cache_info": "plan",
+    "ColumnarShard": "shard",
+    "GraphShard": "shard",
+    "partition_graph": "shard",
+    "StreamValidator": "stream",
+    "validate_jsonl": "stream",
+    "ALL_RULES": "violations",
+    "DIRECTIVE_RULES": "violations",
+    "EXTENSION_RULES": "violations",
+    "RULES": "violations",
+    "STRONG_RULES": "violations",
+    "WEAK_RULES": "violations",
+    "ValidationReport": "violations",
+    "Violation": "violations",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module_name}", __name__), name)
+    globals()[name] = value
+    return value

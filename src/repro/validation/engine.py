@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .indexed import IndexedValidator
-from .naive import NaiveValidator
 from .parallel import ParallelValidator
 from .plan import compile_plan
 from .violations import ValidationReport
@@ -61,10 +59,14 @@ def make_validator(
             :class:`~repro.errors.BudgetExhaustedError` instead.
     """
     if engine == "indexed":
+        from .indexed import IndexedValidator
+
         return IndexedValidator(
             schema, plan=compile_plan(schema), budget=budget, on_budget=on_budget
         )
     if engine == "naive":
+        from .naive import NaiveValidator
+
         return NaiveValidator(schema, budget=budget, on_budget=on_budget)
     if engine == "parallel":
         return ParallelValidator(

@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING, Mapping
 
 from .. import obs
 from ..pg.values import value_signature
-from .indexed import IndexedValidator, _ordered_pairs
+from .indexed import IndexedValidator
 from .plan import ValidationPlan
 from .sites import KeySite, labels_below
-from .violations import ValidationReport, Violation
+from .violations import ValidationReport, Violation, _ordered_pairs
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pg.model import ElementId, PropertyGraph

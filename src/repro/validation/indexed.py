@@ -25,7 +25,7 @@ from .plan import ValidationPlan, compile_plan
 from .violations import (
     ValidationReport,
     Violation,
-    canonical_pair,
+    _ordered_pairs,
     record_rule_checks,
     rules_for_mode,
 )
@@ -482,10 +482,3 @@ class _GraphIndex:
             else:
                 self.edge_properties.append((element, name, value))
 
-
-def _ordered_pairs(elements: list) -> Iterator[tuple]:
-    """All unordered pairs of *elements*, each in canonical order."""
-    ordered = sorted(elements, key=str)
-    for i, first in enumerate(ordered):
-        for second in ordered[i + 1 :]:
-            yield canonical_pair(first, second)

@@ -65,7 +65,6 @@ Fault-injection sites (see :mod:`repro.resilience.faults`):
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
@@ -74,14 +73,16 @@ from ..errors import BudgetExhaustedError
 from ..pg.values import value_signature
 from ..resilience import faults
 from ..resilience.ladder import FALLBACK as _FALLBACK  # noqa: F401  (re-export)
-from ..resilience.ladder import ExecutorLadder
+# usable_cores lives in the ladder (sat's portfolio needs it without this
+# module); callers and tests still import and patch it here
+from ..resilience.ladder import ExecutorLadder, usable_cores
 from ..schema.scalars import INT_MAX, INT_MIN
-from .indexed import _ordered_pairs
 from .plan import ValidationPlan, compile_plan
 from .shard import ColumnarShard, GraphShard, partition_graph
 from .violations import (
     ValidationReport,
     Violation,
+    _ordered_pairs,
     record_rule_checks,
     rules_for_mode,
 )
@@ -109,14 +110,6 @@ _EXECUTORS = ("auto", "serial", "thread", "process")
 _DEADLINE_CHECK_EVERY = 2048
 
 _ON_BUDGET = ("unknown", "error")
-
-
-def usable_cores() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 class ParallelValidator:

@@ -10,7 +10,7 @@ sets, which is how the differential tests establish engine agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 #: Rule catalogue: id -> (title, statement from the paper).
 RULES: dict[str, tuple[str, str]] = {
@@ -194,6 +194,14 @@ class Violation:
 def canonical_pair(a: object, b: object) -> tuple:
     """Order a pair of element ids canonically (for WS4/DS1/DS3/DS7 witnesses)."""
     return (a, b) if str(a) <= str(b) else (b, a)
+
+
+def _ordered_pairs(elements: list) -> Iterator[tuple]:
+    """All unordered pairs of *elements*, each in canonical order."""
+    ordered = sorted(elements, key=str)
+    for i, first in enumerate(ordered):
+        for second in ordered[i + 1 :]:
+            yield canonical_pair(first, second)
 
 
 @dataclass

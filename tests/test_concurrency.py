@@ -12,12 +12,26 @@ and assert
 """
 
 import json
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.satisfiability import SatisfiabilityChecker
-from repro.satisfiability.cache import sat_cache_clear, sat_cache_info
+from repro.dl.concepts import Name
+from repro.satisfiability import (
+    BoundedSearchResult,
+    SatisfiabilityChecker,
+    TypeSatisfiability,
+)
+from repro.satisfiability import cache as cache_module
+from repro.satisfiability.cache import (
+    LabelSetCache,
+    SatCache,
+    sat_cache_clear,
+    sat_cache_info,
+)
 from repro.schema import parse_schema
 from repro.schema.scalars import scalar_checker_clear, scalar_checker_info
 from repro.service import report_payload
@@ -140,6 +154,71 @@ class TestSatHammer:
         totals = sat_cache_info()
         assert totals["hits"] + totals["misses"] > 0
         assert totals["schemas"] == 1  # one shared per-schema cache, no dupes
+
+
+def _yield_between_opcodes(frame, event, _arg):
+    """Trace function: in the cache module, give up the GIL between
+    bytecodes, so a read-modify-write of a counter can interleave."""
+    if frame.f_code.co_filename != cache_module.__file__:
+        return None
+    frame.f_trace_opcodes = True
+    if event == "opcode":
+        time.sleep(0)
+    return _yield_between_opcodes
+
+
+class TestSatCacheCounters:
+    """Every lookup counts exactly once, hit or miss, under contention.
+
+    CPython only switches threads between bytecodes at a few points, so an
+    unlocked ``hits += 1`` rarely loses an update by itself; the hammer
+    traces the cache module opcode by opcode and yields at every one,
+    which makes a lost update near-certain unless the lock is held.
+    """
+
+    LOOKUPS = 60
+
+    @staticmethod
+    def _hammer(lookup) -> None:
+        barrier = threading.Barrier(THREADS)
+
+        def worker(index: int) -> None:
+            sys.settrace(_yield_between_opcodes)
+            try:
+                barrier.wait(timeout=60)
+                for round_ in range(TestSatCacheCounters.LOOKUPS):
+                    lookup(index + round_)
+            finally:
+                sys.settrace(None)
+
+        with ThreadPoolExecutor(max_workers=THREADS) as pool:
+            list(pool.map(worker, range(THREADS)))
+
+    @pytest.mark.parametrize("layer", ("type", "field", "bounded"))
+    def test_sat_cache_hits_plus_misses_add_up(self, layer):
+        schema = parse_schema(CORPUS["user_session_edge_props"].sdl)
+        cache = SatCache(schema)
+        cache.put_type(TypeSatisfiability("User", True))
+        cache.put_field(("User", "follows"), True)
+        cache.put_bounded("User", 4, BoundedSearchResult(satisfiable=True, bound=4))
+        lookups = {
+            # every other lookup hits a stored entry
+            "type": lambda i: cache.get_type("User" if i % 2 else "UserSession"),
+            "field": lambda i: cache.get_field(("User", "follows" if i % 2 else "x")),
+            "bounded": lambda i: cache.get_bounded("User", 4 if i % 2 else 3),
+        }
+        self._hammer(lookups[layer])
+        assert cache.hits + cache.misses == THREADS * self.LOOKUPS
+        assert cache.hits == cache.misses
+
+    def test_label_cache_hits_plus_misses_add_up(self):
+        cache = LabelSetCache()
+        known = frozenset({Name("A")})
+        cache.store(known, True, known)
+        unknown = frozenset({Name("B")})
+        self._hammer(lambda i: cache.lookup(known if i % 2 else unknown))
+        assert cache.hits + cache.misses == THREADS * self.LOOKUPS
+        assert cache.hits == cache.misses == THREADS * self.LOOKUPS // 2
 
 
 class TestScalarCheckerHammer:

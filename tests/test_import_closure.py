@@ -16,7 +16,8 @@ import pytest
 
 import repro
 from repro.pg import dumps_graph
-from repro.workloads import CORPUS, user_session_graph
+from repro.schema import print_schema
+from repro.workloads import CORPUS, hub_chain_schema, user_session_graph
 
 _SRC = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -63,7 +64,16 @@ def inputs(tmp_path_factory):
     library.write_text(CORPUS["library"].sdl)
     graph = root / "graph.json"
     graph.write_text(dumps_graph(user_session_graph(3, 1, seed=0)))
-    return {"schema": str(schema), "library": str(library), "graph": str(graph)}
+    # every type goes through the bounded witness search; Hub0's witness
+    # needs more nodes than the default bound
+    hub = root / "hub.graphql"
+    hub.write_text(print_schema(hub_chain_schema(depth=3, leaves=2)))
+    return {
+        "schema": str(schema),
+        "library": str(library),
+        "graph": str(graph),
+        "hub": str(hub),
+    }
 
 
 def test_importing_the_cli_loads_no_subcommand_machinery():
@@ -91,6 +101,41 @@ def test_validate_does_not_load_numpy(inputs):
 
 def test_sat_does_not_load_numpy(inputs):
     assert _loaded_after(_run_cli(["sat", inputs["library"]]), ("numpy",)) == []
+
+
+def test_validate_loads_only_the_plan_kernel(inputs):
+    code = _run_cli(["validate", inputs["schema"], inputs["graph"]])
+    watched = (
+        "repro.validation.parallel",  # the one kernel that runs
+        "repro.validation.cdc",
+        "repro.validation.incremental",
+        "repro.validation.indexed",
+        "repro.validation.naive",
+        "repro.validation.stream",
+        "repro.validation.journal",
+        "repro.evolution",
+        "repro.pg.columnar",
+        "repro.pg.stats",
+        "repro.satisfiability",
+    )
+    assert _loaded_after(code, watched) == ["repro.validation.parallel"]
+
+
+def test_sat_loads_neither_validation_kernels_nor_the_sat_encoding(inputs):
+    watched = (
+        "repro.validation.parallel",
+        "repro.validation.cdc",
+        "repro.validation.incremental",
+        "repro.validation.stream",
+        "repro.validation.journal",
+        "repro.validation.naive",
+        "repro.pg.columnar",
+        "repro.satisfiability.sat_encoding",
+        "repro.satisfiability.reduction",
+        "repro.sat",
+    )
+    for schema in (inputs["library"], inputs["hub"]):
+        assert _loaded_after(_run_cli(["sat", schema]), watched) == []
 
 
 def test_numpy_loads_on_the_first_large_columnar_sort():

@@ -145,6 +145,22 @@ class TestPublicAPI:
         assert origins == repro._EXPORTS
         assert set(repro._EXPORTS) | {"__version__"} == set(repro.__all__)
 
+    @pytest.mark.parametrize(
+        "package_name", ("repro.pg", "repro.validation", "repro.satisfiability")
+    )
+    def test_lazy_subpackage_exports_match_the_table(self, package_name):
+        package = importlib.import_module(package_name)
+        prefix = f"{package_name}."
+        origins = {
+            name: module_name.removeprefix(prefix)
+            for name, (module_name, _) in _defining_modules(package).items()
+        }
+        assert origins == package._EXPORTS
+        assert set(package._EXPORTS) == set(package.__all__)
+        for name, module_name in package._EXPORTS.items():
+            module = importlib.import_module(prefix + module_name)
+            assert getattr(package, name) is getattr(module, name), name
+
     def test_version(self):
         import repro
 
