@@ -3,10 +3,14 @@
 Run directly: ``python benchmarks/import_closure.py`` (with ``src`` on
 ``PYTHONPATH``).  Each subcommand runs once in a fresh interpreter on a
 corpus input; the table lists the ``repro`` modules in ``sys.modules``
-afterwards and their source lines.  Without a bytecode cache
+afterwards and their source lines, every module in ``sys.modules``
+(standard library included), and the cyclic-GC collections per generation
+(``gc.get_stats()``) the run triggered.  Without a bytecode cache
 (``PYTHONDONTWRITEBYTECODE=1``, or a fresh checkout) every one of those
-lines is compiled again on every exec.  Informational only:
-``tests/test_import_closure.py`` is the gate on which modules load.
+lines is compiled again on every exec.  The counts repeat exactly from run
+to run, so a change in them is a change in the program, not noise.
+Informational only: ``tests/test_import_closure.py`` is the gate on which
+modules load.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from repro.schema import print_schema
 from repro.workloads import CORPUS, hub_chain_schema, user_session_graph
 
 _PROBE = """
-import contextlib, io, json, sys
+import contextlib, gc, io, json, sys
 from repro.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main({argv!r})
@@ -32,12 +36,14 @@ lines = 0
 for name in names:
     with open(sys.modules[name].__file__, encoding="utf-8") as handle:
         lines += sum(1 for _ in handle)
-print(json.dumps([len(names), lines]))
+collections = [generation["collections"] for generation in gc.get_stats()]
+print(json.dumps([len(names), lines, len(sys.modules), collections]))
 """
 
 
-def closure(argv: list[str]) -> tuple[int, int]:
-    """(modules, source lines) of ``repro`` loaded by ``pgschema *argv*``."""
+def closure(argv: list[str]) -> tuple[int, int, int, list[int]]:
+    """What ``pgschema *argv*`` loads and collects: ``repro`` modules,
+    their source lines, all modules, and GC collections per generation."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -49,8 +55,8 @@ def closure(argv: list[str]) -> tuple[int, int]:
         env=env,
         check=True,
     )
-    modules, lines = json.loads(done.stdout.strip().splitlines()[-1])
-    return modules, lines
+    modules, lines, total, collections = json.loads(done.stdout.strip().splitlines()[-1])
+    return modules, lines, total, collections
 
 
 def main() -> None:
@@ -64,19 +70,28 @@ def main() -> None:
 
         schema = write("user_session.graphql", CORPUS["user_session_edge_props"].sdl)
         graph = write("graph.json", dumps_graph(user_session_graph(40, 2, seed=0)))
+        # the oneshot benchmark's graph size: loading it is what GC sees
+        big = write("big.json", dumps_graph(user_session_graph(4000, 2, seed=1), indent=None))
         runs = {
             "lint figure_1": ["lint", write("figure_1.graphql", CORPUS["figure_1"].sdl)],
             "validate user_session_edge_props": ["validate", schema, graph],
+            "validate, 20k elements": ["validate", schema, big],
             "sat library": ["sat", write("library.graphql", CORPUS["library"].sdl)],
             "sat hub_chain_schema(8, 6)": [
                 "sat",
                 write("hub.graphql", print_schema(hub_chain_schema(depth=8, leaves=6))),
             ],
         }
-        print(f"{'subcommand':<34} | {'modules':>7} | {'lines':>6}")
+        print(
+            f"{'subcommand':<34} | {'modules':>7} | {'lines':>6} | "
+            f"{'all modules':>11} | gc collections (gen 0/1/2)"
+        )
         for label, argv in runs.items():
-            modules, lines = closure(argv)
-            print(f"{label:<34} | {modules:>7} | {lines:>6}")
+            modules, lines, total, collections = closure(argv)
+            print(
+                f"{label:<34} | {modules:>7} | {lines:>6} | {total:>11} | "
+                + "/".join(map(str, collections))
+            )
 
 
 if __name__ == "__main__":

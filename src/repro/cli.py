@@ -51,6 +51,7 @@ is then UNKNOWN, not wrong.  Errors print one uniform line,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import contextmanager
@@ -468,12 +469,38 @@ def _load_schema(path: str, check: bool = True):
 
 
 def _load_graph(path: str, backend: str = "dict"):
-    """Load a graph document; ``.jsonl`` files go through the line format."""
+    """Load a graph document; ``.jsonl`` files go through the line format.
+
+    ``backend="records"`` reads a JSON document straight into the
+    read-only :class:`~repro.pg.records.GraphRecords` view the plan kernel
+    validates.  Cyclic GC is paused while the document is decoded and
+    built, then everything loaded is frozen out of later collections: the
+    freshly decoded data holds no cycles, and a short-lived CLI process
+    never frees it, so collecting it is pure overhead.  (Library loaders
+    leave the collector alone; the service decodes in threads.)
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        graph = _read_graph(path, backend)
+        gc.freeze()
+    finally:
+        if collecting:
+            gc.enable()
+    return graph
+
+
+def _read_graph(path: str, backend: str):
     if path.endswith(".jsonl"):
         from .pg.io import load_graph_jsonl
 
         with open(path) as handle:
             return load_graph_jsonl(handle, source=path, backend=backend)
+    if backend == "records":
+        from .pg.io import load_records
+
+        with open(path) as handle:
+            return load_records(handle)
     from .pg import load_graph
 
     with open(path) as handle:
@@ -583,7 +610,11 @@ def _cmd_validate(args) -> int:
             on_budget=args.on_budget,
         ).validate(args.graph, mode=args.mode)
         return _finish_validate(report)
-    graph = _load_graph(args.graph, backend=args.backend)
+    backend = args.backend
+    if args.engine == "parallel" and backend == "dict" and not args.graph.endswith(".jsonl"):
+        # the plan kernel reads records, never the mutable graph
+        backend = "records"
+    graph = _load_graph(args.graph, backend=backend)
     from .validation import make_validator
 
     validator = make_validator(
@@ -654,9 +685,10 @@ def _print_validate_profile(engine: str, validator, graph, spans) -> None:
 
 
 def _finish_validate(report) -> int:
-    print(report.summary())
-    for violation in sorted(report.violations, key=str):
-        print(f"  {violation}")
+    with obs.span("validation.report", violations=len(report.violations)):
+        print(report.summary())
+        for violation in sorted(report.violations, key=str):
+            print(f"  {violation}")
     if report.violations:
         return 1
     return 0 if report.complete else 3

@@ -20,9 +20,12 @@ if TYPE_CHECKING:
         iter_graph_jsonl,
         load_graph,
         load_graph_jsonl,
+        load_records,
         loads_graph,
+        records_from_dict,
     )
     from .model import ElementId, PropertyGraph
+    from .records import GraphRecords
     from .stats import GraphProfile, profile_graph
     from .values import (
         PropertyValue,
@@ -40,6 +43,7 @@ __all__ = [
     "ElementId",
     "GraphBuilder",
     "GraphProfile",
+    "GraphRecords",
     "PropertyGraph",
     "PropertyValue",
     "StringPool",
@@ -56,10 +60,12 @@ __all__ = [
     "iter_graph_jsonl",
     "load_graph",
     "load_graph_jsonl",
+    "load_records",
     "loads_graph",
     "normalize_value",
     "profile_graph",
     "random_graph",
+    "records_from_dict",
     "star_graph",
     "value_signature",
     "values_equal",
@@ -84,9 +90,12 @@ _EXPORTS = {
     "iter_graph_jsonl": "io",
     "load_graph": "io",
     "load_graph_jsonl": "io",
+    "load_records": "io",
     "loads_graph": "io",
+    "records_from_dict": "io",
     "ElementId": "model",
     "PropertyGraph": "model",
+    "GraphRecords": "records",
     "GraphProfile": "stats",
     "profile_graph": "stats",
     "PropertyValue": "values",

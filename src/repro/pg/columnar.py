@@ -572,23 +572,6 @@ class ColumnarGraph:
         left = bisect_left(self._out_labels, label_id, lo, hi)
         return bisect_right(self._out_labels, label_id, left, hi) - left
 
-    def iter_in_edges(
-        self, node_id: ElementId, label: str
-    ) -> tuple[ElementId, ...] | list[ElementId]:
-        """Incoming edges with the given label (read-only)."""
-        ext = self._node_index.get(node_id)
-        if ext is None:
-            return ()
-        label_id = self.labels.id_of(label)
-        if label_id < 0:
-            return ()
-        lo, hi = self._in_starts[ext], self._in_starts[ext + 1]
-        left = bisect_left(self._in_labels, label_id, lo, hi)
-        right = bisect_right(self._in_labels, label_id, left, hi)
-        ids = self._edge_ids
-        edges = self._in_edges
-        return tuple(ids[edges[position]] for position in range(left, right))
-
     def property_map(self, element_id: ElementId) -> Mapping[str, PropertyValue]:
         """The element's properties as a freshly-built dict (the columnar
         kernel never calls this; the generic engines do)."""

@@ -25,11 +25,13 @@ suite mutates real documents byte-by-byte to enforce this.
 from __future__ import annotations
 
 import json
-from typing import IO, TYPE_CHECKING, Any, Iterator
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterator
 
 from .. import obs
 from ..errors import GraphError, GraphLoadError
 from .model import PropertyGraph
+from .records import GraphRecords
+from .values import normalize_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from .columnar import ColumnarBuilder, ColumnarGraph
@@ -91,14 +93,8 @@ def _element(
     return record
 
 
-def graph_from_dict(data: Any, source: str | None = None) -> PropertyGraph:
-    """Decode a dictionary produced by :func:`graph_to_dict`.
-
-    *source* names the document (a file path, ``"<stdin>"``, ...) in error
-    messages.  Shape problems raise :class:`~repro.errors.GraphLoadError`;
-    structural problems (duplicate ids, dangling endpoints) keep raising
-    the narrower :class:`~repro.errors.GraphError` subtypes.
-    """
+def _sections(data: Any, source: str | None) -> tuple[list, list]:
+    """The document's ``nodes`` and ``edges`` arrays, shape-checked."""
     if not isinstance(data, dict):
         raise GraphLoadError(
             f"graph document must be a JSON object, got {type(data).__name__}",
@@ -114,6 +110,18 @@ def graph_from_dict(data: Any, source: str | None = None) -> PropertyGraph:
         raise GraphLoadError(
             f'"edges" must be an array, got {type(edges).__name__}', source=source
         )
+    return nodes, edges
+
+
+def graph_from_dict(data: Any, source: str | None = None) -> PropertyGraph:
+    """Decode a dictionary produced by :func:`graph_to_dict`.
+
+    *source* names the document (a file path, ``"<stdin>"``, ...) in error
+    messages.  Shape problems raise :class:`~repro.errors.GraphLoadError`;
+    structural problems (duplicate ids, dangling endpoints) keep raising
+    the narrower :class:`~repro.errors.GraphError` subtypes.
+    """
+    nodes, edges = _sections(data, source)
     graph = PropertyGraph()
     try:
         for index, node in enumerate(nodes):
@@ -138,6 +146,96 @@ def graph_from_dict(data: Any, source: str | None = None) -> PropertyGraph:
             f"malformed graph element: {bad}", source=source
         ) from bad
     return graph
+
+
+#: Exact types of the property values :func:`normalize_value` returns
+#: unchanged; a property map holding only these is used as decoded.
+_PLAIN_VALUES = frozenset((str, int, float, bool))
+
+
+def _plain_properties(properties: dict[str, Any]) -> dict[str, Any]:
+    """*properties* normalised as :meth:`PropertyGraph.add_node` does, but
+    without a copy when every value is already normalised."""
+    for value in properties.values():
+        if value.__class__ not in _PLAIN_VALUES:
+            return {name: normalize_value(value) for name, value in properties.items()}
+    return properties
+
+
+def records_from_dict(data: Any, source: str | None = None) -> GraphRecords:
+    """Decode a :func:`graph_to_dict` document straight into a
+    :class:`~repro.pg.records.GraphRecords` view, in one pass per element.
+
+    Every element is checked as :func:`graph_from_dict` checks it -- shape,
+    duplicate ids, dangling endpoints, label types, property values, in the
+    same order -- and a malformed document raises the same exception with
+    the same message.  Property maps whose values are already normalised
+    are shared with *data*, not copied: the caller hands the document over.
+    """
+    nodes, edges = _sections(data, source)
+    node_labels: dict[Any, str] = {}
+    edge_ids: dict[Any, None] = {}
+    properties: dict[Any, dict[str, Any]] = {}
+    node_records = []
+    edge_records = []
+    try:
+        for index, node in enumerate(nodes):
+            # plain, well-formed elements skip the _element call; anything
+            # else goes through it, which raises or accepts as it always has
+            if node.__class__ is not dict or "id" not in node or "label" not in node:
+                _element(node, "nodes", index, ("id", "label"), source)
+            props = node.get("properties")
+            if props is not None and props.__class__ is not dict:
+                _element(node, "nodes", index, ("id", "label"), source)
+            node_id = node["id"]
+            label = node["label"]
+            if node_id in node_labels:
+                raise GraphError(f"element id already in use: {node_id!r}")
+            if not isinstance(label, str):
+                raise GraphError(f"labels must be strings, got {label!r}")
+            node_labels[node_id] = label
+            node_records.append((node_id, label))
+            if props:
+                properties[node_id] = _plain_properties(props)
+        edge_keys = ("id", "source", "target", "label")
+        for index, edge in enumerate(edges):
+            if (
+                edge.__class__ is not dict
+                or "id" not in edge
+                or "source" not in edge
+                or "target" not in edge
+                or "label" not in edge
+            ):
+                _element(edge, "edges", index, edge_keys, source)
+            props = edge.get("properties")
+            if props is not None and props.__class__ is not dict:
+                _element(edge, "edges", index, edge_keys, source)
+            edge_id = edge["id"]
+            edge_source = edge["source"]
+            edge_target = edge["target"]
+            label = edge["label"]
+            if edge_id in node_labels or edge_id in edge_ids:
+                raise GraphError(f"element id already in use: {edge_id!r}")
+            source_label = node_labels.get(edge_source)
+            if source_label is None:
+                raise GraphError(f"edge source is not a node: {edge_source!r}")
+            target_label = node_labels.get(edge_target)
+            if target_label is None:
+                raise GraphError(f"edge target is not a node: {edge_target!r}")
+            if not isinstance(label, str):
+                raise GraphError(f"labels must be strings, got {label!r}")
+            edge_ids[edge_id] = None
+            edge_records.append(
+                (edge_id, edge_source, edge_target, label, source_label, target_label)
+            )
+            if props:
+                properties[edge_id] = _plain_properties(props)
+    except (TypeError, ValueError) as bad:
+        # unhashable ids, tuple-hostile property values, ...
+        raise GraphLoadError(
+            f"malformed graph element: {bad}", source=source
+        ) from bad
+    return GraphRecords(node_records, edge_records, properties)
 
 
 def _decode(text: str, source: str | None) -> Any:
@@ -167,8 +265,14 @@ def dumps_graph(graph: PropertyGraph, indent: int | None = 2) -> str:
     return json.dumps(graph_to_dict(graph), indent=indent)
 
 
-def load_graph(fp: IO[str], source: str | None = None) -> PropertyGraph:
-    """Read a graph from an open JSON text file."""
+def _load(
+    fp: IO[str],
+    source: str | None,
+    build: "Callable[[Any, str | None], PropertyGraph | GraphRecords]",
+    stage: str,
+) -> "PropertyGraph | GraphRecords":
+    """Read, decode and *build* one document under a ``pg.load`` span with
+    ``pg.decode`` and *stage* children."""
     if source is None:
         source = getattr(fp, "name", None)
     try:
@@ -181,9 +285,24 @@ def load_graph(fp: IO[str], source: str | None = None) -> PropertyGraph:
         ) from None
     span = obs.span("pg.load", bytes=len(text))
     with span:
-        graph = graph_from_dict(_decode(text, source), source)
+        with obs.span("pg.decode"):
+            data = _decode(text, source)
+        with obs.span(stage):
+            graph = build(data, source)
         span.set(nodes=graph.num_nodes, edges=graph.num_edges)
     return graph
+
+
+def load_graph(fp: IO[str], source: str | None = None) -> PropertyGraph:
+    """Read a graph from an open JSON text file."""
+    return _load(fp, source, graph_from_dict, "pg.build")  # type: ignore[return-value]
+
+
+def load_records(fp: IO[str], source: str | None = None) -> GraphRecords:
+    """Read an open JSON text file straight into a
+    :class:`~repro.pg.records.GraphRecords` view (see
+    :func:`records_from_dict`)."""
+    return _load(fp, source, records_from_dict, "pg.records")  # type: ignore[return-value]
 
 
 def loads_graph(text: str, source: str | None = None) -> PropertyGraph:

@@ -246,16 +246,25 @@ class PropertyGraph:
             return 0
         return len(edges.get(label, ()))
 
-    def iter_in_edges(
+    def in_edge_records(
         self, node_id: ElementId, label: str
-    ) -> tuple[ElementId, ...] | list[ElementId]:
-        """Incoming edges with the given label, without copying the index
-        bucket.  The result must be treated as read-only; use
-        :meth:`in_edges` for a mutable list."""
+    ) -> list[tuple[ElementId, ElementId, ElementId, str, str, str]]:
+        """Incoming edges with the given label as :meth:`edge_records`
+        tuples (the accessor :class:`~repro.pg.records.GraphRecords` shares,
+        so the fused kernel reads DS4's source labels from either)."""
         edges = self._in.get(node_id)
         if not edges:
-            return ()
-        return edges.get(label, ())
+            return []
+        endpoints = self._endpoints
+        node_labels = self._node_labels
+        target_label = node_labels[node_id]
+        records = []
+        for edge in edges.get(label, ()):
+            source = endpoints[edge][0]
+            records.append(
+                (edge, source, node_id, label, node_labels[source], target_label)
+            )
+        return records
 
     def property_map(self, element_id: ElementId) -> Mapping[str, PropertyValue]:
         """The element's property dict *without* copying (hot-path accessor

@@ -3,10 +3,12 @@
 :class:`ParallelValidator` validates a Property Graph by (1) compiling the
 schema into a :class:`~repro.validation.plan.ValidationPlan` (cached across
 calls), (2) splitting the graph into scope-respecting shards
-(:mod:`repro.validation.shard`), (3) running the *fused shard kernel*
-:func:`validate_shard` over every shard -- serially, on a thread pool, or on
-a process pool -- and (4) merging the per-shard results into one
-deterministic :class:`~repro.validation.violations.ValidationReport`.
+(:mod:`repro.validation.shard`; a one-shard run takes the graph's
+:class:`~repro.pg.records.GraphRecords` view as its shard), (3) running the
+*fused shard kernel* :func:`validate_shard` over every shard -- serially, on
+a thread pool, or on a process pool -- and (4) merging the per-shard
+results into one deterministic
+:class:`~repro.validation.violations.ValidationReport`.
 
 The kernel is the per-shard hot loop.  Unlike
 :class:`~repro.validation.indexed.IndexedValidator`, which runs one pass per
@@ -65,11 +67,11 @@ Fault-injection sites (see :mod:`repro.resilience.faults`):
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
 from .. import obs
 from ..errors import BudgetExhaustedError
+from ..pg.records import GraphRecords
 from ..pg.values import value_signature
 from ..resilience import faults
 from ..resilience.ladder import FALLBACK as _FALLBACK  # noqa: F401  (re-export)
@@ -179,11 +181,15 @@ class ParallelValidator:
 
     def validate(
         self,
-        graph: "PropertyGraph",
+        graph: "PropertyGraph | GraphRecords | ColumnarGraph",
         mode: str = "strong",
         budget: "Budget | None" = None,
     ) -> ValidationReport:
-        """Check *graph* for weak / directives / strong satisfaction."""
+        """Check *graph* for weak / directives / strong satisfaction.
+
+        A :class:`~repro.pg.records.GraphRecords` view (what
+        ``pgschema validate`` loads) validates exactly like the
+        :class:`~repro.pg.model.PropertyGraph` it describes."""
         with obs.span(
             "validation.run",
             engine="parallel",
@@ -195,7 +201,7 @@ class ParallelValidator:
 
     def _validate(
         self,
-        graph: "PropertyGraph",
+        graph: "PropertyGraph | GraphRecords | ColumnarGraph",
         mode: str,
         budget: "Budget | None",
     ) -> ValidationReport:
@@ -203,7 +209,14 @@ class ParallelValidator:
         if budget is None and self.budget is not None:
             budget = self.budget.renew()
         with obs.span("validation.partition", jobs=self.shard_count):
-            shards = partition_graph(graph, self.shard_count)
+            if self.shard_count > 1 or getattr(graph, "is_columnar", False):
+                shards = partition_graph(graph, self.shard_count)
+            else:
+                # one shard: the records view is that shard, and the graph
+                # the kernel reads
+                if not isinstance(graph, GraphRecords):
+                    graph = GraphRecords.from_graph(graph)  # type: ignore[arg-type]
+                shards = [graph]
         observation = obs.active()
         if observation is not None and observation.registry is not None:
             registry = observation.registry
@@ -234,7 +247,7 @@ class ParallelValidator:
         """How many shards :meth:`validate` partitions the graph into."""
         return 1 if self.inline else self.jobs
 
-    def choose_executor(self, graph: "PropertyGraph") -> str:
+    def choose_executor(self, graph: "PropertyGraph | GraphRecords") -> str:
         """The executor "auto" resolves to for this graph."""
         if self.executor != "auto":
             return self.executor
@@ -254,8 +267,8 @@ class ParallelValidator:
 
     def _run_shards(
         self,
-        graph: "PropertyGraph",
-        shards: Sequence[GraphShard],
+        graph: "PropertyGraph | GraphRecords",
+        shards: "Sequence[GraphShard | GraphRecords]",
         rules: tuple[str, ...],
         results: "list[ShardResult | None]",
         budget: "Budget | None",
@@ -305,6 +318,10 @@ class ParallelValidator:
             return pool.submit(_pool_validate, (shards[index], rules, attempt, budget))
 
         def make_process_pool(workers: int):
+            # imported here: the inline and thread paths never load
+            # multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             return ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_pool_initializer,
@@ -410,13 +427,13 @@ def _sort_key(violation: Violation) -> tuple:
 # --------------------------------------------------------------------------- #
 
 _pool_plan: ValidationPlan | None = None
-_pool_graph: "PropertyGraph | None" = None
+_pool_graph: "PropertyGraph | GraphRecords | None" = None
 
 
 def _thread_validate(
     plan: ValidationPlan,
-    graph: "PropertyGraph",
-    shard: GraphShard,
+    graph: "PropertyGraph | GraphRecords",
+    shard: "GraphShard | GraphRecords",
     rules: tuple[str, ...],
     attempt: int,
     budget: "Budget | None",
@@ -432,7 +449,7 @@ def _thread_validate(
 
 def _pool_initializer(
     schema: "GraphQLSchema",
-    graph: "PropertyGraph",
+    graph: "PropertyGraph | GraphRecords",
     fault_spec: str | None,
     obs_config: dict | None = None,
 ) -> None:
@@ -453,7 +470,7 @@ def _pool_initializer(
 
 
 def _pool_validate(
-    task: "tuple[GraphShard, tuple[str, ...], int, Budget | None]",
+    task: "tuple[GraphShard | GraphRecords, tuple[str, ...], int, Budget | None]",
 ) -> "ShardResult | obs.TracedResult":
     shard, rules, attempt, budget = task
     assert _pool_plan is not None and _pool_graph is not None
@@ -474,8 +491,8 @@ def _pool_validate(
 
 def validate_shard(
     plan: ValidationPlan,
-    graph: "PropertyGraph | ColumnarGraph",
-    shard: "GraphShard | ColumnarShard",
+    graph: "PropertyGraph | GraphRecords | ColumnarGraph",
+    shard: "GraphShard | GraphRecords | ColumnarShard",
     rules: tuple[str, ...],
     budget: "Budget | None" = None,
 ) -> ShardResult:
@@ -484,6 +501,13 @@ def validate_shard(
     Returns the violations whose scope lies inside the shard plus the DS7
     signature triples for the merge step.  Union over a full partition ==
     the sequential engines' result (the differential tests enforce this).
+
+    Besides the shard's records, the dict kernel reads only three graph
+    accessors -- ``property_map``, ``out_degree`` (DS6) and
+    ``in_edge_records`` (DS4 reads the source label ``r[4]``) -- which
+    :class:`~repro.pg.model.PropertyGraph` and
+    :class:`~repro.pg.records.GraphRecords` both provide; a records view is
+    passed as both *graph* and *shard*.
 
     :class:`~repro.validation.shard.ColumnarShard` row-range shards (from a
     frozen :class:`~repro.pg.columnar.ColumnarGraph`) dispatch to the
@@ -503,8 +527,6 @@ def validate_shard(
     violations: list[Violation] = []
     emit = violations.append
     triples: list[SignatureTriple] = []
-    label_of = graph.label
-    endpoints = graph.endpoints
     property_map = graph.property_map
     elements_seen = 0
 
@@ -518,7 +540,7 @@ def validate_shard(
     ds7 = "DS7" in active
     node_rules = plan.node_rules
     if ws1 or ss1 or ss2 or ds4 or ds5 or ds6 or ds7:
-        iter_in_edges = graph.iter_in_edges
+        in_edge_records = graph.in_edge_records
         out_degree = graph.out_degree
         for node, label in shard.nodes:
             if budget is not None:
@@ -603,8 +625,8 @@ def validate_shard(
                         )
             if ds4:
                 for location, field_name, source_below in rec.incoming_required:
-                    for edge in iter_in_edges(node, field_name):
-                        if label_of(endpoints(edge)[0]) in source_below:
+                    for record in in_edge_records(node, field_name):
+                        if record[4] in source_below:
                             break
                     else:
                         emit(

@@ -41,9 +41,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 from zlib import crc32
 
+from ..pg.records import group_edges
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..pg.columnar import ColumnarGraph
     from ..pg.model import ElementId, PropertyGraph
+    from ..pg.records import GraphRecords
 
 #: (node, label).
 NodeRecord = tuple
@@ -119,7 +122,7 @@ class ColumnarShard:
 
 
 def partition_graph(
-    graph: "PropertyGraph | ColumnarGraph", num_shards: int
+    graph: "PropertyGraph | GraphRecords | ColumnarGraph", num_shards: int
 ) -> "list[GraphShard] | list[ColumnarShard]":
     """Split *graph* into ``num_shards`` scope-respecting shards.
 
@@ -127,24 +130,23 @@ def partition_graph(
     the executor or the worker count actually used -- so a report merged
     from these shards is deterministic.  Columnar graphs partition into
     :class:`ColumnarShard` row ranges (no per-element hashing at all);
-    dict-backed graphs into hashed :class:`GraphShard` record lists.
+    dict-backed graphs into hashed :class:`GraphShard` record lists.  A
+    one-shard run needs no partition: a
+    :class:`~repro.pg.records.GraphRecords` view is its own single shard,
+    and that is what :class:`~repro.validation.parallel.ParallelValidator`
+    validates when it runs on one shard.
     """
     num_shards = max(1, num_shards)
     if getattr(graph, "is_columnar", False):
         return partition_columnar(graph, num_shards)  # type: ignore[arg-type]
     shards = [GraphShard(index) for index in range(num_shards)]
     edge_records = graph.edge_records()
-    if num_shards == 1:
-        single = shards[0]
-        single.nodes = list(graph.node_items())
-        single.edges = edge_records
-    else:
-        node_lists = [shard.nodes for shard in shards]
-        for record in graph.node_items():
-            node_lists[crc32(str(record[0]).encode()) % num_shards].append(record)
-        edge_lists = [shard.edges for shard in shards]
-        for record in edge_records:
-            edge_lists[crc32(str(record[0]).encode()) % num_shards].append(record)
+    node_lists = [shard.nodes for shard in shards]
+    for record in graph.node_items():
+        node_lists[crc32(str(record[0]).encode()) % num_shards].append(record)
+    edge_lists = [shard.edges for shard in shards]
+    for record in edge_records:
+        edge_lists[crc32(str(record[0]).encode()) % num_shards].append(record)
     _collect_groups(edge_records, shards, num_shards)
     return shards
 
@@ -185,11 +187,7 @@ def _collect_groups(
     shards: list[GraphShard],
     num_shards: int,
 ) -> None:
-    by_source: dict[tuple, list] = {}
-    by_target: dict[tuple, list] = {}
-    for record in edge_records:
-        by_source.setdefault((record[1], record[3]), []).append(record)
-        by_target.setdefault((record[2], record[3]), []).append(record)
+    by_source, by_target = group_edges(edge_records)
     for (source, label), group in by_source.items():
         if len(group) < 2:
             continue

@@ -11,6 +11,7 @@ from repro.pg import GraphBuilder, loads_graph
 from repro.schema import parse_schema
 from repro.sdl import parse_document, print_document, tokenize
 from repro.workloads.paper_schemas import CORPUS
+from tests.test_pg_io import assert_loaders_agree
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -185,6 +186,15 @@ def test_graph_json_byte_mutation_corpus(document, operations):
         loads_graph(_mutate(document, operations), source="<fuzz>")
     except ReproError:
         pass
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(document=st.sampled_from(_GRAPH_CORPUS), operations=_mutations)
+def test_records_loader_agrees_on_byte_mutations(document, operations):
+    """The records-first loader raises what graph_from_dict raises on every
+    corrupted document -- type, error line, JSON position -- and loads the
+    same graph from every document that survives."""
+    assert_loaders_agree(_mutate(document, operations))
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])

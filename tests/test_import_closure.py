@@ -117,6 +117,10 @@ def test_validate_loads_only_the_plan_kernel(inputs):
         "repro.pg.columnar",
         "repro.pg.stats",
         "repro.satisfiability",
+        # the inline kernel starts no pool: the process-pool machinery is
+        # imported only where a pool is made
+        "concurrent.futures.process",
+        "multiprocessing",
     )
     assert _loaded_after(code, watched) == ["repro.validation.parallel"]
 

@@ -426,6 +426,46 @@ def test_cli_trace_and_metrics_artifacts(tmp_path):
     assert "sat.cache_info.hits" in metrics["gauges"]
 
 
+@pytest.mark.parametrize(
+    ("suffix", "build"), ((".json", "pg.records"), (".jsonl", "pg.load_jsonl"))
+)
+def test_cli_validate_load_and_report_spans(tmp_path, suffix, build):
+    """``pg.load`` splits into ``pg.decode`` + ``pg.records`` children on
+    the default path, and ``validation.report`` times the report lines."""
+    from repro.cli import main
+    from repro.pg.io import dump_graph_jsonl, dumps_graph
+    from repro.workloads import CORPUS
+
+    schema_path = tmp_path / "schema.graphql"
+    schema_path.write_text(CORPUS["user_session_edge_props"].sdl)
+    graph_path = tmp_path / f"graph{suffix}"
+    if suffix == ".json":
+        graph_path.write_text(dumps_graph(GRAPH))
+    else:
+        with open(graph_path, "w") as handle:
+            dump_graph_jsonl(GRAPH, handle)
+    trace_path = tmp_path / "t.json"
+    code = main(["validate", str(schema_path), str(graph_path), "--trace", str(trace_path)])
+    assert code == 0
+    events = {event["name"]: event for event in json.loads(trace_path.read_text())["traceEvents"]}
+    report = events["validation.report"]
+    assert report["args"] == {"violations": 0}
+    assert report["ts"] >= events["validation.run"]["ts"] + events["validation.run"]["dur"]
+    if suffix == ".jsonl":
+        assert build in events and "pg.load" not in events
+        return
+    load_span = events["pg.load"]
+    assert load_span["args"] == {
+        "bytes": graph_path.stat().st_size,
+        "nodes": GRAPH.num_nodes,
+        "edges": GRAPH.num_edges,
+    }
+    start, end = load_span["ts"], load_span["ts"] + load_span["dur"]
+    decode, records = events["pg.decode"], events[build]
+    assert start <= decode["ts"] and decode["ts"] + decode["dur"] <= records["ts"]
+    assert records["ts"] + records["dur"] <= end
+
+
 def test_cli_sat_trace_artifacts(tmp_path):
     from repro.cli import main
     from repro.workloads import CORPUS

@@ -88,8 +88,8 @@ class TestReadParity:
                 assert sorted(frozen.out_edges(node, label)) == sorted(
                     graph.out_edges(node, label)
                 )
-                assert sorted(frozen.iter_in_edges(node, label)) == sorted(
-                    graph.iter_in_edges(node, label)
+                assert sorted(frozen.in_edges(node, label)) == sorted(
+                    graph.in_edges(node, label)
                 )
             assert sorted(frozen.out_edges(node)) == sorted(graph.out_edges(node))
             assert sorted(frozen.in_edges(node)) == sorted(graph.in_edges(node))
