@@ -1,14 +1,16 @@
-"""E13 -- portfolio satisfiability: batching, fan-out, racing, verdict caching.
+"""E13 -- portfolio satisfiability: decision ladder, batching, fan-out, caching.
 
 Claim under test: whole-schema satisfiability (``check_schema``) repays the
 same treatment PR 3 gave validation.  The serial sweep runs one tableau
 search per element -- for a type with k relationship fields that is k+1
-searches over nearly identical concepts.  The portfolio engine batches each
-type and its fields into one conjunctive concept (one search decides them
-all when satisfiable), fans units over the executor ladder, and memoizes
-decided verdicts in a schema-keyed :class:`SatCache`.
+searches over nearly identical concepts.  The portfolio engine first runs
+the decision ladder (cache, lint, analysis) over every element in the
+calling process, batches each type's open elements into one conjunctive
+concept (one search decides them all when satisfiable), fans those units
+over the executor ladder, and memoizes decided verdicts in a schema-keyed
+:class:`SatCache`.
 
-Four things are measured/asserted here:
+Three things are measured/asserted here:
 
 1. speedup: portfolio ``check_schema(jobs=4)`` vs the serial engine over the
    paper corpus plus a scaled hub/chain schema -- the portfolio run must be
@@ -16,9 +18,7 @@ Four things are measured/asserted here:
    from batching, not just fan-out);
 2. verdict caching: a warm re-check of an already-decided schema must be at
    least 5x faster than a cold one;
-3. racing: ``engine="race"`` agrees with serial on every verdict (the
-   bounded finder can only *win* races, never flip an answer);
-4. determinism: serial and portfolio reports are byte-identical through
+3. determinism: serial and portfolio reports are byte-identical through
    ``to_json()`` for jobs ∈ {1, 2, 4} -- asserted inside the bench, so a
    bench run doubles as an end-to-end check.
 
@@ -144,7 +144,7 @@ def test_sat_cache_makes_recheck_cheaper():
 
 
 # --------------------------------------------------------------------------- #
-# 3 + 4. agreement and determinism (asserted even in quick mode)
+# 3. determinism (asserted even in quick mode)
 # --------------------------------------------------------------------------- #
 
 
@@ -165,23 +165,8 @@ def test_portfolio_byte_identical_to_serial(jobs):
     assert checked >= len(CORPUS)
 
 
-@pytest.mark.experiment("E13")
-def test_race_agrees_with_serial():
-    for schema in _suite():
-        serial = SatisfiabilityChecker(schema, cache=False).check_schema(
-            engine="serial"
-        )
-        race = SatisfiabilityChecker(schema, cache=SatCache(schema)).check_schema(
-            engine="race"
-        )
-        assert set(race.types) == set(serial.types)
-        for name, verdict in race.types.items():
-            assert verdict.verdict == serial.types[name].verdict, name
-        assert race.fields == serial.fields
-
-
 # --------------------------------------------------------------------------- #
-# 5. observability overhead (asserted even in quick mode)
+# 4. observability overhead (asserted even in quick mode)
 # --------------------------------------------------------------------------- #
 
 

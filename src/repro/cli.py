@@ -15,9 +15,11 @@ Subcommands:
   Validation Problem (strong satisfaction) and list violations.
 * ``pgschema sat SCHEMA.graphql [--type T]`` -- object-type satisfiability
   via the Theorem-3 tableau, with a bounded finite-witness search.  The
-  whole-schema sweep runs the portfolio engine (``--jobs``, ``--engine
-  portfolio|race|serial``); ``--profile`` reports per-engine win counts and
-  verdict-cache statistics.
+  whole-schema sweep runs the portfolio engine (``--engine
+  portfolio|serial``): the decision ladder (cache, lint, analysis) decides
+  what it can in-process and only open units fan out over ``--jobs``
+  workers; ``--profile`` reports per-engine win counts and verdict-cache
+  statistics.
 * ``pgschema translate SCHEMA.graphql`` -- show the ALCQI TBox of the
   Theorem-3 translation.
 * ``pgschema api SCHEMA.graphql`` -- print the §3.6 GraphQL API schema.
@@ -202,9 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bound for the finite witness search (default 4)",
     )
     sat.add_argument(
-        "--engine", choices=("serial", "portfolio", "race"), default="portfolio",
-        help="whole-schema strategy: batched fan-out (default), tableau-vs-"
-        "bounded racing, or the element-by-element serial sweep",
+        "--engine", choices=("serial", "portfolio"), default="portfolio",
+        help="whole-schema strategy: decision ladder then batched fan-out of "
+        "the open units (default), or the element-by-element serial sweep",
     )
     sat.add_argument(
         "--jobs", type=int, default=None, metavar="N",

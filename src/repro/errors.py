@@ -130,9 +130,8 @@ class BudgetReason:
 
     Attributes:
         dimension: Which limit ran out -- ``"deadline"``, ``"nodes"``,
-            ``"expansions"``, ``"memory"``, ``"assignments"``,
-            ``"decisions"`` or ``"cancelled"`` (the budget was cancelled
-            by a portfolio race that was decided elsewhere).
+            ``"expansions"``, ``"memory"``, ``"assignments"`` or
+            ``"decisions"``.
         limit: The configured ceiling for that dimension (seconds for
             ``"deadline"``, counts/bytes otherwise).
         used: How much had been consumed when the budget tripped.
@@ -147,8 +146,6 @@ class BudgetReason:
 
     def __str__(self) -> str:
         where = f" at {self.site}" if self.site else ""
-        if self.dimension == "cancelled":
-            return f"budget cancelled (race decided elsewhere){where}"
         if self.dimension == "deadline":
             return (
                 f"deadline of {self.limit:g}s exceeded after {self.used:.3f}s{where}"

@@ -57,7 +57,6 @@ class Budget:
         "nodes",
         "expansions",
         "memory",
-        "cancelled",
     )
 
     def __init__(
@@ -75,7 +74,6 @@ class Budget:
         self.nodes = 0
         self.expansions = 0
         self.memory = 0
-        self.cancelled = False
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -119,27 +117,8 @@ class Budget:
     # charging
     # ------------------------------------------------------------------ #
 
-    def cancel(self) -> None:
-        """Cancel the budget: every subsequent check/charge raises.
-
-        This is how a portfolio race stops the losing engine: each racer
-        runs under its own budget, and the first decisive verdict cancels
-        the other racer's budget.  The loser trips at its next cooperative
-        check point and unwinds as an ordinary
-        :class:`~repro.errors.BudgetExhaustedError` (``dimension ==
-        "cancelled"``) -- never a wrong verdict.  ``renew()`` copies are
-        born un-cancelled.
-        """
-        self.cancelled = True
-
-    def _check_cancelled(self, site: str) -> None:
-        if self.cancelled:
-            raise BudgetExhaustedError(BudgetReason("cancelled", 0, 0, site))
-
     def check_deadline(self, site: str = "") -> None:
-        """Raise when the wall-clock deadline has passed (or on cancel)."""
-        if self.cancelled:
-            self._check_cancelled(site)
+        """Raise when the wall-clock deadline has passed."""
         if self.deadline is not None:
             used = self.elapsed()
             if used > self.deadline:
@@ -149,8 +128,6 @@ class Budget:
 
     def charge_nodes(self, count: int = 1, site: str = "") -> None:
         """Record *count* created/visited elements; raise past ``max_nodes``."""
-        if self.cancelled:
-            self._check_cancelled(site)
         self.nodes += count
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExhaustedError(
@@ -159,8 +136,6 @@ class Budget:
 
     def charge_expansions(self, count: int = 1, site: str = "") -> None:
         """Record *count* search steps; raise past ``max_expansions``."""
-        if self.cancelled:
-            self._check_cancelled(site)
         self.expansions += count
         if self.max_expansions is not None and self.expansions > self.max_expansions:
             raise BudgetExhaustedError(

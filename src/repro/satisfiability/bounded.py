@@ -185,19 +185,12 @@ class BoundedModelFinder:
         object_type: str,
         max_nodes: int = 4,
         budget: "Budget | None" = None,
-        require_fields: tuple[str, ...] = (),
     ) -> BoundedSearchResult:
         """Search for a strongly-satisfying graph with a node of *object_type*.
 
         Never raises on exhaustion: the search is best-effort below a bound
         by construction, so a tripped budget (deadline, expansion count, or
         the historical assignment cap) is reported as ``result.reason``.
-
-        ``require_fields`` demands that the witnessing node additionally
-        carry an outgoing edge for each named relationship field.  A found
-        witness then decides the type *and* every listed edge definition in
-        one search -- the bounded half of a portfolio race over a batched
-        per-type work unit.
         """
         result = BoundedSearchResult(satisfiable=False, bound=max_nodes)
         if object_type not in self.schema.object_types:
@@ -225,7 +218,7 @@ class BoundedModelFinder:
                         "bounded.assignment", assignment=result.assignments_tried
                     )
                     labels = (object_type,) + extra
-                    witness = self._try_labels(labels, require_fields)
+                    witness = self._try_labels(labels)
                     if witness is not None:
                         result.satisfiable = True
                         result.witness = witness
@@ -236,19 +229,8 @@ class BoundedModelFinder:
 
     # ------------------------------------------------------------------ #
 
-    def _try_labels(
-        self, labels: tuple[str, ...], require_fields: tuple[str, ...] = ()
-    ) -> PropertyGraph | None:
+    def _try_labels(self, labels: tuple[str, ...]) -> PropertyGraph | None:
         obligations = self._collect_obligations(labels)
-        met = {
-            (obligation.kind, obligation.node, obligation.field_name)
-            for obligation in obligations
-        }
-        for field_name in require_fields:
-            # node 0 carries the target type; the edge-search machinery
-            # treats the extra demand exactly like a DS6 obligation
-            if ("out", 0, field_name) not in met:
-                obligations.append(_Obligation("out", 0, field_name, labels[0]))
         if not self._feasible(labels, obligations):
             return None
         edges = self._search_edges(labels, frozenset(), obligations, 0)

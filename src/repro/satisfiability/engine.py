@@ -2,15 +2,16 @@
 
 :class:`SatisfiabilityChecker` offers:
 
-* ``check_type`` -- a polynomial lint pre-pass followed, when needed, by the
-  paper's procedure (Theorem 3): translate the schema to an ALCQI TBox and
-  run the tableau.  The pre-pass runs the ``unsat``-class rules of
-  :mod:`repro.lint`; when one proves the type unsatisfiable (Example 6.1's
-  conflicting-cardinality class and its dead-required-target closure), the
-  checker returns UNSAT immediately, carrying the lint diagnostic, and the
-  tableau is never even constructed.  The tableau decides satisfiability
-  over *unrestricted* (possibly infinite) models; the pre-pass is sound for
-  exactly that semantics, so the two never disagree.
+* ``check_type`` -- the decision ladder (:meth:`~SatisfiabilityChecker.decision_ladder`:
+  verdict cache, the ``unsat``-class lint rules of :mod:`repro.lint`, the
+  dataflow-analysis pre-verdicts), then, for a type the ladder leaves open,
+  the paper's procedure (Theorem 3): translate the schema to an ALCQI TBox
+  and run the tableau.  A lint hit (Example 6.1's conflicting-cardinality
+  class and its dead-required-target closure) returns UNSAT carrying the
+  diagnostic, and the tableau is never even constructed.  The tableau
+  decides satisfiability over *unrestricted* (possibly infinite) models;
+  every ladder rung is sound for exactly that semantics, so they never
+  disagree.
 * ``check_type_finite`` -- bounded search for an actual witness Property
   Graph.  Property Graphs are finite, so this is the semantics the paper's
   Definition of satisfiability literally asks for; ALCQI lacks the finite
@@ -18,17 +19,16 @@
   infinite models (the paper's diagram (b); see EXPERIMENTS.md).
 * ``check_field`` -- edge-definition satisfiability via the paper's §6.2
   reduction: an edge definition (t, f) is populatable iff the concept
-  ``t ⊓ ∃f.basetype(type_S(t, f))`` is satisfiable.
+  ``t ⊓ ∃f.basetype(type_S(t, f))`` is satisfiable.  The same ladder runs
+  first.
 * ``check_schema`` -- the whole-schema soundness report the paper motivates
-  ("every part of the schema can be populated").  Since PR 4 this is a
-  *portfolio* engine (:mod:`repro.satisfiability.portfolio`): per-type work
-  units batched into single tableau searches, fanned over the executor
-  ladder (``jobs=``/``engine=``), optionally racing the tableau against the
-  bounded finder, with verdicts memoized in a schema-keyed
-  :class:`~repro.satisfiability.cache.SatCache`.  ``engine="serial"``
-  preserves the original element-by-element loop; all engines agree on
-  every verdict, and the deterministic engines produce byte-identical
-  reports for any ``jobs``.
+  ("every part of the schema can be populated").  The default is the
+  *portfolio* engine (:mod:`repro.satisfiability.portfolio`): the ladder
+  runs over every element in the calling process, and only per-type work
+  units with open elements are batched into single tableau searches and
+  fanned over the executor ladder (``jobs=``).  ``engine="serial"`` is the
+  element-by-element loop over ``check_type``/``check_field``; both engines
+  produce byte-identical reports for any ``jobs``.
 
 Checker instances are cheap: the tableau and the bounded finder are built
 lazily *per thread* (a tableau's completion-tree state is not shareable
@@ -60,6 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..schema.model import GraphQLSchema
 
 _ON_BUDGET = ("unknown", "error")
+_ENGINES = ("portfolio", "serial")
 
 
 def profile_from_registry(
@@ -329,10 +330,10 @@ class SatisfiabilityChecker:
         self._local = threading.local()
 
     # ------------------------------------------------------------------ #
-    # lazy components: the lint pre-pass can decide UNSAT without either.
+    # lazy components: the decision ladder can decide without either.
     # The tableau and the bounded finder hold per-search mutable state, so
-    # they are built per *thread* (fan-out and racing run concurrent
-    # checks); the TBox, lint verdicts and SatCache are shared.
+    # they are built per *thread* (thread fan-out runs concurrent checks);
+    # the TBox, lint verdicts and SatCache are shared.
     # ------------------------------------------------------------------ #
 
     @property
@@ -394,24 +395,6 @@ class SatisfiabilityChecker:
                     self._analysis_ready = True
         return self._analysis_verdicts
 
-    def _analysis_type_verdict(
-        self, object_type: str, budget: "Budget | None"
-    ) -> bool | None:
-        """The feed's verdict for one type, None when undecided/disabled.
-
-        A caller-supplied per-call budget also bypasses the feed: such
-        calls are explicitly studying engine behaviour under that budget.
-        """
-        if budget is not None:
-            return None
-        verdicts = self.analysis_verdicts()
-        if verdicts is None:
-            return None
-        verdict = verdicts.types.get(object_type)
-        if verdict is not None:
-            obs.count("sat.analysis.type_hits")
-        return verdict
-
     def _fresh_budget(self, override: "Budget | None") -> "Budget | None":
         """The per-call budget: an explicit override as-is, else a renewed
         copy of the template (fresh deadline/counters per check)."""
@@ -421,22 +404,85 @@ class SatisfiabilityChecker:
 
     # ------------------------------------------------------------------ #
 
+    def decision_ladder(
+        self,
+        type_name: str,
+        field_name: str | None = None,
+        *,
+        find_witness: bool = False,
+        budget: "Budget | None" = None,
+    ) -> "tuple[TypeSatisfiability | bool | None, str | None]":
+        """Decide one element without a search: cache → lint → analysis.
+
+        The element is the object type *type_name*, or the edge definition
+        (*type_name*, *field_name*).  Returns ``(verdict, rung)``: a
+        :class:`TypeSatisfiability` (type) or a bool (edge definition) and
+        the rung that decided it -- ``"cache"``, ``"lint"`` or
+        ``"analysis"`` -- or ``(None, None)`` when the element is still
+        open and needs the tableau.  Verdicts decided below the cache are
+        stored in it; a satisfiable type gets its bounded witness
+        re-attached or computed when *find_witness* asks for one.
+
+        Lint proves a declaring type dead, which kills every one of its
+        edge definitions too.  Analysis verdicts are reported exactly as
+        the tableau would report them (``decided_by="tableau"``, no
+        diagnostic), so reports stay byte-identical with the feed on or
+        off; only the win/obs accounting records the skipped search.  A
+        per-call *budget* skips analysis, as a budgeted checker does: such
+        calls study how the engines degrade under that budget.
+        """
+        cache = self.cache
+        key = (type_name, field_name)
+        verdict: "TypeSatisfiability | bool | None" = None
+        if cache is not None:
+            verdict = (
+                cache.get_type(type_name) if field_name is None else cache.get_field(key)
+            )
+        rung = None if verdict is None else "cache"
+        if rung is None and self.lint_precheck:
+            diagnostic = self.lint_verdict(type_name)
+            if diagnostic is not None:
+                rung = "lint"
+                verdict = False if field_name is not None else TypeSatisfiability(
+                    type_name, False, decided_by="lint", diagnostic=diagnostic
+                )
+        verdicts = self.analysis_verdicts() if rung is None and budget is None else None
+        if verdicts is not None:
+            if field_name is None and type_name in verdicts.types:
+                rung = "analysis"
+                verdict = TypeSatisfiability(type_name, verdicts.types[type_name])
+                obs.count("sat.analysis.type_hits")
+            elif field_name is not None and key in verdicts.fields:
+                rung = "analysis"
+                verdict = verdicts.fields[key]
+                obs.count("sat.analysis.field_hits")
+        if rung is None:
+            return None, None
+        if isinstance(verdict, TypeSatisfiability):
+            if cache is not None and rung != "cache":
+                cache.put_type(verdict)
+            if find_witness and verdict.tableau_satisfiable:
+                verdict.bounded = self._bounded_result(
+                    type_name, self._fresh_budget(budget)
+                )
+        elif cache is not None and rung != "cache":
+            cache.put_field(key, verdict)
+        return verdict, rung
+
     def is_satisfiable(
         self, object_type: str, budget: "Budget | None" = None
     ) -> bool:
-        """The Section-6.2 decision: polynomial pre-checks, then Theorem 3.
+        """The Section-6.2 decision: the decision ladder, then Theorem 3.
 
-        When the lint pre-pass proves the type unsatisfiable the tableau is
-        bypassed (and never constructed); otherwise the tableau decides.
-        A boolean cannot express UNKNOWN, so budget exhaustion always
-        raises here regardless of ``on_budget``; use :meth:`check_type`
-        for the graceful three-valued verdict.
+        When a ladder rung decides the type the tableau is bypassed (and
+        never constructed); otherwise the tableau decides.  A boolean
+        cannot express UNKNOWN, so budget exhaustion always raises here
+        regardless of ``on_budget``; use :meth:`check_type` for the
+        graceful three-valued verdict.
         """
-        if self.lint_precheck and self.lint_verdict(object_type) is not None:
-            return False
-        analysis = self._analysis_type_verdict(object_type, budget)
-        if analysis is not None:
-            return analysis
+        verdict, rung = self.decision_ladder(object_type, budget=budget)
+        if rung is not None:
+            return verdict.tableau_satisfiable
         return self.tableau.is_satisfiable(
             Name(object_type), budget=self._fresh_budget(budget)
         )
@@ -449,11 +495,11 @@ class SatisfiabilityChecker:
     ) -> TypeSatisfiability:
         """The full verdict for one object type.
 
-        Runs the unsat-class lint rules first; a hit yields an immediate
-        UNSAT verdict with ``decided_by="lint"`` and the proving diagnostic
-        attached.  Otherwise falls back to the tableau (plus the bounded
-        witness search when requested).  Under an exhausted budget the
-        result is a typed UNKNOWN (``verdict == "unknown"``, structured
+        Runs the :meth:`decision_ladder` first; a lint hit yields an
+        immediate UNSAT verdict with ``decided_by="lint"`` and the proving
+        diagnostic attached.  Otherwise falls back to the tableau (plus the
+        bounded witness search when requested).  Under an exhausted budget
+        the result is a typed UNKNOWN (``verdict == "unknown"``, structured
         ``reason``) -- never a wrong SAT/UNSAT -- unless
         ``on_budget="error"`` asked for the exception.
 
@@ -471,38 +517,10 @@ class SatisfiabilityChecker:
         find_witness: bool,
         budget: "Budget | None",
     ) -> TypeSatisfiability:
-        cache = self.cache
-        if cache is not None:
-            cached = cache.get_type(object_type)
-            if cached is not None:
-                if find_witness and cached.tableau_satisfiable:
-                    cached.bounded = self._bounded_result(
-                        object_type, self._fresh_budget(budget)
-                    )
-                return cached
-        if self.lint_precheck:
-            diagnostic = self.lint_verdict(object_type)
-            if diagnostic is not None:
-                verdict = TypeSatisfiability(
-                    object_type,
-                    tableau_satisfiable=False,
-                    decided_by="lint",
-                    diagnostic=diagnostic,
-                )
-                if cache is not None:
-                    cache.put_type(verdict)
-                return verdict
-        analysis = self._analysis_type_verdict(object_type, budget)
-        if analysis is not None:
-            # report exactly what the tableau would have said: the feed is
-            # differentially verified against it, so decided_by stays
-            # "tableau" and reports are byte-identical with the feed off
-            bounded = None
-            if find_witness and analysis:
-                bounded = self._bounded_result(object_type, None)
-            verdict = TypeSatisfiability(object_type, analysis, bounded)
-            if cache is not None:
-                cache.put_type(verdict)
+        verdict, rung = self.decision_ladder(
+            object_type, find_witness=find_witness, budget=budget
+        )
+        if rung is not None:
             return verdict
         run_budget = self._fresh_budget(budget)
         try:
@@ -522,8 +540,8 @@ class SatisfiabilityChecker:
         if find_witness and tableau_verdict:
             bounded = self._bounded_result(object_type, run_budget)
         verdict = TypeSatisfiability(object_type, tableau_verdict, bounded)
-        if cache is not None:
-            cache.put_type(verdict)
+        if self.cache is not None:
+            self.cache.put_type(verdict)
         return verdict
 
     def _bounded_result(
@@ -569,25 +587,9 @@ class SatisfiabilityChecker:
         field_def = self.schema.field(type_name, field_name)
         if field_def is None or field_def.is_attribute:
             raise ValueError(f"{type_name}.{field_name} is not a relationship definition")
-        key = (type_name, field_name)
-        cache = self.cache
-        if cache is not None:
-            cached = cache.get_field(key)
-            if cached is not None:
-                return cached
-        if self.lint_precheck and self.schema.is_object_type(type_name):
-            if self.lint_verdict(type_name) is not None:
-                if cache is not None:
-                    cache.put_field(key, False)
-                return False  # the declaring type itself is unpopulatable
-        if budget is None:
-            verdicts = self.analysis_verdicts()
-            if verdicts is not None and key in verdicts.fields:
-                analysis = verdicts.fields[key]
-                obs.count("sat.analysis.field_hits")
-                if cache is not None:
-                    cache.put_field(key, analysis)
-                return analysis
+        verdict, rung = self.decision_ladder(type_name, field_name, budget=budget)
+        if rung is not None:
+            return verdict
         concept = self._field_concept(type_name, field_name, field_def.type.base)
         try:
             verdict = self.tableau.is_satisfiable(
@@ -597,8 +599,8 @@ class SatisfiabilityChecker:
             if self.on_budget == "error":
                 raise
             return None
-        if cache is not None:
-            cache.put_field(key, verdict)
+        if self.cache is not None:
+            self.cache.put_field((type_name, field_name), verdict)
         return verdict
 
     def _field_concept(
@@ -630,21 +632,21 @@ class SatisfiabilityChecker:
 
         ``engine`` selects the whole-schema strategy:
 
-        * ``"portfolio"`` (default) -- per-type batched work units fanned
-          over the executor ladder (``jobs`` workers); deterministic, so
-          reports are byte-identical to ``"serial"`` for any ``jobs``.
-        * ``"race"`` -- like portfolio, but each satisfiable-looking unit
-          races the tableau against the bounded finite-model finder under
-          one budget; first decisive verdict wins, the loser's budget is
-          cancelled.  Verdicts still agree with serial; ``decided_by`` may
-          differ (recorded per engine in ``last_profile``).
-        * ``"serial"`` -- the original element-by-element loop.
+        * ``"portfolio"`` (default) -- the :meth:`decision_ladder` over
+          every element in this process, then per-type batched work units
+          holding the still-open elements fanned over the executor ladder
+          (``jobs`` workers); deterministic, so reports are byte-identical
+          to ``"serial"`` for any ``jobs``.
+        * ``"serial"`` -- the element-by-element loop over
+          :meth:`check_type` and :meth:`check_field`.
 
         The remaining keywords mirror the PR 3 validation fan-out (retry
         with backoff, process→thread→serial fallback, stuck-worker
         ``unit_timeout``).  After any run, ``self.last_profile`` holds the
         executor used, unit count and per-engine win counts.
         """
+        if engine not in _ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
         if engine == "serial":
             self.last_recovery_log = []
             # the serial sweep has no batched units and tracks no wins: its
@@ -662,7 +664,6 @@ class SatisfiabilityChecker:
             self,
             find_witnesses=find_witnesses,
             jobs=jobs,
-            engine=engine,
             executor=executor,
             max_retries=max_retries,
             retry_base_delay=retry_base_delay,

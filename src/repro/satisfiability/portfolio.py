@@ -1,34 +1,28 @@
-"""Portfolio whole-schema satisfiability: batching, fan-out, engine racing.
+"""Portfolio whole-schema satisfiability: decide in the parent, fan out the rest.
 
 ``check_schema`` asks one question per schema element -- every object type
 and every relationship (edge) definition.  The serial loop answers them one
-tableau search at a time.  This module turns the sweep into a portfolio:
+at a time.  This module turns the sweep into a portfolio:
 
+* **The decision ladder first, in the calling process.**  Every element
+  goes through :meth:`~repro.satisfiability.engine.SatisfiabilityChecker.decision_ladder`
+  (verdict cache → lint → dataflow analysis) before any fan-out, so the
+  parent's :class:`~repro.satisfiability.cache.SatCache` is what a repeat
+  sweep replays, and elements the ladder decides never cost a worker.
 * **Batched work units.**  The schema is partitioned into per-declaring-type
-  :class:`SatUnit`\\ s.  A unit's single batch concept
-  ``t ⊓ ∃f1.B1 ⊓ ... ⊓ ∃fk.Bk`` decides the type *and* all k of its edge
-  definitions with one tableau search when satisfiable (the common case for
-  sound schemas: SAT of the conjunction implies SAT of every conjunct
-  pair).  Only when the batch is UNSAT does the unit fall back to staged
-  per-element checks -- first ``t`` alone (UNSAT there settles every field
-  too), then individual fields -- reproducing the serial verdicts exactly.
-* **Fan-out.**  Units are scheduled over the shared
-  :class:`~repro.resilience.ladder.ExecutorLadder` (the PR 3 retry/backoff/
-  process→thread→serial recovery machinery), with results merged
-  positionally into canonical report order, so reports are byte-identical
-  for any ``jobs`` count or executor rung.
-* **Racing** (``engine="race"``).  A unit's batch concept is decided by the
-  Theorem-3 tableau and the bounded finite-model finder concurrently, each
-  under its own :class:`~repro.resilience.Budget`; the first decisive
-  verdict cancels the loser's budget (the loser unwinds at its next
-  cooperative check).  The bounded half searches with ``require_fields`` so
-  a found witness decides the type and all batched fields at once.  A
-  bounded *failure* is never decisive (finite search below a bound refutes
-  nothing), so racing cannot change a verdict -- only ``decided_by``.
-* **Caching.**  Every decided verdict flows through the checker's
-  :class:`~repro.satisfiability.cache.SatCache`; process-worker results are
-  absorbed into the parent's cache on merge, so a repeat ``check_schema``
-  over the same schema replays from memory.
+  :class:`SatUnit`\\ s; what the ladder leaves open is shipped as a unit
+  holding only the open elements.  A unit's single batch concept
+  ``t ⊓ ∃f1.B1 ⊓ ... ⊓ ∃fk.Bk`` decides the type *and* all k of its open
+  edge definitions with one tableau search when satisfiable (SAT of the
+  conjunction implies SAT of every conjunct pair).  Only when the batch is
+  UNSAT does the unit fall back to staged per-element checks -- first
+  ``t`` alone (UNSAT there settles every field too), then individual
+  fields -- reproducing the serial verdicts exactly.
+* **Fan-out.**  Open units are scheduled over the shared
+  :class:`~repro.resilience.ladder.ExecutorLadder` (retry with backoff,
+  process→thread→serial recovery); with no open unit no pool is made.  Results merge into canonical report order, so reports are
+  byte-identical for any ``jobs`` count or executor rung, and
+  process-worker verdicts are absorbed into the parent's cache.
 
 Verdict soundness of the batch decomposition: the batch concept is the
 conjunction of the type concept and each field concept, so batch-SAT
@@ -40,14 +34,13 @@ UNKNOWNs match the serial engine's.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .. import obs
 from ..dl.concepts import And, Exists, Name, Role
 from ..errors import BudgetExhaustedError
-from ..resilience import Budget, faults
+from ..resilience import faults
 from ..resilience.ladder import ExecutorLadder, usable_cores
 from .engine import (
     SatisfiabilityChecker,
@@ -58,9 +51,10 @@ from .engine import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
+
     from ..dl.concepts import Concept
     from ..schema.model import GraphQLSchema
-    from .bounded import BoundedSearchResult
 
 __all__ = [
     "SatUnit",
@@ -70,7 +64,6 @@ __all__ = [
     "run_portfolio",
 ]
 
-_ENGINES = ("portfolio", "race")
 _EXECUTORS = ("auto", "serial", "thread", "process")
 
 
@@ -80,9 +73,10 @@ class SatUnit:
 
     ``type_name`` is the object type the unit must produce a
     :class:`~repro.satisfiability.engine.TypeSatisfiability` for, or None
-    for interface-declared fields (interfaces get no type verdict in the
-    report, only field verdicts).  ``fields`` holds ``(field_name,
-    target_base)`` pairs in declaration order.
+    when no type verdict is owed: for interface-declared fields (interfaces
+    get no type verdict in the report, only field verdicts), and in an open
+    unit whose type the decision ladder already decided.  ``fields`` holds
+    ``(field_name, target_base)`` pairs in declaration order.
     """
 
     index: int
@@ -99,6 +93,9 @@ class UnitResult:
     type_verdict: TypeSatisfiability | None
     fields: dict[tuple[str, str], bool | None]
     wins: dict[str, int] = field(default_factory=dict)
+
+    def win(self, engine: str) -> None:
+        self.wins[engine] = self.wins.get(engine, 0) + 1
 
 
 def build_units(schema: "GraphQLSchema") -> list[SatUnit]:
@@ -127,182 +124,101 @@ def build_units(schema: "GraphQLSchema") -> list[SatUnit]:
     return units
 
 
+def _ladder_pass(
+    checker: SatisfiabilityChecker, unit: SatUnit, find_witnesses: bool
+) -> tuple[UnitResult, SatUnit | None]:
+    """The decision ladder over one unit's elements, in the calling process.
+
+    Returns what the ladder decided and the open remainder of the unit (None
+    when nothing is left for a search).
+    """
+    decided = UnitResult(unit.index, None, {})
+    open_type = None
+    if unit.type_name is not None:
+        verdict, rung = checker.decision_ladder(
+            unit.type_name, find_witness=find_witnesses
+        )
+        if rung is None:
+            open_type = unit.type_name
+        else:
+            decided.type_verdict = verdict
+            decided.win(rung)
+    open_fields = []
+    for field_name, base in unit.fields:
+        verdict, rung = checker.decision_ladder(unit.declaring, field_name)
+        if rung is None:
+            open_fields.append((field_name, base))
+        else:
+            decided.fields[(unit.declaring, field_name)] = verdict
+            decided.win(rung)
+    if open_type is None and not open_fields:
+        return decided, None
+    return decided, replace(unit, type_name=open_type, fields=tuple(open_fields))
+
+
 # --------------------------------------------------------------------------- #
-# the per-unit kernel (runs on any rung: inline, thread, or worker process)
+# the per-unit kernel for open units (runs on any rung: inline, thread, or
+# worker process)
 # --------------------------------------------------------------------------- #
 
 
 def check_unit(
-    checker: SatisfiabilityChecker,
-    unit: SatUnit,
-    *,
-    find_witnesses: bool = False,
-    race: bool = False,
+    checker: SatisfiabilityChecker, unit: SatUnit, *, find_witnesses: bool = False
 ) -> UnitResult:
-    """Decide one unit: cache → lint → batch concept → staged fallback."""
+    """Decide one open unit: batch concept, then the staged fallback."""
     with obs.span(
-        "sat.unit",
+        "sat.batch",
         unit=unit.index,
         declaring=unit.declaring,
         fields=len(unit.fields),
     ):
-        return _check_unit(checker, unit, find_witnesses, race)
-
-
-def _check_unit(
-    checker: SatisfiabilityChecker,
-    unit: SatUnit,
-    find_witnesses: bool,
-    race: bool,
-) -> UnitResult:
-    wins: dict[str, int] = {}
-
-    def win(engine: str) -> None:
-        wins[engine] = wins.get(engine, 0) + 1
-
-    cache = checker.cache
-    fields: dict[tuple[str, str], bool | None] = {}
-    pending: list[tuple[str, str]] = []
-    for field_name, base in unit.fields:
-        key = (unit.declaring, field_name)
-        if cache is not None:
-            cached = cache.get_field(key)
-            if cached is not None:
-                fields[key] = cached
-                win("cache")
-                continue
-        pending.append((field_name, base))
-
-    type_verdict: TypeSatisfiability | None = None
-    if unit.type_name is not None:
-        if cache is not None:
-            cached_type = cache.get_type(unit.type_name)
-            if cached_type is not None:
-                if find_witnesses and cached_type.tableau_satisfiable:
-                    cached_type.bounded = checker._bounded_result(
-                        unit.type_name, checker._fresh_budget(None)
-                    )
-                type_verdict = cached_type
-                win("cache")
-        if type_verdict is None and checker.lint_precheck:
-            diagnostic = checker.lint_verdict(unit.type_name)
-            if diagnostic is not None:
-                type_verdict = TypeSatisfiability(
-                    unit.type_name,
-                    tableau_satisfiable=False,
-                    decided_by="lint",
-                    diagnostic=diagnostic,
-                )
-                win("lint")
-                if cache is not None:
-                    cache.put_type(type_verdict)
-                # a dead declaring type makes every edge definition dead too
-                for field_name, _base in pending:
-                    key = (unit.declaring, field_name)
-                    fields[key] = False
-                    if cache is not None:
-                        cache.put_field(key, False)
-                pending = []
-
-    # the dataflow-analysis pre-verdict feed: drain elements the fixpoints
-    # proved, so the batch concept only carries genuinely open questions.
-    # Verdicts are reported exactly as the tableau would report them
-    # (decided_by="tableau"), keeping reports byte-identical; only the
-    # win/obs accounting records the skipped searches.
-    verdicts = checker.analysis_verdicts()
-    if verdicts is not None:
-        still: list[tuple[str, str]] = []
-        for field_name, base in pending:
-            key = (unit.declaring, field_name)
-            if key in verdicts.fields:
-                fields[key] = verdicts.fields[key]
-                win("analysis")
-                obs.count("sat.analysis.field_hits")
-                if cache is not None:
-                    cache.put_field(key, verdicts.fields[key])
-            else:
-                still.append((field_name, base))
-        pending = still
-        if unit.type_name is not None and type_verdict is None:
-            analysis = verdicts.types.get(unit.type_name)
-            if analysis is not None:
-                bounded = None
-                if find_witnesses and analysis:
-                    bounded = checker._bounded_result(unit.type_name, None)
-                type_verdict = TypeSatisfiability(unit.type_name, analysis, bounded)
-                win("analysis")
-                obs.count("sat.analysis.type_hits")
-                if cache is not None:
-                    cache.put_type(type_verdict)
-
-    need_type = unit.type_name is not None and type_verdict is None
-    if need_type or pending:
-        type_verdict = _decide_batch(
-            checker,
-            unit,
-            pending,
-            fields,
-            type_verdict,
-            need_type,
-            find_witnesses,
-            race,
-            win,
-        )
-    return UnitResult(unit.index, type_verdict, fields, wins)
+        result = UnitResult(unit.index, None, {})
+        result.type_verdict = _decide_batch(checker, unit, result, find_witnesses)
+        return result
 
 
 def _decide_batch(
     checker: SatisfiabilityChecker,
     unit: SatUnit,
-    pending: list[tuple[str, str]],
-    fields: dict[tuple[str, str], bool | None],
-    type_verdict: TypeSatisfiability | None,
-    need_type: bool,
+    result: UnitResult,
     find_witnesses: bool,
-    race: bool,
-    win,
 ) -> TypeSatisfiability | None:
     """Run the batch concept, then stage fallbacks on UNSAT/UNKNOWN."""
     cache = checker.cache
+    fields = result.fields
     parts: "list[Concept]" = [Name(unit.declaring)]
-    parts.extend(Exists(Role(field_name), Name(base)) for field_name, base in pending)
+    parts.extend(Exists(Role(field_name), Name(base)) for field_name, base in unit.fields)
     batch = parts[0] if len(parts) == 1 else And(tuple(parts))
+    try:
+        sat = checker.tableau.is_satisfiable(batch, budget=checker._fresh_budget(None))
+    except BudgetExhaustedError:
+        # not decisive; the staged fallback re-checks per element (and
+        # re-raises there under on_budget="error")
+        sat = None
 
-    race_bounded: "BoundedSearchResult | None" = None
-    if race and need_type:
-        sat, decided_by, race_bounded = _race_batch(
-            checker, unit, batch, tuple(field_name for field_name, _base in pending)
-        )
-    else:
-        sat, decided_by = _tableau_batch(checker, batch)
-
+    type_verdict: TypeSatisfiability | None = None
     if sat is True:
-        win(decided_by)
-        for field_name, _base in pending:
+        result.win("tableau")
+        for field_name, _base in unit.fields:
             key = (unit.declaring, field_name)
             fields[key] = True
             if cache is not None:
                 cache.put_field(key, True)
-        if need_type:
+        if unit.type_name is not None:
             bounded = None
             if find_witnesses:
-                if race_bounded is not None and race_bounded.satisfiable:
-                    bounded = race_bounded
-                else:
-                    bounded = checker._bounded_result(
-                        unit.type_name, checker._fresh_budget(None)
-                    )
-            type_verdict = TypeSatisfiability(
-                unit.type_name, True, bounded, decided_by=decided_by
-            )
+                bounded = checker._bounded_result(
+                    unit.type_name, checker._fresh_budget(None)
+                )
+            type_verdict = TypeSatisfiability(unit.type_name, True, bounded)
             if cache is not None:
                 cache.put_type(type_verdict)
         return type_verdict
 
-    if sat is False and need_type and not pending:
+    if sat is False and unit.type_name is not None and not unit.fields:
         # the batch was Name(t) alone: a direct UNSAT verdict
-        win(decided_by)
-        type_verdict = TypeSatisfiability(unit.type_name, False, decided_by=decided_by)
+        result.win("tableau")
+        type_verdict = TypeSatisfiability(unit.type_name, False)
         if cache is not None:
             cache.put_type(type_verdict)
         return type_verdict
@@ -310,15 +226,11 @@ def _decide_batch(
     # batch UNSAT with fields in it, or budget-tripped batch: stage down to
     # the serial per-element procedure (fresh budget renewals per element),
     # which reproduces the serial engine's verdicts exactly.
-    if need_type:
+    if unit.type_name is not None:
         type_verdict = checker.check_type(unit.type_name, find_witness=find_witnesses)
-        win(type_verdict.decided_by)
-    type_unsat = (
-        unit.type_name is not None
-        and type_verdict is not None
-        and type_verdict.tableau_satisfiable is False
-    )
-    for field_name, _base in pending:
+        result.win(type_verdict.decided_by)
+    type_unsat = type_verdict is not None and type_verdict.tableau_satisfiable is False
+    for field_name, _base in unit.fields:
         key = (unit.declaring, field_name)
         if type_unsat:
             # t ⊓ ∃f.B is subsumed by the unsatisfiable t: False without a
@@ -328,74 +240,8 @@ def _decide_batch(
                 cache.put_field(key, False)
         else:
             fields[key] = checker.check_field(unit.declaring, field_name)
-        win("tableau" if fields[key] is not None else "budget")
+        result.win("tableau" if fields[key] is not None else "budget")
     return type_verdict
-
-
-def _tableau_batch(
-    checker: SatisfiabilityChecker, batch: "Concept"
-) -> tuple[bool | None, str]:
-    """Decide the batch concept with the tableau alone."""
-    try:
-        return (
-            checker.tableau.is_satisfiable(batch, budget=checker._fresh_budget(None)),
-            "tableau",
-        )
-    except BudgetExhaustedError:
-        # not decisive; the staged fallback re-checks per element (and
-        # re-raises there under on_budget="error")
-        return None, "budget"
-
-
-def _race_batch(
-    checker: SatisfiabilityChecker,
-    unit: SatUnit,
-    batch: "Concept",
-    field_names: tuple[str, ...],
-) -> "tuple[bool | None, str, BoundedSearchResult | None]":
-    """Race the tableau against the bounded finder on one batch concept.
-
-    Each racer gets its own budget (a renewal of the checker's template, or
-    a plain unlimited budget serving purely as a cancellation handle); the
-    first decisive answer cancels the other racer.  Decisive means: any
-    tableau verdict, or a bounded search that *found* a witness.  A bounded
-    search that merely failed below its node bound decides nothing.
-    """
-    template = checker.budget
-    budget_tableau = template.renew() if template is not None else Budget()
-    budget_bounded = template.renew() if template is not None else Budget()
-
-    def tableau_half() -> "tuple[str, bool | None, BoundedSearchResult | None]":
-        try:
-            verdict = checker.tableau.is_satisfiable(batch, budget=budget_tableau)
-        except BudgetExhaustedError:
-            return "tableau", None, None
-        return "tableau", verdict, None
-
-    def bounded_half() -> "tuple[str, bool | None, BoundedSearchResult | None]":
-        result = checker._finder.find_model(
-            unit.type_name,
-            checker.bounded_max_nodes,
-            budget=budget_bounded,
-            require_fields=field_names,
-        )
-        return "bounded", (True if result.satisfiable else None), result
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(tableau_half), pool.submit(bounded_half)]
-        for future in as_completed(futures):
-            engine, sat, bounded = future.result()
-            if sat is None:
-                continue
-            if engine == "tableau":
-                budget_bounded.cancel()
-                obs.count("sat.race.cancelled.bounded")
-            else:
-                budget_tableau.cancel()
-                obs.count("sat.race.cancelled.tableau")
-            obs.count(f"sat.race.won.{engine}")
-            return sat, engine, bounded
-    return None, "budget", None
 
 
 # --------------------------------------------------------------------------- #
@@ -407,13 +253,12 @@ def _thread_check(
     checker: SatisfiabilityChecker,
     unit: SatUnit,
     find_witnesses: bool,
-    race: bool,
     attempt: int,
 ) -> UnitResult:
     faults.fault_point(
         "portfolio.worker", unit=unit.index, attempt=attempt, executor="thread"
     )
-    return check_unit(checker, unit, find_witnesses=find_witnesses, race=race)
+    return check_unit(checker, unit, find_witnesses=find_witnesses)
 
 
 _WORKER_CHECKER: "SatisfiabilityChecker | None" = None
@@ -450,18 +295,16 @@ def _worker_init(
 
 
 def _process_check(payload: tuple) -> "UnitResult | obs.TracedResult":
-    unit, find_witnesses, race, attempt = payload
+    unit, find_witnesses, attempt = payload
     faults.fault_point(
         "portfolio.worker", unit=unit.index, attempt=attempt, executor="process"
     )
     assert _WORKER_CHECKER is not None
-    result = check_unit(
-        _WORKER_CHECKER, unit, find_witnesses=find_witnesses, race=race
-    )
-    return obs.package(result)
+    return obs.package(check_unit(_WORKER_CHECKER, unit, find_witnesses=find_witnesses))
 
 
 def _choose_executor(executor: str, jobs: int, units: int) -> str:
+    """The rung for *units* open units (auto: a pool only when it can help)."""
     if executor not in _EXECUTORS:
         raise ValueError(
             f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
@@ -470,8 +313,8 @@ def _choose_executor(executor: str, jobs: int, units: int) -> str:
         return executor
     if jobs <= 1 or units <= 1 or usable_cores() <= 1:
         return "serial"
-    # tableau searches are pure-Python CPU work: threads only help while a
-    # unit races (its halves overlap); real fan-out speedup needs processes
+    # tableau searches are pure-Python CPU work: fan-out speedup needs
+    # processes; with fewer units than workers a thread pool is cheaper
     return "process" if units >= jobs else "thread"
 
 
@@ -485,23 +328,20 @@ def run_portfolio(
     *,
     find_witnesses: bool = False,
     jobs: int | None = None,
-    engine: str = "portfolio",
     executor: str = "auto",
     max_retries: int = 2,
     retry_base_delay: float = 0.05,
     unit_timeout: float | None = None,
     fallback: bool = True,
 ) -> SchemaSatisfiabilityReport:
-    """The portfolio ``check_schema``: batch, fan out, merge, memoize."""
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    race = engine == "race"
+    """The portfolio ``check_schema``: ladder, batch, fan out, merge, memoize."""
     units = build_units(checker.schema)
     if jobs is None:
         jobs = usable_cores()
     jobs = max(1, jobs)
-    mode = _choose_executor(executor, jobs, len(units))
-    results: "list[UnitResult | None]" = [None] * len(units)
+    decided: list[UnitResult] = []
+    open_units: dict[int, SatUnit] = {}
+    worked: "list[UnitResult | None]" = [None] * len(units)
     ladder = ExecutorLadder(
         jobs=jobs,
         max_retries=max_retries,
@@ -517,19 +357,19 @@ def run_portfolio(
         faults.fault_point(
             "portfolio.worker", unit=index, attempt=attempt, executor="serial"
         )
-        return check_unit(
-            checker, units[index], find_witnesses=find_witnesses, race=race
-        )
+        return check_unit(checker, open_units[index], find_witnesses=find_witnesses)
 
     def thread_submit(pool, index, attempt):
         return pool.submit(
-            _thread_check, checker, units[index], find_witnesses, race, attempt
+            _thread_check, checker, open_units[index], find_witnesses, attempt
         )
 
     def process_submit(pool, index, attempt):
-        return pool.submit(_process_check, (units[index], find_witnesses, race, attempt))
+        return pool.submit(_process_check, (open_units[index], find_witnesses, attempt))
 
-    def make_process_pool(workers: int) -> ProcessPoolExecutor:
+    def make_process_pool(workers: int) -> "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
         config = (
             checker._max_nodes,
             checker.bounded_max_nodes,
@@ -544,29 +384,43 @@ def run_portfolio(
             initargs=(checker.schema, config, faults.active_spec(), obs.worker_config()),
         )
 
-    with obs.span(
-        "sat.run", engine=engine, executor=mode, jobs=jobs, units=len(units)
-    ):
+    with obs.span("sat.run", engine="portfolio", jobs=jobs, units=len(units)) as span:
+        for unit in units:
+            with obs.span(
+                "sat.unit",
+                unit=unit.index,
+                declaring=unit.declaring,
+                fields=len(unit.fields),
+            ):
+                result, remainder = _ladder_pass(checker, unit, find_witnesses)
+            decided.append(result)
+            if remainder is not None:
+                open_units[unit.index] = remainder
+        mode = _choose_executor(executor, jobs, len(open_units))
+        span.set(executor=mode, open=len(open_units))
         ladder.run(
             mode,
-            range(len(units)),
-            results,
+            list(open_units),
+            worked,
             serial=serial,
             thread_submit=thread_submit,
             process_submit=process_submit,
             make_process_pool=make_process_pool,
         )
         checker.last_recovery_log = ladder.recovery_log
-        report, wins = _merge(checker, results, absorb_bounded=not race)
+        report, wins = _merge(
+            checker, decided, [obs.unwrap(worked[index]) for index in open_units]
+        )
 
     # ``last_profile`` is derived from a per-run metrics registry -- the
     # unified profiling surface -- then folded into the globally observed
     # registry so ``--metrics`` snapshots carry the same counters.
     run_registry = obs.MetricsRegistry()
     run_registry.count("sat.units", len(units))
+    run_registry.count("sat.units.open", len(open_units))
     for engine_name, win_count in wins.items():
         run_registry.count(f"sat.wins.{engine_name}", win_count)
-    checker.last_profile = profile_from_registry(run_registry, engine, mode, jobs)
+    checker.last_profile = profile_from_registry(run_registry, "portfolio", mode, jobs)
     observation = obs.active()
     if observation is not None and observation.registry is not None:
         observation.registry.merge_snapshot(run_registry.drain())
@@ -576,43 +430,36 @@ def run_portfolio(
 
 def _merge(
     checker: SatisfiabilityChecker,
-    results: "list[UnitResult | None]",
-    absorb_bounded: bool,
+    decided: list[UnitResult],
+    worked: list[UnitResult],
 ) -> tuple[SchemaSatisfiabilityReport, dict[str, int]]:
     """Deterministic merge into canonical report order + cache absorption.
 
-    Results computed in worker processes never touched the parent cache, so
-    their verdicts are absorbed here (race-found bounded witnesses are not:
-    a ``require_fields`` search may find a different witness than the plain
-    one, and the cache must replay exactly what uncached runs compute).
+    *decided* holds the ladder's verdicts (already in the parent's cache);
+    *worked* the open units' results.  Results computed in worker processes
+    never touched the parent cache, so theirs are absorbed here.
     """
     cache = checker.cache
+    if cache is not None:
+        for result in worked:
+            for key, verdict in result.fields.items():
+                cache.put_field(key, verdict)
+            verdict = result.type_verdict
+            if verdict is not None:
+                cache.put_type(verdict)
+                if verdict.bounded is not None:
+                    cache.put_bounded(
+                        verdict.type_name, checker.bounded_max_nodes, verdict.bounded
+                    )
     wins: dict[str, int] = {}
     by_type: dict[str, TypeSatisfiability] = {}
     field_verdicts: dict[tuple[str, str], bool | None] = {}
-    # span-merge barrier: process-worker results arrive wrapped with their
-    # recorded spans/metrics when observability is on; absorb them before
-    # the deterministic report merge
-    results = [obs.unwrap(result) for result in results]
-    for result in results:
-        assert result is not None  # the ladder fills every index or raises
+    for result in decided + worked:
         for engine, count in result.wins.items():
             wins[engine] = wins.get(engine, 0) + count
-        for key, verdict in result.fields.items():
-            field_verdicts[key] = verdict
-            if cache is not None:
-                cache.put_field(key, verdict)
+        field_verdicts.update(result.fields)
         if result.type_verdict is not None:
             by_type[result.type_verdict.type_name] = result.type_verdict
-            if cache is not None:
-                cache.put_type(result.type_verdict)
-                bounded = result.type_verdict.bounded
-                if absorb_bounded and bounded is not None:
-                    cache.put_bounded(
-                        result.type_verdict.type_name,
-                        checker.bounded_max_nodes,
-                        bounded,
-                    )
     report = SchemaSatisfiabilityReport()
     for type_name in sorted(checker.schema.object_types):
         report.types[type_name] = by_type[type_name]

@@ -17,8 +17,10 @@ Scalar attributes and @key constraints are handled outside the encoding,
 exactly as in :mod:`repro.satisfiability.bounded`: the decoded witness gets
 fresh well-typed property values and is confirmed by the real validator.
 
-Used in the differential tests against :class:`BoundedModelFinder` and in
-the satisfiability ablation benchmark.
+No production path runs it: it is the independent oracle the test suite
+checks the pruned :class:`~repro.satisfiability.bounded.BoundedModelFinder`
+against, type by type and bound by bound (``tests/test_bounded_finder.py``,
+``tests/test_sat_encoding.py``).
 """
 
 from __future__ import annotations

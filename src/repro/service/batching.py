@@ -47,6 +47,7 @@ from ..errors import (
     WorkerFailureError,
 )
 from ..pg.model import PropertyGraph
+from ..pg.records import GraphRecords
 from ..resilience import Budget, faults
 from ..validation.parallel import (
     ParallelValidator,
@@ -351,18 +352,14 @@ class BatchingValidator:
                     request.graph, mode, budget
                 )
                 continue
-            pending.append(
-                (request, budget, partition_graph(request.graph, 1 if serial else self.jobs))
-            )
+            if serial:
+                reports[id(request)] = self._run_serial(record, request, budget, rules)
+                continue
+            pending.append((request, budget, partition_graph(request.graph, self.jobs)))
         # fan out every shard of every pooled request before gathering any:
         # this interleaving is the batching win the bench measures
         fanned: list[tuple[_Request, Budget | None, list["Future[ShardResult]"]]] = []
         for request, budget, shards in pending:
-            if serial:
-                reports[id(request)] = self._run_serial(
-                    record, request, budget, shards, rules
-                )
-                continue
             shard_futures = [
                 self._pool.submit(
                     validate_shard, record.plan, request.graph, shard, rules, budget
@@ -388,16 +385,15 @@ class BatchingValidator:
         record: SchemaRecord,
         request: _Request,
         budget: Budget | None,
-        shards: list[GraphShard],
         rules: tuple[str, ...],
     ) -> ValidationReport:
-        results: list[ShardResult | None] = [None] * len(shards)
+        """One inline kernel run: the graph's records view is both the graph
+        and its only shard, as in the parallel validator's one-shard path."""
+        records = GraphRecords.from_graph(request.graph)
+        results: list[ShardResult | None] = [None]
         interruption: BudgetReason | None = None
         try:
-            for index, shard in enumerate(shards):
-                results[index] = validate_shard(
-                    record.plan, request.graph, shard, rules, budget
-                )
+            results[0] = validate_shard(record.plan, records, records, rules, budget)
         except BudgetExhaustedError as stop:
             interruption = stop.reason
         return merge_shard_results(

@@ -1,11 +1,11 @@
-"""The precompiled bounded witness search: pinned outcomes and exact pruning.
+"""The precompiled bounded witness search: pinned outcomes, exact pruning,
+and agreement with the independent SAT-encoding finder.
 
 ``golden/bounded_witnesses.json`` holds ``(satisfiable, assignments_tried,
 reason, dumps_graph(witness))`` of ``find_model(type, max_nodes=4)`` for
-every object type of ``hub_chain_schema(8, 6)`` and of every corpus schema,
-without and with ``require_fields`` set to all the type's relationship
-fields.  The values were recorded from the search before its schema tables
-and multiset pruning existed, so any change to the enumeration order, the
+every object type of ``hub_chain_schema(8, 6)`` and of every corpus schema.
+The values were recorded from the search before its schema tables and
+multiset pruning existed, so any change to the enumeration order, the
 obligation order or the chosen witness shows up here.
 """
 
@@ -18,10 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pg.io import dumps_graph
-from repro.satisfiability import BoundedModelFinder
-from repro.satisfiability.bounded import _Obligation
+from repro.satisfiability import BoundedModelFinder, SATModelFinder
 from repro.schema import parse_schema, print_schema
-from repro.workloads import CORPUS, hub_chain_schema, random_schema
+from repro.workloads import (
+    CORPUS,
+    cardinality_web_schema,
+    deep_lattice_schema,
+    hub_chain_schema,
+    key_collision_schema,
+    near_unsat_schema,
+    random_schema,
+    union_fanout_schema,
+)
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "bounded_witnesses.json").read_text()
@@ -35,14 +43,12 @@ def _schema(name: str):
     return parse_schema(CORPUS[name].sdl, check=False)
 
 
-def _cases() -> dict[str, list[tuple[str, tuple[str, ...], str]]]:
-    """Schema name -> (type, require_fields, golden key) per pinned search."""
+def _cases() -> dict[str, list[tuple[str, str]]]:
+    """Schema name -> (type, golden key) per pinned search."""
     cases: dict[str, list] = {}
     for key in GOLDEN:
-        head, _, require = key.partition(" require=")
-        schema_name, _, type_name = head.rpartition(" ")
-        fields = tuple(require.split(",")) if require else ()
-        cases.setdefault(schema_name, []).append((type_name, fields, key))
+        schema_name, _, type_name = key.rpartition(" ")
+        cases.setdefault(schema_name, []).append((type_name, key))
     return cases
 
 
@@ -52,15 +58,15 @@ CASES = _cases()
 def test_golden_covers_every_object_type():
     assert set(CASES) == {HUB, *CORPUS}
     for schema_name, cases in CASES.items():
-        pinned = {type_name for type_name, fields, _ in cases if not fields}
+        pinned = {type_name for type_name, _ in cases}
         assert pinned == set(_schema(schema_name).object_types), schema_name
 
 
 @pytest.mark.parametrize("schema_name", sorted(CASES))
 def test_find_model_matches_the_pinned_outcomes(schema_name):
     finder = BoundedModelFinder(_schema(schema_name))
-    for type_name, fields, key in CASES[schema_name]:
-        result = finder.find_model(type_name, max_nodes=4, require_fields=fields)
+    for type_name, key in CASES[schema_name]:
+        result = finder.find_model(type_name, max_nodes=4)
         got = [
             result.satisfiable,
             result.assignments_tried,
@@ -105,14 +111,9 @@ def _with_required_for_target(schema, picks: list[bool]):
     num_object_types=st.integers(1, 5),
     directive_probability=st.sampled_from((0.3, 0.6, 0.9)),
     required_for_target=st.lists(st.booleans(), min_size=1, max_size=6),
-    with_required_fields=st.booleans(),
 )
 def test_pruning_is_exact(
-    seed,
-    num_object_types,
-    directive_probability,
-    required_for_target,
-    with_required_fields,
+    seed, num_object_types, directive_probability, required_for_target
 ):
     """Every multiset the feasibility check rejects is one the edge search
     cannot complete either."""
@@ -127,14 +128,40 @@ def test_pruning_is_exact(
     finder = BoundedModelFinder(schema)
     for labels in _label_multisets(schema, 3):
         obligations = finder._collect_obligations(labels)
-        if with_required_fields:
-            # the demands find_model(require_fields=<every field>) adds on
-            # node 0; an attribute there can never be met
-            met = {(o.kind, o.node, o.field_name) for o in obligations}
-            obligations += [
-                _Obligation("out", 0, field_def.name, labels[0])
-                for field_def in schema.object_types[labels[0]].fields
-                if ("out", 0, field_def.name) not in met
-            ]
         if not finder._feasible(labels, obligations):
             assert finder._search_edges(labels, frozenset(), obligations, 0) is None, labels
+
+
+# --------------------------------------------------------------------------- #
+# differential oracle: the SAT encoding decides the same bounded question
+# --------------------------------------------------------------------------- #
+
+
+def _differential_schemas():
+    """The seven adversarial families, then ``random_schema`` seeds 0-19."""
+    families = {
+        "deep_lattice": deep_lattice_schema(),
+        "union_fanout": union_fanout_schema(),
+        "key_collision": key_collision_schema(),
+        "near_unsat": near_unsat_schema(),
+        "near_unsat_collide": near_unsat_schema(collide=True),
+        "cardinality_web": cardinality_web_schema(),
+        "cardinality_web_collide": cardinality_web_schema(collide=True),
+    }
+    families.update({f"random{seed}": random_schema(seed=seed) for seed in range(20)})
+    return [pytest.param(schema, id=name) for name, schema in families.items()]
+
+
+@pytest.mark.parametrize("schema", _differential_schemas())
+def test_sat_encoding_agrees_with_the_pruned_search(schema):
+    """For every object type and every bound k = 1..3, the pruned search and
+    :class:`SATModelFinder` -- an independent CNF encoding of the same
+    question -- agree on whether a k-node witness exists."""
+    pruned = BoundedModelFinder(schema)
+    encoded = SATModelFinder(schema)
+    for type_name in sorted(schema.object_types):
+        for bound in (1, 2, 3):
+            expected = encoded.find_model(type_name, max_nodes=bound).satisfiable
+            got = pruned.find_model(type_name, max_nodes=bound)
+            assert got.reason is None, (type_name, bound, got.reason)
+            assert got.satisfiable == expected, (type_name, bound)

@@ -142,6 +142,14 @@ def test_sat_loads_neither_validation_kernels_nor_the_sat_encoding(inputs):
         assert _loaded_after(_run_cli(["sat", schema]), watched) == []
 
 
+def test_fully_decided_sat_loads_no_process_pool_machinery(inputs):
+    # the decision ladder decides every element of both schemas in the
+    # parent, so the default --jobs (all usable cores) makes no pool
+    watched = ("concurrent.futures.process", "multiprocessing")
+    for schema in (inputs["library"], inputs["hub"]):
+        assert _loaded_after(_run_cli(["sat", schema]), watched) == []
+
+
 def test_numpy_loads_on_the_first_large_columnar_sort():
     code = (
         "from repro.pg import GraphBuilder, freeze\n"

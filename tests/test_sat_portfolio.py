@@ -1,13 +1,15 @@
-"""Portfolio satisfiability: determinism, agreement, caching, recovery.
+"""Portfolio satisfiability: determinism, the parent-first ladder, caching,
+recovery.
 
 The contracts under test (docs/PERFORMANCE.md, E13):
 
 1. the portfolio engine's ``check_schema`` report is *byte-identical*
-   (through ``to_json()``) to the serial engine's, for any jobs count,
-   cold or warm cache;
-2. racing the tableau against the bounded finder never changes a verdict
-   (a bounded failure is not decisive), including on the paper's
-   diagram (b) schema where the two engines genuinely diverge;
+   (through ``to_json()``) to the serial engine's, for any jobs count or
+   executor, cold or warm cache -- including diagram (b), where the
+   tableau and the bounded finder genuinely diverge;
+2. the decision ladder (cache → lint → analysis) runs in the calling
+   process: only units with open elements reach a worker, a fully decided
+   schema builds no pool, and win counts do not depend on the executor;
 3. the :class:`SatCache` memoizes decided verdicts across
    ``check_type`` / ``check_field`` / ``check_schema`` and across checker
    instances, and never caches budget-exhausted UNKNOWNs;
@@ -15,11 +17,12 @@ The contracts under test (docs/PERFORMANCE.md, E13):
    executor ladder with the report unchanged.
 """
 
+import concurrent.futures
 import json
 
 import pytest
 
-from repro.errors import BudgetExhaustedError
+from repro import obs
 from repro.resilience import Budget, faults
 from repro.satisfiability import (
     SatCache,
@@ -46,6 +49,14 @@ def _dump(report):
     return json.dumps(report.to_json(), sort_keys=True)
 
 
+def _observed_sweep(checker, **kwargs):
+    """Run ``check_schema``; return the report and how many units reached
+    the executor ladder (the ``sat.units.open`` counter)."""
+    with obs.observed(metrics=True) as observation:
+        report = checker.check_schema(**kwargs)
+    return report, observation.registry.snapshot()["counters"]["sat.units.open"]
+
+
 # --------------------------------------------------------------------------- #
 # determinism: byte-identical reports
 # --------------------------------------------------------------------------- #
@@ -66,17 +77,25 @@ def test_portfolio_reports_byte_identical_across_jobs(jobs):
 
 
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-def test_portfolio_reports_byte_identical_across_executors(executor):
-    schema = load("example_6_1_a")
+@pytest.mark.parametrize("name", ["example_6_1_a", "diagram_b"])
+def test_portfolio_reports_byte_identical_across_executors(executor, name):
+    # analysis off: the ladder would decide every example_6_1_a element in
+    # the parent; this way its lint-dead OT1 stays in the parent while the
+    # units pointing at it take the batch-UNSAT staged fallback on a worker
+    schema = load(name)
     expected = _dump(
         SatisfiabilityChecker(schema, cache=False).check_schema(
             find_witnesses=True, engine="serial"
         )
     )
-    report = SatisfiabilityChecker(schema, cache=SatCache(schema)).check_schema(
-        find_witnesses=True, jobs=4, engine="portfolio", executor=executor
+    checker = SatisfiabilityChecker(
+        schema, cache=SatCache(schema), analysis_precheck=False
+    )
+    report, open_units = _observed_sweep(
+        checker, find_witnesses=True, jobs=4, engine="portfolio", executor=executor
     )
     assert _dump(report) == expected
+    assert open_units > 0, "no unit reached the executor rung under test"
 
 
 def test_portfolio_with_witnesses_matches_serial():
@@ -94,32 +113,17 @@ def test_portfolio_with_witnesses_matches_serial():
 
 
 # --------------------------------------------------------------------------- #
-# agreement: racing cannot flip verdicts
+# the decision ladder runs in the parent; only open units fan out
 # --------------------------------------------------------------------------- #
 
 
-def test_race_agrees_with_serial_on_whole_corpus():
-    for name in CORPUS:
-        schema = load(name)
-        serial = SatisfiabilityChecker(schema, cache=False).check_schema(
-            engine="serial"
-        )
-        race = SatisfiabilityChecker(schema, cache=SatCache(schema)).check_schema(
-            engine="race"
-        )
-        assert set(race.types) == set(serial.types), name
-        for type_name, verdict in race.types.items():
-            assert verdict.verdict == serial.types[type_name].verdict, (name, type_name)
-        assert race.fields == serial.fields, name
-
-
-def test_race_preserves_diagram_b_infinite_model_divergence():
-    """Diagram (b)'s OT2 is tableau-SAT but has no finite model: the race
-    must report it satisfiable with the bounded search empty-handed, not
-    let the bounded failure masquerade as a verdict."""
+def test_portfolio_preserves_diagram_b_infinite_model_divergence():
+    """Diagram (b)'s OT2 is tableau-SAT but has no finite model: the
+    portfolio must report it satisfiable with the bounded search
+    empty-handed, not let the bounded failure masquerade as a verdict."""
     schema = load("diagram_b")
     report = SatisfiabilityChecker(schema, cache=SatCache(schema)).check_schema(
-        find_witnesses=True, engine="race"
+        find_witnesses=True, jobs=2, engine="portfolio", executor="process"
     )
     ot2 = report.types["OT2"]
     assert ot2.tableau_satisfiable is True
@@ -128,6 +132,41 @@ def test_race_preserves_diagram_b_infinite_model_divergence():
     # the divergence is OT2's alone: its neighbours have finite witnesses
     assert report.types["OT1"].finitely_satisfiable is True
     assert report.types["OT3"].finitely_satisfiable is True
+
+
+def _elements(schema):
+    return len(schema.object_types) + sum(
+        1 for *_loc, field_def in schema.field_declarations() if field_def.is_relationship
+    )
+
+
+def test_warm_shared_cache_decides_everything_without_a_pool(monkeypatch):
+    schema = load("diagram_b")  # every unit needs the tableau when cold
+    SatisfiabilityChecker(schema).check_schema(jobs=1)
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a fully decided sweep must not build a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    second = SatisfiabilityChecker(schema)
+    report, open_units = _observed_sweep(
+        second, jobs=2, engine="portfolio", executor="process"
+    )
+    assert open_units == 0
+    assert second.last_profile["wins"] == {"cache": _elements(schema)}
+    assert not second.last_recovery_log
+    assert report.sound
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_wins_and_reports_do_not_depend_on_the_executor(name):
+    schema = load(name)
+    inline = SatisfiabilityChecker(schema, cache=SatCache(schema))
+    inline_report = inline.check_schema(jobs=1)
+    pooled = SatisfiabilityChecker(schema, cache=SatCache(schema))
+    pooled_report = pooled.check_schema(jobs=2, executor="process")
+    assert _dump(pooled_report) == _dump(inline_report)
+    assert pooled.last_profile["wins"] == inline.last_profile["wins"]
 
 
 # --------------------------------------------------------------------------- #
@@ -241,38 +280,6 @@ def test_sat_cache_info_aggregates_registry():
 
 
 # --------------------------------------------------------------------------- #
-# budget cancellation (the racing primitive)
-# --------------------------------------------------------------------------- #
-
-
-def test_cancelled_budget_raises_at_every_check():
-    budget = Budget()
-    budget.cancel()
-    for check in (
-        lambda: budget.check_deadline(site="t"),
-        lambda: budget.charge_nodes(1, site="t"),
-        lambda: budget.charge_expansions(1, site="t"),
-    ):
-        with pytest.raises(BudgetExhaustedError) as error:
-            check()
-        assert error.value.reason.dimension == "cancelled"
-    # renewals are born un-cancelled: the next check gets a fresh chance
-    budget.renew().check_deadline(site="t")
-
-
-def test_cancel_stops_a_running_tableau():
-    schema = parse_schema("type A { b: B @required }\ntype B { a: A @required }")
-    checker = SatisfiabilityChecker(schema, cache=False, lint_precheck=False)
-    budget = Budget()
-    budget.cancel()
-    from repro.dl.concepts import Name
-
-    with pytest.raises(BudgetExhaustedError) as error:
-        checker.tableau.is_satisfiable(Name("A"), budget=budget)
-    assert error.value.reason.dimension == "cancelled"
-
-
-# --------------------------------------------------------------------------- #
 # worker-crash recovery
 # --------------------------------------------------------------------------- #
 
@@ -290,8 +297,10 @@ def test_hard_worker_kill_recovers_byte_identically():
         faults.uninstall()
     faults.install("crash@portfolio.worker:unit=1,attempt=0,mode=exit")
     try:
+        # analysis off: the ladder would otherwise decide every library
+        # element in the parent and no worker would run
         checker = SatisfiabilityChecker(
-            schema, cache=SatCache(schema)
+            schema, cache=SatCache(schema), analysis_precheck=False
         )
         report = checker.check_schema(
             jobs=2, engine="portfolio", executor="process", retry_base_delay=0.01
@@ -318,7 +327,9 @@ def test_raised_worker_crash_recovers_on_lighter_executors(executor):
         faults.uninstall()
     faults.install("crash@portfolio.worker:unit=0,attempt=0")
     try:
-        checker = SatisfiabilityChecker(schema, cache=SatCache(schema))
+        checker = SatisfiabilityChecker(
+            schema, cache=SatCache(schema), analysis_precheck=False
+        )
         report = checker.check_schema(
             jobs=2, engine="portfolio", executor=executor, retry_base_delay=0.01
         )
