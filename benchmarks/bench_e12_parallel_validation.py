@@ -259,65 +259,6 @@ def test_enabled_instrumentation_stays_aggregate():
 # --------------------------------------------------------------------------- #
 
 
-# --------------------------------------------------------------------------- #
-# 5. columnar backend (the E15 graph core, measured on the E12 workload)
-# --------------------------------------------------------------------------- #
-
-
-@pytest.mark.experiment("E12")
-def test_columnar_kernel_speedup_over_dict():
-    """The columnar acceptance ratio: the fused kernel sweeping interned
-    label-id runs and typed property columns must beat the same kernel on
-    the dict backend by >= 1.5x at n=16000 (jobs=1, so the ratio isolates
-    the backend, not the fan-out)."""
-    from repro.pg import freeze
-
-    graph = _graph()
-    frozen = freeze(graph)
-    plan = compile_plan(SCHEMA)
-    validator = ParallelValidator(SCHEMA, jobs=1, plan=plan)
-    validator.validate(graph)  # warm both kernels before timing
-    validator.validate(frozen)
-    t_dict = _best_of(lambda: validator.validate(graph), repeats=5)
-    t_columnar = _best_of(lambda: validator.validate(frozen), repeats=5)
-    speedup = t_dict / t_columnar
-    print(
-        f"\nE12 columnar kernel @ n={len(graph)}: dict {t_dict * 1000:.1f} ms, "
-        f"columnar {t_columnar * 1000:.1f} ms -> {speedup:.2f}x"
-    )
-    if not QUICK:
-        assert speedup >= 1.5, f"columnar speedup {speedup:.2f}x below the 1.5x floor"
-
-
-@pytest.mark.experiment("E12")
-@pytest.mark.parametrize("jobs", JOBS)
-def test_columnar_reports_byte_identical_to_dict(jobs):
-    """Backend swap changes nothing observable: the frozen graph renders the
-    exact violation strings of the dict run at every worker count."""
-    from repro.pg import freeze
-
-    lib_schema = load("library")
-    fixtures = [
-        (SCHEMA, user_session_graph(10 if QUICK else 60, seed=3)),
-        (lib_schema, library_graph(12, 30, num_series=3, num_publishers=2, seed=7)),
-    ]
-    for schema, graph in list(fixtures):
-        for rule in CORRUPTIBLE_RULES:
-            corrupted = corrupt_graph(graph, schema, rule, seed=11)
-            if corrupted is not None:
-                fixtures.append((schema, corrupted))
-    checked = 0
-    for schema, graph in fixtures:
-        validator = ParallelValidator(schema, jobs=jobs, plan=compile_plan(schema))
-        expected = validator.validate(graph)
-        got = validator.validate(freeze(graph))
-        assert [str(v) for v in got.violations] == [
-            str(v) for v in expected.violations
-        ]
-        checked += 1
-    assert checked >= 20
-
-
 @pytest.mark.experiment("E12")
 @pytest.mark.parametrize("jobs", JOBS)
 def test_parallel_agrees_with_indexed(jobs):

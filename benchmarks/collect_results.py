@@ -540,33 +540,15 @@ def e14_analysis() -> None:
     print()
 
 
-def e15_columnar_stream() -> None:
-    print("## E15 — columnar core + out-of-core streaming validation")
+def e15_stream() -> None:
+    print("## E15 — out-of-core streaming validation")
     import tempfile
 
-    from bench_e15_columnar import write_user_session_jsonl
-    from repro.pg import freeze
+    from bench_e15_stream import write_user_session_jsonl
     from repro.validation import StreamValidator
 
     schema = load("user_session_edge_props")
     plan = compile_plan(schema)
-
-    # in-memory: dict kernel vs columnar kernel (jobs=1 isolates the backend)
-    num_users = 100 if QUICK else 3200
-    graph = user_session_graph(num_users, 2, seed=42)
-    validator = ParallelValidator(schema, jobs=1, plan=plan)
-    t0 = time.perf_counter()
-    frozen = freeze(graph)
-    t_freeze = time.perf_counter() - t0
-    validator.validate(graph)  # warm both kernels
-    validator.validate(frozen)
-    t_dict = timed(validator.validate, graph)
-    t_columnar = timed(validator.validate, frozen)
-    print(
-        f"n={len(graph)}: dict kernel {t_dict * 1000:.2f} ms, columnar kernel "
-        f"{t_columnar * 1000:.2f} ms ({t_dict / t_columnar:.2f}x), "
-        f"freeze {t_freeze * 1000:.2f} ms"
-    )
 
     # out-of-core: stream a JSONL file in bounded memory
     stream_users = 200 if QUICK else 20_000
@@ -585,17 +567,10 @@ def e15_columnar_stream() -> None:
         f"peak resident {stream.peak_resident} "
         f"({stream.peak_resident / total:.1%} of n)"
     )
-    sorts = columnar_layout_sorts([2_000, 20_000] if QUICK else [2_000, 20_000, 200_000])
     write_bench_json(
         "e15",
         {
             "experiment": "E15",
-            "layout_sorts": sorts,
-            "n": len(graph),
-            "dict_kernel_s": t_dict,
-            "columnar_kernel_s": t_columnar,
-            "kernel_speedup": t_dict / t_columnar,
-            "freeze_s": t_freeze,
             "stream_n": total,
             "stream_chunk_elements": chunk,
             "stream_s": t_stream,
@@ -603,45 +578,6 @@ def e15_columnar_stream() -> None:
         },
     )
     print()
-
-
-def columnar_layout_sorts(sizes: list[int]) -> list[dict]:
-    """``freeze()``'s permutation sorts: numpy against ``sorted()``.
-
-    Times the numpy path of ``_stable_order`` / ``_stable_order2`` (list to
-    array conversion and ``.tolist()`` included) against the pure-python
-    fallback expression on random label ids, the way ``freeze`` calls them.
-    """
-    import random
-
-    from repro.pg.columnar import _stable_order, _stable_order2
-
-    rows = []
-    for size in sizes:
-        rng = random.Random(size)
-        primary = [rng.randrange(16) for _ in range(size)]
-        secondary = [rng.randrange(8) for _ in range(size)]
-        row = {
-            "keys": size,
-            "argsort_s": timed(_stable_order, primary, repeat=5),
-            "sorted_s": timed(
-                lambda: sorted(range(size), key=primary.__getitem__), repeat=5
-            ),
-            "lexsort_s": timed(_stable_order2, primary, secondary, repeat=5),
-            "sorted2_s": timed(
-                lambda: sorted(
-                    range(size), key=lambda index: (primary[index], secondary[index])
-                ),
-                repeat=5,
-            ),
-        }
-        print(
-            f"layout sort over {size} keys: argsort {row['argsort_s'] * 1000:.1f} ms "
-            f"vs sorted {row['sorted_s'] * 1000:.1f} ms; lexsort "
-            f"{row['lexsort_s'] * 1000:.1f} ms vs sorted {row['sorted2_s'] * 1000:.1f} ms"
-        )
-        rows.append(row)
-    return rows
 
 
 def e16_cdc() -> None:
@@ -816,7 +752,7 @@ SECTIONS = {
     "e12": e12_parallel_validation,
     "e13": e13_portfolio_sat,
     "e14": e14_analysis,
-    "e15": e15_columnar_stream,
+    "e15": e15_stream,
     "e16": e16_cdc,
     "e17": e17_service,
 }

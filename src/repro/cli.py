@@ -156,10 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=int, default=65536, metavar="N",
         help="elements per chunk for --stream (default 65536)",
     )
-    jsonl_group.add_argument(
-        "--backend", choices=("dict", "columnar"), default="dict",
-        help="in-memory representation for .jsonl inputs without --stream",
-    )
     _add_budget_arguments(validate_cmd)
     _add_obs_arguments(validate_cmd)
     validate_cmd.set_defaults(handler=_cmd_validate)
@@ -470,10 +466,10 @@ def _load_schema(path: str, check: bool = True):
         return parse_schema(handle.read(), check=check)
 
 
-def _load_graph(path: str, backend: str = "dict"):
+def _load_graph(path: str, records: bool = False):
     """Load a graph document; ``.jsonl`` files go through the line format.
 
-    ``backend="records"`` reads a JSON document straight into the
+    ``records=True`` reads a JSON document straight into the
     read-only :class:`~repro.pg.records.GraphRecords` view the plan kernel
     validates.  Cyclic GC is paused while the document is decoded and
     built, then everything loaded is frozen out of later collections: the
@@ -484,7 +480,7 @@ def _load_graph(path: str, backend: str = "dict"):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        graph = _read_graph(path, backend)
+        graph = _read_graph(path, records)
         gc.freeze()
     finally:
         if collecting:
@@ -492,13 +488,13 @@ def _load_graph(path: str, backend: str = "dict"):
     return graph
 
 
-def _read_graph(path: str, backend: str):
+def _read_graph(path: str, records: bool):
     if path.endswith(".jsonl"):
         from .pg.io import load_graph_jsonl
 
         with open(path) as handle:
-            return load_graph_jsonl(handle, source=path, backend=backend)
-    if backend == "records":
+            return load_graph_jsonl(handle, source=path)
+    if records:
         from .pg.io import load_records
 
         with open(path) as handle:
@@ -506,12 +502,7 @@ def _read_graph(path: str, backend: str):
     from .pg import load_graph
 
     with open(path) as handle:
-        graph = load_graph(handle)
-    if backend == "columnar":
-        from .pg import freeze
-
-        return freeze(graph)
-    return graph
+        return load_graph(handle)
 
 
 def _cmd_check(args) -> int:
@@ -612,11 +603,8 @@ def _cmd_validate(args) -> int:
             on_budget=args.on_budget,
         ).validate(args.graph, mode=args.mode)
         return _finish_validate(report)
-    backend = args.backend
-    if args.engine == "parallel" and backend == "dict" and not args.graph.endswith(".jsonl"):
-        # the plan kernel reads records, never the mutable graph
-        backend = "records"
-    graph = _load_graph(args.graph, backend=backend)
+    # the plan kernel reads records, never the mutable graph
+    graph = _load_graph(args.graph, records=args.engine == "parallel")
     from .validation import make_validator
 
     validator = make_validator(

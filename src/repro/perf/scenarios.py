@@ -1,7 +1,7 @@
 """The registry of deterministic, seeded profiling scenarios.
 
 Every engine the reproduction grew gets a tracked scenario -- parse, lint,
-the dataflow analyzer, the indexed/parallel/columnar/stream validation
+the dataflow analyzer, the indexed/parallel/stream validation
 engines, portfolio satisfiability, CDC apply, and the warm service batch
 path -- plus the *adversarial* families from :mod:`repro.workloads` that
 stress the hard paths rather than the happy ones: deep interface lattices,
@@ -271,18 +271,6 @@ def _validate_parallel(quick: bool) -> Iterator[Callable[[], object]]:
     graph = user_session_graph(60 if quick else 600, 2, seed=7)
     validator = ParallelValidator(schema, jobs=2, plan=compile_plan(schema))
     yield lambda: validator.validate(graph)
-
-
-@scenario("validate.columnar", "validate", "column-sweeping kernel, frozen graph")
-def _validate_columnar(quick: bool) -> Iterator[Callable[[], object]]:
-    from ..pg import freeze
-    from ..validation import ParallelValidator, compile_plan
-    from ..workloads import load, user_session_graph
-
-    schema = load("user_session_edge_props")
-    frozen = freeze(user_session_graph(60 if quick else 600, 2, seed=7))
-    validator = ParallelValidator(schema, jobs=1, plan=compile_plan(schema))
-    yield lambda: validator.validate(frozen)
 
 
 @scenario("validate.stream", "validate", "out-of-core JSONL streaming engine")

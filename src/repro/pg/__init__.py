@@ -1,15 +1,13 @@
 """Property Graph substrate (Definition 2.1 of the paper).
 
 Exports resolve on first access (PEP 562), like the top-level package:
-loading a graph file does not import the columnar backend, the
-generators or the profiler.
+loading a graph file does not import the generators or the profiler.
 """
 
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from .build import GraphBuilder
-    from .columnar import ColumnarBuilder, ColumnarGraph, StringPool, freeze
     from .generate import chain_graph, random_graph, star_graph
     from .io import (
         dump_graph,
@@ -38,20 +36,16 @@ if TYPE_CHECKING:
     )
 
 __all__ = [
-    "ColumnarBuilder",
-    "ColumnarGraph",
     "ElementId",
     "GraphBuilder",
     "GraphProfile",
     "GraphRecords",
     "PropertyGraph",
     "PropertyValue",
-    "StringPool",
     "chain_graph",
     "dump_graph",
     "dump_graph_jsonl",
     "dumps_graph",
-    "freeze",
     "graph_from_dict",
     "graph_to_dict",
     "is_array_value",
@@ -75,10 +69,6 @@ __all__ = [
 # TYPE_CHECKING imports above (tests/test_meta.py pins both).
 _EXPORTS = {
     "GraphBuilder": "build",
-    "ColumnarBuilder": "columnar",
-    "ColumnarGraph": "columnar",
-    "StringPool": "columnar",
-    "freeze": "columnar",
     "chain_graph": "generate",
     "random_graph": "generate",
     "star_graph": "generate",

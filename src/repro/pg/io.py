@@ -25,16 +25,13 @@ suite mutates real documents byte-by-byte to enforce this.
 from __future__ import annotations
 
 import json
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterator
+from typing import IO, Any, Callable, Iterator
 
 from .. import obs
 from ..errors import GraphError, GraphLoadError
 from .model import PropertyGraph
 from .records import GraphRecords
 from .values import normalize_value
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .columnar import ColumnarBuilder, ColumnarGraph
 
 
 def graph_to_dict(graph: PropertyGraph) -> dict[str, Any]:
@@ -451,41 +448,28 @@ def iter_graph_jsonl(
         offset += len(text)
 
 
-def load_graph_jsonl(
-    fp: IO[str], source: str | None = None, backend: str = "dict"
-) -> "PropertyGraph | ColumnarGraph":
-    """Read a JSONL graph stream into memory.
+def load_graph_jsonl(fp: IO[str], source: str | None = None) -> PropertyGraph:
+    """Read a JSONL graph stream into a :class:`PropertyGraph`.
 
-    ``backend="dict"`` builds a mutable :class:`PropertyGraph`;
-    ``backend="columnar"`` feeds a
-    :class:`~repro.pg.columnar.ColumnarBuilder` directly, so the mutable
-    dict-of-dicts representation is never materialised.  Structural errors
-    (duplicate ids, dangling endpoints, illegal values) are re-raised as
-    :class:`~repro.errors.GraphLoadError` tagged with the offending line.
+    Structural errors (duplicate ids, dangling endpoints, illegal values)
+    are re-raised as :class:`~repro.errors.GraphLoadError` tagged with the
+    offending line.
     """
-    if backend not in ("dict", "columnar"):
-        raise ValueError(f'backend must be "dict" or "columnar", got {backend!r}')
     if source is None:
         source = getattr(fp, "name", None)
-    builder: "PropertyGraph | ColumnarBuilder"
-    if backend == "columnar":
-        from .columnar import ColumnarBuilder
-
-        builder = ColumnarBuilder()
-    else:
-        builder = PropertyGraph()
-    span = obs.span("pg.load_jsonl", backend=backend)
+    graph = PropertyGraph()
+    span = obs.span("pg.load_jsonl")
     with span:
         records = 0
         for line_number, record in iter_graph_jsonl(fp, source):
             records += 1
             try:
                 if record["type"] == "node":
-                    builder.add_node(
+                    graph.add_node(
                         record["id"], record["label"], record.get("properties") or None
                     )
                 else:
-                    builder.add_edge(
+                    graph.add_edge(
                         record["id"],
                         record["source"],
                         record["target"],
@@ -502,7 +486,4 @@ def load_graph_jsonl(
                     column=1,
                 ) from bad
         span.set(records=records)
-        if backend == "columnar":
-            assert not isinstance(builder, PropertyGraph)
-            return builder.build()
-    return builder
+    return graph

@@ -17,13 +17,10 @@ carry no semantics of their own.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from ..errors import GraphError
 from .values import PropertyValue, normalize_value
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .columnar import ColumnarGraph
 
 ElementId = Hashable
 
@@ -324,13 +321,6 @@ class PropertyGraph:
             for node, by_label in self._in.items()
         }
         return clone
-
-    def freeze(self) -> "ColumnarGraph":
-        """An immutable, columnar copy of this graph (see
-        :mod:`repro.pg.columnar`); the validators run unchanged on it."""
-        from .columnar import freeze
-
-        return freeze(self)
 
     def __contains__(self, element_id: object) -> bool:
         return element_id in self._node_labels or element_id in self._edge_labels

@@ -17,7 +17,6 @@ from .values import value_signature
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import MetricsRegistry
-    from .columnar import ColumnarGraph, PropertyColumn
     from .model import PropertyGraph
 
 
@@ -136,17 +135,8 @@ def _value_kind(value: object) -> str:
     return "String"
 
 
-def profile_graph(graph: "PropertyGraph | ColumnarGraph") -> GraphProfile:
-    """Compute the full profile of *graph* in two passes.
-
-    Columnar graphs take the dedicated sweep (:func:`_profile_columnar`):
-    label histograms fall out of the run table, property coverage out of
-    bitmap popcounts, and degree histograms out of CSR run lengths -- no
-    per-element dict probes.  Both paths produce equal profiles (the stats
-    tests assert it).
-    """
-    if getattr(graph, "is_columnar", False):
-        return _profile_columnar(graph)  # type: ignore[arg-type]
+def profile_graph(graph: "PropertyGraph") -> GraphProfile:
+    """Compute the full profile of *graph* in two passes."""
     profile = GraphProfile(num_nodes=graph.num_nodes, num_edges=graph.num_edges)
     distinct_values: dict[tuple[str, str, bool], set[object]] = {}
 
@@ -187,96 +177,6 @@ def profile_graph(graph: "PropertyGraph | ColumnarGraph") -> GraphProfile:
             distinct_values.setdefault((label, name, False), set()).add(
                 value_signature(value)
             )
-
-    for (label, name, is_node), values in distinct_values.items():
-        holder = profile.node_labels if is_node else profile.edge_labels
-        holder[label].properties[name].distinct = len(values)
-    return profile
-
-
-#: Column kind tags -> the profile kind names of :func:`_value_kind`.
-_KIND_NAMES = {"bool": "Boolean", "int": "Int", "float": "Float", "str": "String"}
-
-
-def _profile_columnar(graph: "ColumnarGraph") -> GraphProfile:
-    """The columnar profile sweep: one pass over the node runs and their
-    columns, one over the edge runs, one over each CSR index."""
-    profile = GraphProfile(num_nodes=graph.num_nodes, num_edges=graph.num_edges)
-    labels = graph.labels
-    keys = graph.keys
-    distinct_values: dict[tuple[str, str, bool], set[object]] = {}
-
-    def scan_column(
-        column: "PropertyColumn",
-        key_id: int,
-        lo: int,
-        hi: int,
-        props: dict[str, PropertyProfile],
-        label: str,
-        is_node: bool,
-    ) -> None:
-        count = column.count_range(lo, hi)
-        if not count:
-            return
-        name = keys[key_id]
-        prop = props.setdefault(name, PropertyProfile(name))
-        prop.count += count
-        kind_name = _KIND_NAMES.get(column.kind)
-        signatures = distinct_values.setdefault((label, name, is_node), set())
-        if kind_name is not None:
-            prop.kinds.add(kind_name)
-            tag = column.kind
-            for row in column.iter_present(lo, hi):
-                signatures.add((tag, column.get(row)))
-        else:
-            for row in column.iter_present(lo, hi):
-                value = column.get(row)
-                prop.kinds.add(_value_kind(value))
-                signatures.add(value_signature(value))
-
-    for label_id, lo, hi in graph.node_runs:
-        label = labels[label_id]
-        label_profile = profile.node_labels.setdefault(label, LabelProfile(label))
-        label_profile.count += hi - lo
-        for key_id, column in graph.node_columns.items():
-            scan_column(column, key_id, lo, hi, label_profile.properties, label, True)
-
-    edge_ext_of = graph.edge_ext_of
-    edge_src = graph.edge_src
-    edge_tgt = graph.edge_tgt
-    node_label_ids = graph.node_label_ids
-    for src_label_id, edge_label_id, lo, hi in graph.edge_runs:
-        label = labels[edge_label_id]
-        source_label = labels[src_label_id]
-        edge_profile = profile.edge_labels.setdefault(label, EdgeLabelProfile(label))
-        edge_profile.count += hi - lo
-        pairs = edge_profile.endpoint_pairs
-        for row in range(lo, hi):
-            ext = edge_ext_of[row]
-            pair = (source_label, labels[node_label_ids[edge_tgt[ext]]])
-            pairs[pair] = pairs.get(pair, 0) + 1
-            if edge_src[ext] == edge_tgt[ext]:
-                edge_profile.loops += 1
-        for key_id, column in graph.edge_columns.items():
-            scan_column(column, key_id, lo, hi, edge_profile.properties, label, False)
-
-    # Degree histograms straight off the CSR indexes: slots are sorted by
-    # label id, so a (node, label) degree is one run length.
-    for attribute, (starts, slot_labels) in (
-        ("max_out_degree", graph.out_csr()),
-        ("max_in_degree", graph.in_csr()),
-    ):
-        for ext in range(graph.num_nodes):
-            slot, end = starts[ext], starts[ext + 1]
-            while slot < end:
-                label_id = slot_labels[slot]
-                run_end = slot + 1
-                while run_end < end and slot_labels[run_end] == label_id:
-                    run_end += 1
-                edge_profile = profile.edge_labels[labels[label_id]]
-                if run_end - slot > getattr(edge_profile, attribute):
-                    setattr(edge_profile, attribute, run_end - slot)
-                slot = run_end
 
     for (label, name, is_node), values in distinct_values.items():
         holder = profile.node_labels if is_node else profile.edge_labels

@@ -218,38 +218,6 @@ class ScalarRegistry:
             )
         return self.in_values(value, type_ref.base)
 
-    def accepts_kind(
-        self, base: str, kind: str, *, int32: bool = False, finite: bool = False
-    ) -> bool:
-        """Whether *every* value of a uniform runtime kind is in
-        ``values(base)`` -- the wholesale-acceptance test behind the
-        columnar validator's column-at-a-time WS1/WS2 passes.
-
-        *kind* is a column kind tag (``"str"``/``"bool"``/``"int"``/
-        ``"float"``); *int32* asserts the column's ints all fit GraphQL's
-        32-bit Int range, *finite* that its floats are all finite.  Only
-        predicates this registry can introspect (the builtins and the
-        default custom-scalar domain) admit wholesale acceptance; enums
-        and caller-registered predicates conservatively return False, so
-        the per-value path stays the semantics of record.
-        """
-        if base in self._enums:
-            return False
-        predicate = self._predicates.get(base)
-        if predicate is _is_string:
-            return kind == "str"
-        if predicate is _is_boolean:
-            return kind == "bool"
-        if predicate is _is_int:
-            return kind == "int" and int32
-        if predicate is _is_float:
-            return kind == "int" or (kind == "float" and finite)
-        if predicate is _is_id:
-            return kind in ("str", "int")
-        if predicate is is_atomic_value:
-            return kind in ("str", "bool", "int", "float")
-        return False
-
     def checker_w(self, type_ref: TypeRef) -> ScalarPredicate:
         """A compiled membership predicate for ``values_W(type_ref)``.
 

@@ -28,7 +28,7 @@ if TYPE_CHECKING:
         plan_cache_clear,
         plan_cache_info,
     )
-    from .shard import ColumnarShard, GraphShard, partition_graph
+    from .shard import GraphShard, partition_graph
     from .stream import StreamValidator, validate_jsonl
     from .violations import (
         ALL_RULES,
@@ -45,7 +45,6 @@ __all__ = [
     "ALL_RULES",
     "CDCConsumer",
     "CDCResult",
-    "ColumnarShard",
     "DIRECTIVE_RULES",
     "ENGINES",
     "EXTENSION_RULES",
@@ -106,7 +105,6 @@ _EXPORTS = {
     "compile_plan": "plan",
     "plan_cache_clear": "plan",
     "plan_cache_info": "plan",
-    "ColumnarShard": "shard",
     "GraphShard": "shard",
     "partition_graph": "shard",
     "StreamValidator": "stream",

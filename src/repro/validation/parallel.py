@@ -78,9 +78,8 @@ from ..resilience.ladder import FALLBACK as _FALLBACK  # noqa: F401  (re-export)
 # usable_cores lives in the ladder (sat's portfolio needs it without this
 # module); callers and tests still import and patch it here
 from ..resilience.ladder import ExecutorLadder, usable_cores
-from ..schema.scalars import INT_MAX, INT_MIN
 from .plan import ValidationPlan, compile_plan
-from .shard import ColumnarShard, GraphShard, partition_graph
+from .shard import GraphShard, partition_graph
 from .violations import (
     ValidationReport,
     Violation,
@@ -91,12 +90,9 @@ from .violations import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..errors import BudgetReason
-    from ..pg.columnar import ColumnarGraph, PropertyColumn
     from ..pg.model import ElementId, PropertyGraph
     from ..resilience import Budget
     from ..schema.model import GraphQLSchema
-    from ..schema.scalars import ScalarRegistry
-    from ..schema.typerefs import TypeRef
 
 #: (key-site index, key-value signature, node) emitted by shard kernels;
 #: the merge step groups them to decide DS7 across shard boundaries.
@@ -181,7 +177,7 @@ class ParallelValidator:
 
     def validate(
         self,
-        graph: "PropertyGraph | GraphRecords | ColumnarGraph",
+        graph: "PropertyGraph | GraphRecords",
         mode: str = "strong",
         budget: "Budget | None" = None,
     ) -> ValidationReport:
@@ -201,7 +197,7 @@ class ParallelValidator:
 
     def _validate(
         self,
-        graph: "PropertyGraph | GraphRecords | ColumnarGraph",
+        graph: "PropertyGraph | GraphRecords",
         mode: str,
         budget: "Budget | None",
     ) -> ValidationReport:
@@ -209,7 +205,7 @@ class ParallelValidator:
         if budget is None and self.budget is not None:
             budget = self.budget.renew()
         with obs.span("validation.partition", jobs=self.shard_count):
-            if self.shard_count > 1 or getattr(graph, "is_columnar", False):
+            if self.shard_count > 1:
                 shards = partition_graph(graph, self.shard_count)
             else:
                 # one shard: the records view is that shard, and the graph
@@ -491,8 +487,8 @@ def _pool_validate(
 
 def validate_shard(
     plan: ValidationPlan,
-    graph: "PropertyGraph | GraphRecords | ColumnarGraph",
-    shard: "GraphShard | GraphRecords | ColumnarShard",
+    graph: "PropertyGraph | GraphRecords",
+    shard: "GraphShard | GraphRecords",
     rules: tuple[str, ...],
     budget: "Budget | None" = None,
 ) -> ShardResult:
@@ -509,20 +505,11 @@ def validate_shard(
     :class:`~repro.pg.records.GraphRecords` both provide; a records view is
     passed as both *graph* and *shard*.
 
-    :class:`~repro.validation.shard.ColumnarShard` row-range shards (from a
-    frozen :class:`~repro.pg.columnar.ColumnarGraph`) dispatch to the
-    columnar kernel, which sweeps label-id and endpoint columns run by run
-    instead of doing per-element dict hits; both kernels emit the same
-    violation multiset, so merged reports are byte-identical across
-    backends.
-
     A ``budget`` deadline is read every ``_DEADLINE_CHECK_EVERY`` elements
     -- one monotonic-clock read amortised over thousands of kernel
     iterations, so budgeted and unbudgeted runs stay within noise of each
     other.
     """
-    if isinstance(shard, ColumnarShard):
-        return _validate_columnar_shard(plan, graph, shard, rules, budget)
     active = frozenset(rules)
     violations: list[Violation] = []
     emit = violations.append
@@ -768,499 +755,6 @@ def validate_shard(
             for _target, edge_label, records in shard.target_groups:
                 for location, source_below in unique_ft_by_field.get(edge_label, ()):
                     qualifying = [r[0] for r in records if r[4] in source_below]
-                    if len(qualifying) < 2:
-                        continue
-                    for first, second in _ordered_pairs(qualifying):
-                        emit(
-                            Violation(
-                                "DS3",
-                                location,
-                                (first, second),
-                                "target has two incoming @uniqueForTarget edges",
-                            )
-                        )
-    return violations, triples
-
-
-# --------------------------------------------------------------------------- #
-# the columnar shard kernel
-# --------------------------------------------------------------------------- #
-
-
-def _column_accepts(
-    scalars: "ScalarRegistry", ref: "TypeRef", column: "PropertyColumn"
-) -> bool:
-    """Whole-column acceptance of values_W(ref): every value stored in
-    *column* is provably a member, so WS1/WS2 skip the per-value loop.
-    Stored values are never None, which is why nullability plays no role
-    here (absence models null); tuples likewise never contain None."""
-    kind = column.kind
-    if ref.is_list:
-        if kind != "obj":
-            return False  # non-tuple values can never satisfy a list type
-        item_kind = column.item_kind
-        if item_kind is None:
-            return False
-        if item_kind == "empty":
-            return True
-        return scalars.accepts_kind(
-            ref.base,
-            item_kind,
-            int32=column.item_int_min >= INT_MIN and column.item_int_max <= INT_MAX,
-            finite=column.item_floats_finite,
-        )
-    if kind == "obj":
-        return False
-    return scalars.accepts_kind(
-        ref.base,
-        kind,
-        int32=column.int_min >= INT_MIN and column.int_max <= INT_MAX,
-        finite=column.floats_finite,
-    )
-
-
-#: Column kinds whose DS7 signature is the inline pair (kind, value),
-#: bypassing the value_signature call (identical output by construction).
-_SIGNATURE_TAGS = frozenset(("int", "float", "bool", "str"))
-
-
-def _validate_columnar_shard(
-    plan: ValidationPlan,
-    graph: "ColumnarGraph",
-    shard: ColumnarShard,
-    rules: tuple[str, ...],
-    budget: "Budget | None" = None,
-) -> ShardResult:
-    """The fused kernel over a columnar shard: one pass over the node-row
-    range, one over the edge-row range, and CSR-slice group passes.
-
-    Work is organised by *run* -- maximal row ranges sharing a label (or a
-    (source label, edge label) shape) -- so per-label dispatch records,
-    interned-id lookups and wholesale column checks are paid once per run
-    instead of once per element.  Emission content matches the dict kernel
-    string for string; only emission *order* differs, which the canonical
-    merge sort erases.
-    """
-    active = frozenset(rules)
-    violations: list[Violation] = []
-    emit = violations.append
-    triples: list[SignatureTriple] = []
-    labels = graph.labels
-    keys = graph.keys
-    scalars = plan.schema.scalars
-    node_ids = graph.node_id_list
-    edge_ids = graph.edge_id_list
-    node_ext_of = graph.node_ext_of
-    edge_ext_of = graph.edge_ext_of
-    edge_src = graph.edge_src
-    edge_tgt = graph.edge_tgt
-    node_label_ids = graph.node_label_ids
-    edge_run_index: dict[tuple[int, int], int] = {
-        (src_label, edge_label): index
-        for index, (src_label, edge_label, _start, _stop) in enumerate(graph.edge_runs)
-    }
-    pending = 0  # deadline-cadence accumulator (checked per run)
-
-    # ---------------------------- node pass ---------------------------- #
-    ws1 = "WS1" in active
-    ss1 = "SS1" in active
-    ss2 = "SS2" in active
-    ds4 = "DS4" in active
-    ds5 = "DS5" in active
-    ds6 = "DS6" in active
-    ds7 = "DS7" in active
-    node_rules = plan.node_rules
-    if ws1 or ss1 or ss2 or ds4 or ds5 or ds6 or ds7:
-        node_columns = graph.node_columns
-        shard_lo, shard_hi = shard.node_start, shard.node_stop
-        for label_id, run_lo, run_hi in graph.node_runs:
-            lo = run_lo if run_lo > shard_lo else shard_lo
-            hi = run_hi if run_hi < shard_hi else shard_hi
-            if lo >= hi:
-                continue
-            count = hi - lo
-            if budget is not None:
-                pending += count
-                if pending >= _DEADLINE_CHECK_EVERY:
-                    budget.check_deadline(site="validation.shard")
-                    pending = 0
-            label = labels[label_id]
-            rec = node_rules(label)
-            if ss1 and not rec.known:
-                detail = f"label {label} is not an object type"
-                for row in range(lo, hi):
-                    emit(Violation("SS1", "", (node_ids[node_ext_of[row]],), detail))
-            if ws1 or ss2:
-                declared = rec.properties
-                for key_id, column in node_columns.items():
-                    if not column.count_range(lo, hi):
-                        continue
-                    name = keys[key_id]
-                    entry = declared.get(name)
-                    if entry is None:
-                        if ss2:
-                            location = f"{label}.{name}"
-                            detail = f"property {name} is not a field of {label}"
-                            for row in column.iter_present(lo, hi):
-                                emit(
-                                    Violation(
-                                        "SS2",
-                                        location,
-                                        (node_ids[node_ext_of[row]],),
-                                        detail,
-                                    )
-                                )
-                        continue
-                    ref, checker = entry
-                    if checker is None:
-                        if ss2:
-                            location = f"{label}.{name}"
-                            detail = (
-                                f"property {name} corresponds to a relationship field"
-                            )
-                            for row in column.iter_present(lo, hi):
-                                emit(
-                                    Violation(
-                                        "SS2",
-                                        location,
-                                        (node_ids[node_ext_of[row]],),
-                                        detail,
-                                    )
-                                )
-                        continue
-                    if ws1 and not _column_accepts(scalars, ref, column):
-                        location = f"{label}.{name}"
-                        for row in column.iter_present(lo, hi):
-                            value = column.get(row)
-                            if not checker(value):
-                                emit(
-                                    Violation(
-                                        "WS1",
-                                        location,
-                                        (node_ids[node_ext_of[row]],),
-                                        f"value {value!r} is not in values_W({ref})",
-                                    )
-                                )
-            if ds5:
-                for location, field_name, is_list in rec.required_attrs:
-                    key_id = keys.id_of(field_name)
-                    column = node_columns.get(key_id) if key_id >= 0 else None
-                    detail = f"required property {field_name} is absent"
-                    if column is None:
-                        for row in range(lo, hi):
-                            emit(
-                                Violation(
-                                    "DS5",
-                                    location,
-                                    (node_ids[node_ext_of[row]],),
-                                    detail,
-                                )
-                            )
-                        continue
-                    if column.count_range(lo, hi) < count:
-                        for row in column.iter_absent(lo, hi):
-                            emit(
-                                Violation(
-                                    "DS5",
-                                    location,
-                                    (node_ids[node_ext_of[row]],),
-                                    detail,
-                                )
-                            )
-                    if is_list and column.has_empty_tuple:
-                        empty_detail = (
-                            f"required list property {field_name} is empty"
-                        )
-                        for row in column.iter_present(lo, hi):
-                            if column.get(row) == ():
-                                emit(
-                                    Violation(
-                                        "DS5",
-                                        location,
-                                        (node_ids[node_ext_of[row]],),
-                                        empty_detail,
-                                    )
-                                )
-            if ds6:
-                for location, field_name in rec.required_edges:
-                    edge_label_id = labels.id_of(field_name)
-                    detail = f"required outgoing {field_name} edge is absent"
-                    if edge_label_id < 0:
-                        for row in range(lo, hi):
-                            emit(
-                                Violation(
-                                    "DS6",
-                                    location,
-                                    (node_ids[node_ext_of[row]],),
-                                    detail,
-                                )
-                            )
-                        continue
-                    run_index = edge_run_index.get((label_id, edge_label_id))
-                    if (
-                        run_index is not None
-                        and graph.run_distinct_sources(run_index) == run_hi - run_lo
-                    ):
-                        continue  # every node of this label is a source
-                    sources = graph.sources_with_edge_label(edge_label_id)
-                    for row in range(lo, hi):
-                        if node_ext_of[row] not in sources:
-                            emit(
-                                Violation(
-                                    "DS6",
-                                    location,
-                                    (node_ids[node_ext_of[row]],),
-                                    detail,
-                                )
-                            )
-            if ds4:
-                for location, field_name, source_below in rec.incoming_required:
-                    detail = (
-                        f"node of type {label} lacks a required "
-                        f"incoming {field_name} edge"
-                    )
-                    edge_label_id = labels.id_of(field_name)
-                    if edge_label_id < 0:
-                        for row in range(lo, hi):
-                            emit(
-                                Violation(
-                                    "DS4",
-                                    location,
-                                    (node_ids[node_ext_of[row]],),
-                                    detail,
-                                )
-                            )
-                        continue
-                    allowed = frozenset(
-                        label_index
-                        for source_label in source_below
-                        if (label_index := labels.id_of(source_label)) >= 0
-                    )
-                    targets = graph.targets_of_labelled_sources(
-                        edge_label_id, allowed
-                    )
-                    for row in range(lo, hi):
-                        if node_ext_of[row] not in targets:
-                            emit(
-                                Violation(
-                                    "DS4",
-                                    location,
-                                    (node_ids[node_ext_of[row]],),
-                                    detail,
-                                )
-                            )
-            if ds7 and rec.key_memberships:
-                for site_index, scalar_fields in rec.key_memberships:
-                    columns = []
-                    for field_name in scalar_fields:
-                        key_id = keys.id_of(field_name)
-                        column = node_columns.get(key_id) if key_id >= 0 else None
-                        tag = (
-                            column.kind
-                            if column is not None and column.kind in _SIGNATURE_TAGS
-                            else None
-                        )
-                        columns.append((column, tag))
-                    for row in range(lo, hi):
-                        signature = tuple(
-                            (
-                                (tag, column.get(row))
-                                if tag is not None
-                                else value_signature(column.get(row))
-                            )
-                            if column is not None and column.has(row)
-                            else _MISSING
-                            for column, tag in columns
-                        )
-                        triples.append(
-                            (site_index, signature, node_ids[node_ext_of[row]])
-                        )
-
-    # ---------------------------- edge pass ---------------------------- #
-    ws2 = "WS2" in active
-    ws3 = "WS3" in active
-    ss3 = "SS3" in active
-    ss4 = "SS4" in active
-    ds2 = "DS2" in active
-    ep1 = "EP1" in active
-    edge_rules = plan.edge_rules
-    if ws2 or ws3 or ss3 or ss4 or ds2 or ep1:
-        edge_columns = graph.edge_columns
-        shard_lo, shard_hi = shard.edge_start, shard.edge_stop
-        for run_index, (src_label_id, edge_label_id, run_lo, run_hi) in enumerate(
-            graph.edge_runs
-        ):
-            lo = run_lo if run_lo > shard_lo else shard_lo
-            hi = run_hi if run_hi < shard_hi else shard_hi
-            if lo >= hi:
-                continue
-            count = hi - lo
-            if budget is not None:
-                pending += count
-                if pending >= _DEADLINE_CHECK_EVERY:
-                    budget.check_deadline(site="validation.shard")
-                    pending = 0
-            source_label = labels[src_label_id]
-            edge_label = labels[edge_label_id]
-            rec = edge_rules(source_label, edge_label)
-            if ss4 and rec.ss4 is not None:
-                location = f"{source_label}.{edge_label}"
-                detail = (
-                    f"edge label {edge_label} is not a field of {source_label}"
-                    if rec.ss4 == "missing"
-                    else f"edge label {edge_label} corresponds to an attribute field"
-                )
-                for row in range(lo, hi):
-                    emit(
-                        Violation("SS4", location, (edge_ids[edge_ext_of[row]],), detail)
-                    )
-            if ws3 and rec.ws3_targets is not None:
-                allowed = frozenset(
-                    label_index
-                    for target_label in rec.ws3_targets
-                    if (label_index := labels.id_of(target_label)) >= 0
-                )
-                if not graph.run_target_labels(run_index) <= allowed:
-                    location = f"{source_label}.{edge_label}"
-                    base = rec.ref.base  # type: ignore[union-attr]
-                    for row in range(lo, hi):
-                        ext = edge_ext_of[row]
-                        target_label_id = node_label_ids[edge_tgt[ext]]
-                        if target_label_id not in allowed:
-                            emit(
-                                Violation(
-                                    "WS3",
-                                    location,
-                                    (edge_ids[ext],),
-                                    f"target label {labels[target_label_id]} is "
-                                    f"not a subtype of {base}",
-                                )
-                            )
-            if ds2 and rec.no_loops and graph.run_has_loops(run_index):
-                for row in range(lo, hi):
-                    ext = edge_ext_of[row]
-                    if edge_src[ext] == edge_tgt[ext]:
-                        for location in rec.no_loops:
-                            emit(
-                                Violation(
-                                    "DS2",
-                                    location,
-                                    (edge_ids[ext],),
-                                    "@noLoops edge is a self-loop",
-                                )
-                            )
-            if ws2 or ss3:
-                declared_args = rec.args
-                arg_checkers = rec.arg_checkers
-                for key_id, column in edge_columns.items():
-                    if not column.count_range(lo, hi):
-                        continue
-                    name = keys[key_id]
-                    if ss3 and name not in declared_args:
-                        location = f"{source_label}.{edge_label}({name})"
-                        detail = f"edge property {name} is not a declared argument"
-                        for row in column.iter_present(lo, hi):
-                            emit(
-                                Violation(
-                                    "SS3",
-                                    location,
-                                    (edge_ids[edge_ext_of[row]],),
-                                    detail,
-                                )
-                            )
-                    if ws2:
-                        entry = arg_checkers.get(name)
-                        if entry is not None and not _column_accepts(
-                            scalars, entry[0], column
-                        ):
-                            location = f"{source_label}.{edge_label}({name})"
-                            checker = entry[1]
-                            for row in column.iter_present(lo, hi):
-                                value = column.get(row)
-                                if not checker(value):
-                                    emit(
-                                        Violation(
-                                            "WS2",
-                                            location,
-                                            (edge_ids[edge_ext_of[row]],),
-                                            f"value {value!r} is not in "
-                                            f"values_W({entry[0]})",
-                                        )
-                                    )
-            if ep1 and rec.mandatory_args:
-                for name in rec.mandatory_args:
-                    key_id = keys.id_of(name)
-                    column = edge_columns.get(key_id) if key_id >= 0 else None
-                    location = f"{source_label}.{edge_label}({name})"
-                    detail = f"mandatory edge property {name} is absent"
-                    if column is None:
-                        for row in range(lo, hi):
-                            emit(
-                                Violation(
-                                    "EP1",
-                                    location,
-                                    (edge_ids[edge_ext_of[row]],),
-                                    detail,
-                                )
-                            )
-                    elif column.count_range(lo, hi) < count:
-                        for row in column.iter_absent(lo, hi):
-                            emit(
-                                Violation(
-                                    "EP1",
-                                    location,
-                                    (edge_ids[edge_ext_of[row]],),
-                                    detail,
-                                )
-                            )
-
-    # ------------------------- edge-group passes ------------------------ #
-    ws4 = "WS4" in active
-    ds1 = "DS1" in active
-    if (ws4 or ds1) and shard.source_groups:
-        out_csr = graph.out_csr_edges()
-        for node_ext, edge_label_id, start, end in shard.source_groups:
-            source_label = labels[node_label_ids[node_ext]]
-            edge_label = labels[edge_label_id]
-            rec = edge_rules(source_label, edge_label)
-            if ws4 and rec.ws4:
-                members = [edge_ids[out_csr[position]] for position in range(start, end)]
-                location = f"{source_label}.{edge_label}"
-                detail = f"two parallel edges for non-list field type {rec.ref}"
-                for first, second in _ordered_pairs(members):
-                    emit(Violation("WS4", location, (first, second), detail))
-            if ds1 and rec.distinct:
-                by_target: dict[int, list] = {}
-                for position in range(start, end):
-                    ext = out_csr[position]
-                    by_target.setdefault(edge_tgt[ext], []).append(edge_ids[ext])
-                for group in by_target.values():
-                    if len(group) < 2:
-                        continue
-                    for location in rec.distinct:
-                        for first, second in _ordered_pairs(group):
-                            emit(
-                                Violation(
-                                    "DS1",
-                                    location,
-                                    (first, second),
-                                    "two @distinct edges share both endpoints",
-                                )
-                            )
-    if "DS3" in active and shard.target_groups:
-        unique_ft_by_field = plan.unique_ft_by_field
-        if unique_ft_by_field:
-            in_csr = graph.in_csr_edges()
-            for _node_ext, edge_label_id, start, end in shard.target_groups:
-                entries = unique_ft_by_field.get(labels[edge_label_id])
-                if not entries:
-                    continue
-                for location, source_below in entries:
-                    qualifying = []
-                    for position in range(start, end):
-                        ext = in_csr[position]
-                        if labels[node_label_ids[edge_src[ext]]] in source_below:
-                            qualifying.append(edge_ids[ext])
                     if len(qualifying) < 2:
                         continue
                     for first, second in _ordered_pairs(qualifying):

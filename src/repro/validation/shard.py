@@ -44,7 +44,6 @@ from zlib import crc32
 from ..pg.records import group_edges
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..pg.columnar import ColumnarGraph
     from ..pg.model import ElementId, PropertyGraph
     from ..pg.records import GraphRecords
 
@@ -83,62 +82,20 @@ class GraphShard:
         return len(self.nodes) + len(self.edges)
 
 
-@dataclass
-class ColumnarShard:
-    """One worker's share of a :class:`~repro.pg.columnar.ColumnarGraph`.
-
-    Because a columnar graph's rows are already label-sorted and its
-    WS4/DS1/DS3 scopes are contiguous CSR slices, a shard is four integers
-    and two slice lists instead of materialised record tuples: nodes and
-    edges are *contiguous row ranges*, groups are ``(node position, edge
-    label id, start, end)`` windows into the graph's CSR arrays.  The merge
-    step sorts violations canonically, so range sharding produces reports
-    byte-identical to the hash sharding of :class:`GraphShard` (the
-    differential tests enforce this).
-    """
-
-    index: int
-    node_start: int = 0
-    node_stop: int = 0
-    edge_start: int = 0
-    edge_stop: int = 0
-    #: (source position, edge label id, CSR start, CSR end) for WS4/DS1.
-    source_groups: list[tuple[int, int, int, int]] = field(default_factory=list)
-    #: (target position, edge label id, CSR start, CSR end) for DS3.
-    target_groups: list[tuple[int, int, int, int]] = field(default_factory=list)
-
-    @property
-    def nodes(self) -> range:
-        """The shard's node rows (sized, like GraphShard.nodes)."""
-        return range(self.node_start, self.node_stop)
-
-    @property
-    def edges(self) -> range:
-        """The shard's edge rows (sized, like GraphShard.edges)."""
-        return range(self.edge_start, self.edge_stop)
-
-    def __len__(self) -> int:
-        return (self.node_stop - self.node_start) + (self.edge_stop - self.edge_start)
-
-
 def partition_graph(
-    graph: "PropertyGraph | GraphRecords | ColumnarGraph", num_shards: int
-) -> "list[GraphShard] | list[ColumnarShard]":
+    graph: "PropertyGraph | GraphRecords", num_shards: int
+) -> list[GraphShard]:
     """Split *graph* into ``num_shards`` scope-respecting shards.
 
     The assignment depends only on the graph and ``num_shards`` -- never on
     the executor or the worker count actually used -- so a report merged
-    from these shards is deterministic.  Columnar graphs partition into
-    :class:`ColumnarShard` row ranges (no per-element hashing at all);
-    dict-backed graphs into hashed :class:`GraphShard` record lists.  A
-    one-shard run needs no partition: a
-    :class:`~repro.pg.records.GraphRecords` view is its own single shard,
-    and that is what :class:`~repro.validation.parallel.ParallelValidator`
-    validates when it runs on one shard.
+    from these shards is deterministic.  A one-shard run needs no
+    partition: a :class:`~repro.pg.records.GraphRecords` view is its own
+    single shard, and that is what
+    :class:`~repro.validation.parallel.ParallelValidator` validates when it
+    runs on one shard.
     """
     num_shards = max(1, num_shards)
-    if getattr(graph, "is_columnar", False):
-        return partition_columnar(graph, num_shards)  # type: ignore[arg-type]
     shards = [GraphShard(index) for index in range(num_shards)]
     edge_records = graph.edge_records()
     node_lists = [shard.nodes for shard in shards]
@@ -148,37 +105,6 @@ def partition_graph(
     for record in edge_records:
         edge_lists[crc32(str(record[0]).encode()) % num_shards].append(record)
     _collect_groups(edge_records, shards, num_shards)
-    return shards
-
-
-def partition_columnar(
-    graph: "ColumnarGraph", num_shards: int
-) -> list[ColumnarShard]:
-    """Range-partition a columnar graph: contiguous node/edge row slices of
-    near-equal size, groups dealt round-robin in CSR enumeration order.
-    Deterministic in (graph, num_shards) alone, like :func:`partition_graph`.
-    """
-    num_shards = max(1, num_shards)
-    num_node_rows = graph.num_nodes
-    num_edge_rows = graph.num_edges
-    shards = [
-        ColumnarShard(
-            index,
-            node_start=index * num_node_rows // num_shards,
-            node_stop=(index + 1) * num_node_rows // num_shards,
-            edge_start=index * num_edge_rows // num_shards,
-            edge_stop=(index + 1) * num_edge_rows // num_shards,
-        )
-        for index in range(num_shards)
-    ]
-    if num_shards == 1:
-        shards[0].source_groups = graph.source_groups()
-        shards[0].target_groups = graph.target_groups()
-    else:
-        for position, group in enumerate(graph.source_groups()):
-            shards[position % num_shards].source_groups.append(group)
-        for position, group in enumerate(graph.target_groups()):
-            shards[position % num_shards].target_groups.append(group)
     return shards
 
 

@@ -36,7 +36,7 @@ each rule class should check.  The fused kernel
 chunk results merge through
 :func:`~repro.validation.parallel.merge_shard_results` -- the *same* merge
 the parallel engine uses, which is what makes a streamed report
-byte-identical to an in-memory run of any engine, worker count or backend.
+byte-identical to an in-memory run of any engine or worker count.
 
 **Budgets.**  A :class:`~repro.resilience.Budget` is charged per chunk
 (site ``"validation.stream"``) before the chunk is validated; exhaustion
@@ -61,14 +61,6 @@ from typing import IO, TYPE_CHECKING, Any
 
 from .. import obs
 from ..errors import BudgetExhaustedError, GraphError, GraphLoadError
-from ..pg.columnar import (
-    ROLE_ELEMENT,
-    ROLE_IN_DEGREE,
-    ROLE_OUT_DEGREE,
-    ROLE_SOURCE_GROUP,
-    ROLE_TARGET_GROUP,
-    StringPool,
-)
 from ..pg.io import iter_graph_jsonl
 from ..pg.model import PropertyGraph
 from .parallel import ShardResult, merge_shard_results, validate_shard
@@ -83,9 +75,41 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _ON_BUDGET = ("unknown", "error")
 
+#: Role bits of a spilled edge row: which rule classes its chunk runs on it.
+ROLE_ELEMENT = 1
+ROLE_SOURCE_GROUP = 2
+ROLE_TARGET_GROUP = 4
+ROLE_OUT_DEGREE = 8
+ROLE_IN_DEGREE = 16
+
 #: Spill files stay manageable: more chunks than this and the per-chunk
 #: constant costs (open files, graph rebuilds) start to dominate.
 _MAX_CHUNKS = 1024
+
+
+class StringPool:
+    """Interned strings with dense ids in first-appearance order."""
+
+    __slots__ = ("_ids", "_strings")
+
+    def __init__(self) -> None:
+        self._ids: dict[str, int] = {}
+        self._strings: list[str] = []
+
+    def intern(self, value: str) -> int:
+        """The id of *value*, interning it on first sight."""
+        found = self._ids.get(value)
+        if found is None:
+            found = len(self._strings)
+            self._ids[value] = found
+            self._strings.append(value)
+        return found
+
+    def __getitem__(self, index: int) -> str:
+        return self._strings[index]
+
+    def __len__(self) -> int:
+        return len(self._strings)
 
 
 class StreamValidator:

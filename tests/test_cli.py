@@ -345,12 +345,6 @@ class TestValidateStream:
         assert main(["validate", schema_file, graph_file, "--stream"]) == 2
         assert "--stream validates JSON-Lines" in capsys.readouterr().err
 
-    def test_backend_columnar(self, schema_file, graph_file, jsonl_file):
-        for graph in (graph_file, jsonl_file):
-            assert main(
-                ["validate", schema_file, graph, "--backend", "columnar"]
-            ) == 0
-
     def test_stream_violations(self, schema_file, tmp_path, capsys):
         graph = user_session_graph(2, 1, seed=0)
         graph.add_node("ghost", "Phantom")

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.pg import dumps_graph
+from repro.pg import dump_graph_jsonl, dumps_graph
 from repro.schema import print_schema
 from repro.workloads import CORPUS, hub_chain_schema, user_session_graph
 
@@ -64,6 +64,9 @@ def inputs(tmp_path_factory):
     library.write_text(CORPUS["library"].sdl)
     graph = root / "graph.json"
     graph.write_text(dumps_graph(user_session_graph(3, 1, seed=0)))
+    jsonl = root / "graph.jsonl"
+    with open(jsonl, "w", encoding="utf-8") as fp:
+        dump_graph_jsonl(user_session_graph(3, 1, seed=0), fp)
     # every type goes through the bounded witness search; Hub0's witness
     # needs more nodes than the default bound
     hub = root / "hub.graphql"
@@ -72,6 +75,7 @@ def inputs(tmp_path_factory):
         "schema": str(schema),
         "library": str(library),
         "graph": str(graph),
+        "jsonl": str(jsonl),
         "hub": str(hub),
     }
 
@@ -94,8 +98,17 @@ def test_lint_loads_neither_validation_nor_satisfiability(inputs):
     assert _loaded_after(_run_cli(["lint", inputs["library"]]), watched) == []
 
 
-def test_validate_does_not_load_numpy(inputs):
-    code = _run_cli(["validate", inputs["schema"], inputs["graph"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{schema}", "{graph}"],
+        ["validate", "{schema}", "{jsonl}", "--stream"],
+        ["stats", "{graph}"],
+    ],
+    ids=["validate", "validate-stream", "stats"],
+)
+def test_validate_does_not_load_numpy(inputs, argv):
+    code = _run_cli([arg.format(**inputs) for arg in argv])
     assert _loaded_after(code, ("numpy",)) == []
 
 
@@ -114,7 +127,6 @@ def test_validate_loads_only_the_plan_kernel(inputs):
         "repro.validation.stream",
         "repro.validation.journal",
         "repro.evolution",
-        "repro.pg.columnar",
         "repro.pg.stats",
         "repro.satisfiability",
         # the inline kernel starts no pool: the process-pool machinery is
@@ -133,7 +145,6 @@ def test_sat_loads_neither_validation_kernels_nor_the_sat_encoding(inputs):
         "repro.validation.stream",
         "repro.validation.journal",
         "repro.validation.naive",
-        "repro.pg.columnar",
         "repro.satisfiability.sat_encoding",
         "repro.satisfiability.reduction",
         "repro.sat",
@@ -148,16 +159,3 @@ def test_fully_decided_sat_loads_no_process_pool_machinery(inputs):
     watched = ("concurrent.futures.process", "multiprocessing")
     for schema in (inputs["library"], inputs["hub"]):
         assert _loaded_after(_run_cli(["sat", schema]), watched) == []
-
-
-def test_numpy_loads_on_the_first_large_columnar_sort():
-    code = (
-        "from repro.pg import GraphBuilder, freeze\n"
-        "builder = GraphBuilder()\n"
-        "for index in range(1100):\n"
-        "    builder.node(f'n{index}', 'AB'[index % 2])\n"
-        "freeze(GraphBuilder().node('x', 'A').graph())\n"
-        "assert 'numpy' not in sys.modules\n"
-        "freeze(builder.graph())\n"
-    )
-    assert _loaded_after(code, ("numpy",)) == ["numpy"]

@@ -267,13 +267,12 @@ class TestScenarios:
         } <= families
         ids = set(SCENARIOS)
         assert {
-            "validate.indexed", "validate.parallel",
-            "validate.columnar", "validate.stream",
+            "validate.indexed", "validate.parallel", "validate.stream",
         } <= ids
 
     def test_select_by_prefix_family_and_exact(self):
         assert [e.id for e in select_scenarios(["parse.corpus"])] == ["parse.corpus"]
-        assert len(select_scenarios(["validate."])) == 4
+        assert len(select_scenarios(["validate."])) == 3
         assert all(
             entry.adversarial for entry in select_scenarios(["adversarial"])
         )

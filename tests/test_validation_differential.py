@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.fo import FOValidator
-from repro.pg import PropertyGraph, freeze, random_graph
+from repro.pg import PropertyGraph, random_graph
 from repro.validation import IndexedValidator, NaiveValidator, ParallelValidator
 from repro.workloads import conformant_graph, corrupt_graph, random_schema
 from repro.workloads.paper_schemas import CORPUS
@@ -56,19 +56,12 @@ def engines_agree(schema, graph):
     assert naive.keys() == indexed.keys(), (
         naive.keys() ^ indexed.keys()
     )
-    frozen = freeze(graph)
     for jobs in PARALLEL_JOBS:
-        validator = ParallelValidator(schema, jobs=jobs)
-        parallel = validator.validate(graph)
+        parallel = ParallelValidator(schema, jobs=jobs).validate(graph)
         assert parallel.keys() == indexed.keys(), (
             jobs,
             parallel.keys() ^ indexed.keys(),
         )
-        # the columnar kernel must render the *same bytes* as the dict kernel
-        columnar = validator.validate(frozen)
-        assert [str(v) for v in columnar.violations] == [
-            str(v) for v in parallel.violations
-        ], jobs
     return indexed
 
 
@@ -172,11 +165,9 @@ class TestParallelDeterminism:
         if corrupted is None:
             pytest.skip(f"no corruption opportunity for {rule} in this schema")
 
-        frozen = freeze(corrupted)
-
-        def render(jobs, executor, graph=corrupted):
+        def render(jobs, executor):
             report = ParallelValidator(schema, jobs=jobs, executor=executor).validate(
-                graph
+                corrupted
             )
             return "\n".join(str(violation) for violation in report.violations)
 
@@ -185,7 +176,6 @@ class TestParallelDeterminism:
         for jobs in PARALLEL_JOBS:
             assert render(jobs, "serial") == reference, jobs
             assert render(jobs, "thread") == reference, jobs
-            assert render(jobs, "serial", frozen) == reference, ("columnar", jobs)
 
 
 class TestExtendedMode:

@@ -19,7 +19,6 @@ from repro import obs
 from repro.pg import (
     GraphBuilder,
     dump_graph_jsonl,
-    freeze,
     iter_graph_jsonl,
     load_graph_jsonl,
     random_graph,
@@ -31,6 +30,7 @@ from repro.validation import (
     StreamValidator,
     validate_jsonl,
 )
+from repro.validation.stream import StringPool
 from repro.workloads import corrupt_graph, library_graph, user_session_graph
 from repro.workloads.paper_schemas import CORPUS
 
@@ -78,24 +78,14 @@ def graphs_for_streaming():
 
 
 class TestJsonlRoundTrip:
-    @pytest.mark.parametrize("backend", ["dict", "columnar"])
-    def test_round_trip(self, tmp_path, backend):
+    def test_round_trip(self, tmp_path):
         graph = library_graph(5, 8, num_series=1, num_publishers=2, seed=7)
         path = write_jsonl(tmp_path, graph)
         with open(path, "r", encoding="utf-8") as fp:
-            loaded = load_graph_jsonl(fp, source=str(path), backend=backend)
+            loaded = load_graph_jsonl(fp, source=str(path))
         assert list(loaded.node_items()) == list(graph.node_items())
         assert list(loaded.edge_records()) == list(graph.edge_records())
         assert sorted(loaded.property_items()) == sorted(graph.property_items())
-
-    def test_round_trip_matches_freeze(self, tmp_path):
-        graph = user_session_graph(4, sessions_per_user=2, seed=1)
-        path = write_jsonl(tmp_path, graph)
-        with open(path, "r", encoding="utf-8") as fp:
-            loaded = load_graph_jsonl(fp, backend="columnar")
-        frozen = freeze(graph)
-        assert list(loaded.node_items()) == list(frozen.node_items())
-        assert sorted(loaded.property_items()) == sorted(frozen.property_items())
 
     def test_iter_skips_blank_lines(self):
         text = '{"type": "node", "id": "a", "label": "L"}\n\n  \n'
@@ -190,6 +180,16 @@ class TestJsonlGoldenErrors:
         assert "edge target is not a node: 'ghost'" in str(error)
 
 
+class TestStringPool:
+    def test_interning_is_dense_and_stable(self):
+        pool = StringPool()
+        assert pool.intern("a") == 0
+        assert pool.intern("b") == 1
+        assert pool.intern("a") == 0
+        assert pool[1] == "b"
+        assert len(pool) == 2
+
+
 class TestStreamAgreement:
     """Streamed reports are byte-identical to in-memory validation."""
 
@@ -211,7 +211,7 @@ class TestStreamAgreement:
             assert streamed.keys() == IndexedValidator(schema).validate(graph).keys()
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_stream_equals_parallel_and_columnar(self, tmp_path, jobs):
+    def test_stream_equals_parallel(self, tmp_path, jobs):
         schema = SCHEMAS["library"]
         graph = corrupt_graph(
             library_graph(6, 10, num_series=2, num_publishers=2, seed=3),
@@ -222,7 +222,6 @@ class TestStreamAgreement:
         path = write_jsonl(tmp_path, graph)
         validator = ParallelValidator(schema, jobs=jobs)
         expected = report_bytes(validator.validate(graph))
-        assert report_bytes(validator.validate(freeze(graph))) == expected
         streamed = validate_jsonl(schema, path, chunk_elements=11)
         assert report_bytes(streamed) == expected
 
