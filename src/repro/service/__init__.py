@@ -8,7 +8,8 @@ only within a process.  This package keeps that process alive:
   pinning their compiled plans and private sat caches (tenant isolation by
   construction), atomically persisted and reloaded across restarts;
 * :mod:`~repro.service.batching` -- the hot path: bounded admission,
-  coalescing of concurrent validate requests into shared sharded runs,
+  coalescing of concurrent validate requests into shared batches (each
+  request one records-view shard),
   per-request deadline budgets, and a retry/serial fallback ladder;
 * :mod:`~repro.service.server` -- the stdlib-only asyncio JSON-over-HTTP
   daemon plus :class:`~repro.service.server.ServiceThread` for in-process

@@ -1,8 +1,9 @@
 """Request batching, admission control and fallback for ``pgschema serve``.
 
 The service's hot path: many small concurrent validate requests against
-the same schema version should cost one parallel sharded run, not N
-serial ones.  :class:`BatchingValidator` owns
+the same schema version should share one drain sweep, one plan and one
+retry boundary, not pay N separate dispatches.  :class:`BatchingValidator`
+owns
 
 * a **bounded admission queue** -- ``submit`` never blocks; a full queue
   raises :class:`~repro.errors.OverloadedError` (the HTTP layer's typed
@@ -10,24 +11,32 @@ serial ones.  :class:`BatchingValidator` owns
   deadline miss;
 * a **drain loop** that dequeues greedily (up to ``max_batch`` requests
   per sweep) and *coalesces* requests sharing ``(schema record, mode)``
-  into one batch, fanning every request's shards over one shared thread
-  pool before gathering per request;
+  into one batch, running each request as one task on a shared thread
+  pool before gathering the batch;
 * **per-request deadlines** through the PR 3 Budget machinery: queue wait
   counts against the deadline, and exhaustion -- in the queue or inside
-  the shard kernel -- surfaces as a typed *partial* report
-  (``complete=False`` with a structured interruption; HTTP 202), never a
-  wrong answer;
+  the kernel -- surfaces as a typed *partial* report (``complete=False``
+  with a structured interruption; HTTP 202), never a wrong answer;
 * a **fallback ladder**: batches retry with backoff at the
   ``service.batch`` fault site, then fall back to serial in-thread
   execution; graphs at or above the parallel validator's process
   threshold route through :class:`~repro.validation.parallel.ParallelValidator`,
   which carries the full process -> thread -> serial recovery ladder.
 
+Each request is one shard: its :class:`~repro.pg.records.GraphRecords`
+view (what ``/v1/validate`` decodes the graph document into, or
+:meth:`~repro.pg.records.GraphRecords.from_graph` of a submitted
+:class:`~repro.pg.model.PropertyGraph`) is both the graph the kernel reads
+and its only shard.  The pool runs requests, not shards: the kernel is
+pure Python and holds the GIL, so shards of one request would not run in
+parallel; they would only add a partition pass and a wider merge.
+
 Determinism contract: each request's report is produced by
-``partition_graph`` + ``validate_shard`` + ``merge_shard_results`` -- the
-identical kernel/merge path as the CLI engines -- so a batched response is
-byte-identical to a single-shot ``pgschema validate`` run, regardless of
-batch composition, job count, or which ladder rung finally served it.
+``validate_shard`` + ``merge_shard_results`` over its records view -- the
+identical kernel/merge path as the CLI's default engine -- so a batched
+response is byte-identical to a single-shot ``pgschema validate`` run,
+regardless of batch composition, job count, or which ladder rung finally
+served it.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from ..validation.parallel import (
     usable_cores,
     validate_shard,
 )
-from ..validation.shard import GraphShard, partition_graph
+from ..validation.plan import ValidationPlan
 from ..validation.violations import ValidationReport, rules_for_mode
 from .registry import SchemaRecord
 
@@ -71,7 +80,7 @@ class _Request:
     """One queued validate call and the future its client awaits."""
 
     record: SchemaRecord
-    graph: PropertyGraph
+    graph: GraphRecords
     mode: str
     deadline: float | None
     future: "Future[ValidationReport]"
@@ -102,7 +111,7 @@ class _Request:
 
 
 class BatchingValidator:
-    """Coalesce concurrent validate requests into shared sharded runs."""
+    """Coalesce concurrent validate requests into shared batches."""
 
     def __init__(
         self,
@@ -148,17 +157,23 @@ class BatchingValidator:
     def submit(
         self,
         record: SchemaRecord,
-        graph: PropertyGraph,
+        graph: PropertyGraph | GraphRecords,
         mode: str = "strong",
         deadline: float | None = None,
     ) -> "Future[ValidationReport]":
         """Enqueue one validate request; never blocks.
+
+        A :class:`~repro.pg.model.PropertyGraph` is queued as its records
+        view, which shares the graph's property maps: the graph must not
+        change until the future resolves.
 
         Raises :class:`~repro.errors.OverloadedError` when the admission
         queue is full and :class:`~repro.errors.ServiceError` after
         :meth:`close` -- both typed refusals, never silent drops.
         """
         rules_for_mode(mode)  # reject unknown modes before queueing
+        if not isinstance(graph, GraphRecords):
+            graph = GraphRecords.from_graph(graph)
         with self._lock:
             if self._closed:
                 raise ServiceError("service is shutting down; not accepting requests")
@@ -233,6 +248,10 @@ class BatchingValidator:
         obs.count("service.batches")
         obs.observe("service.batch_size", len(group))
         started = time.monotonic()
+        for request in group:
+            obs.observe(
+                "service.queue_wait_ms", (started - request.enqueued_at) * 1000.0
+            )
         with obs.span(
             "service.batch",
             tenant=record.tenant,
@@ -312,7 +331,7 @@ class BatchingValidator:
         obs.count("service.batch_failures")
 
     # ------------------------------------------------------------------ #
-    # execution: shard fan-out over the shared pool, per-request merge
+    # execution: one pooled task per request, per-request merge
     # ------------------------------------------------------------------ #
 
     def _execute_group(
@@ -322,10 +341,9 @@ class BatchingValidator:
         to client futures until the whole batch succeeded, so a crashed
         attempt can be retried without clients observing duplicates."""
         record = group[0].record
-        mode = group[0].mode
-        rules = rules_for_mode(mode)
+        rules = rules_for_mode(group[0].mode)
         reports: dict[int, ValidationReport] = {}
-        pending: list[tuple[_Request, Budget | None, list[GraphShard]]] = []
+        pooled: list[tuple[_Request, "Future[ValidationReport]"]] = []
         for request in group:
             try:
                 budget = request.budget()
@@ -333,14 +351,18 @@ class BatchingValidator:
                     budget.charge_nodes(len(request.graph), site=BATCH_FAULT_SITE)
             except BudgetExhaustedError as stop:
                 # deadline burned in the queue (or the graph alone exceeds
-                # max_nodes): typed partial report, no shards run
+                # max_nodes): typed partial report, no kernel run
                 reports[id(request)] = merge_shard_results(
-                    record.plan, [], mode, rules, stop.reason
+                    record.plan, [], request.mode, rules, stop.reason
                 )
                 continue
-            if not serial and len(request.graph) >= ParallelValidator.SMALL_GRAPH_THRESHOLD:
-                # big single graph: the process-pool ladder beats thread
-                # sharding; ParallelValidator embeds the full
+            if serial:
+                reports[id(request)] = _validate_request(
+                    record.plan, request, rules, budget
+                )
+            elif len(request.graph) >= ParallelValidator.SMALL_GRAPH_THRESHOLD:
+                # big single graph: the process-pool ladder can use more
+                # than one core; ParallelValidator embeds the full
                 # process -> thread -> serial recovery contract
                 validator = ParallelValidator(
                     record.schema,
@@ -349,56 +371,21 @@ class BatchingValidator:
                     on_budget="unknown",
                 )
                 reports[id(request)] = validator.validate(
-                    request.graph, mode, budget
+                    request.graph, request.mode, budget
                 )
-                continue
-            if serial:
-                reports[id(request)] = self._run_serial(record, request, budget, rules)
-                continue
-            pending.append((request, budget, partition_graph(request.graph, self.jobs)))
-        # fan out every shard of every pooled request before gathering any:
-        # this interleaving is the batching win the bench measures
-        fanned: list[tuple[_Request, Budget | None, list["Future[ShardResult]"]]] = []
-        for request, budget, shards in pending:
-            shard_futures = [
-                self._pool.submit(
-                    validate_shard, record.plan, request.graph, shard, rules, budget
-                )
-                for shard in shards
-            ]
-            fanned.append((request, budget, shard_futures))
-        for request, budget, shard_futures in fanned:
-            results: list[ShardResult | None] = [None] * len(shard_futures)
-            interruption: BudgetReason | None = None
-            for index, shard_future in enumerate(shard_futures):
-                try:
-                    results[index] = shard_future.result()
-                except BudgetExhaustedError as stop:
-                    interruption = stop.reason
-            reports[id(request)] = merge_shard_results(
-                record.plan, results, request.mode, rules, interruption
-            )
+            else:
+                # one task per request, not per shard: the GIL serialises
+                # the kernel's threads, so shards would only add a partition
+                # pass and a wider merge to every request
+                pooled.append((
+                    request,
+                    self._pool.submit(
+                        _validate_request, record.plan, request, rules, budget
+                    ),
+                ))
+        for request, future in pooled:
+            reports[id(request)] = future.result()
         return reports
-
-    def _run_serial(
-        self,
-        record: SchemaRecord,
-        request: _Request,
-        budget: Budget | None,
-        rules: tuple[str, ...],
-    ) -> ValidationReport:
-        """One inline kernel run: the graph's records view is both the graph
-        and its only shard, as in the parallel validator's one-shard path."""
-        records = GraphRecords.from_graph(request.graph)
-        results: list[ShardResult | None] = [None]
-        interruption: BudgetReason | None = None
-        try:
-            results[0] = validate_shard(record.plan, records, records, rules, budget)
-        except BudgetExhaustedError as stop:
-            interruption = stop.reason
-        return merge_shard_results(
-            record.plan, results, request.mode, rules, interruption
-        )
 
     # ------------------------------------------------------------------ #
     # observability
@@ -418,3 +405,21 @@ class BatchingValidator:
                 self.requests / self.batches if self.batches else 0.0
             ),
         }
+
+
+def _validate_request(
+    plan: ValidationPlan,
+    request: _Request,
+    rules: tuple[str, ...],
+    budget: Budget | None,
+) -> ValidationReport:
+    """One request as one shard: its records view is both the graph and its
+    only shard, as in the parallel validator's one-shard path.  A budget
+    that runs out inside the kernel yields a typed partial report."""
+    results: list[ShardResult | None] = [None]
+    interruption: BudgetReason | None = None
+    try:
+        results[0] = validate_shard(plan, request.graph, request.graph, rules, budget)
+    except BudgetExhaustedError as stop:
+        interruption = stop.reason
+    return merge_shard_results(plan, results, request.mode, rules, interruption)

@@ -54,7 +54,7 @@ from ..errors import (
     ServiceError,
 )
 from ..obs.export import attach_cache_stats, metrics_payload
-from ..pg import graph_from_dict
+from ..pg.io import records_from_dict
 from ..validation.violations import ValidationReport, rules_for_mode
 from .batching import BatchingValidator
 from .registry import SchemaRecord, SchemaRegistry
@@ -394,7 +394,10 @@ class ValidationService:
         deadline = payload.get("deadline")
         if deadline is not None and not isinstance(deadline, (int, float)):
             raise _HttpError(400, "E_SERVICE", "field 'deadline' must be a number")
-        graph = graph_from_dict(graph_doc)
+        # one checked pass per element, straight into the records view the
+        # batcher validates as one shard; malformed documents raise the
+        # typed GraphError / GraphLoadError that map to HTTP 400
+        graph = records_from_dict(graph_doc)
         future = self.batcher.submit(
             record,
             graph,

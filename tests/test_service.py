@@ -11,16 +11,23 @@ The contract under test (ISSUE 9's acceptance criteria):
   lookups are tenant-scoped;
 * the registry survives a restart (atomic persistence + reload);
 * graceful shutdown drains every admitted request;
-* a ``crash@service.batch`` fault is survived by the retry/serial ladder.
+* a ``crash@service.batch`` fault is survived by the retry/serial ladder;
+* ``/v1/validate`` decodes the graph document into a ``GraphRecords`` view
+  that validates like its ``PropertyGraph`` and refuses a malformed
+  document with the status, code and message ``graph_from_dict`` gives.
 """
 
+import copy
 import json
 import threading
 import time
 
 import pytest
 
-from repro.errors import OverloadedError, ServiceError, WorkerFailureError
+from repro import obs
+from repro.errors import GraphError, OverloadedError, ServiceError, WorkerFailureError
+from repro.pg import graph_from_dict, graph_to_dict
+from repro.pg.io import records_from_dict
 from repro.resilience import faults
 from repro.schema import parse_schema
 from repro.service import (
@@ -30,14 +37,28 @@ from repro.service import (
     ServiceThread,
     report_payload,
 )
-from repro.validation import validate
-from repro.workloads import CORPUS, user_session_graph
+from repro.validation import ParallelValidator, validate
+from repro.workloads import CORPUS, corrupt_graph, user_session_graph
 
 SDL = CORPUS["user_session_edge_props"].sdl
+SCHEMA = parse_schema(SDL)
+
+#: The rules corrupt_graph can inject into a user_session_edge_props graph.
+CORRUPTIBLE = ("SS1", "WS1", "SS2", "SS4", "WS3", "WS4", "DS5", "DS6", "DS7")
 
 
 def canonical(report) -> str:
     return json.dumps(report_payload(report), sort_keys=True)
+
+
+def naive_canonical(graph) -> str:
+    """The naive engine's report in the service's canonical violation order
+    (the batcher's merge sorts violations; the naive engine does not)."""
+    payload = report_payload(validate(SCHEMA, graph, engine="naive"))
+    payload["violations"].sort(
+        key=lambda v: (v["rule"], v["location"], v["elements"], v["detail"])
+    )
+    return json.dumps(payload, sort_keys=True)
 
 
 @pytest.fixture
@@ -275,10 +296,119 @@ class TestBatching:
         with pytest.raises(ServiceError, match="shutting down"):
             batcher.submit(record, graph)
 
+    def test_queue_wait_is_recorded_per_request(self, record, graph, expected):
+        """A delay fault holds the first batch; the backlog admitted behind
+        it waits in the queue, and ``service.queue_wait_ms`` shows it."""
+        faults.install("delay@service.batch:seconds=0.3,times=1")
+        observation = obs.install(None, obs.MetricsRegistry())
+        try:
+            batcher = BatchingValidator(jobs=2, max_batch=32)
+            try:
+                futures = [batcher.submit(record, graph)]
+                while batcher.batches == 0:  # the first batch is in flight
+                    time.sleep(0.005)
+                futures += [batcher.submit(record, graph) for _ in range(9)]
+                for future in futures:
+                    assert canonical(future.result(timeout=60)) == expected
+            finally:
+                batcher.close()
+            histograms = observation.registry.snapshot()["histograms"]
+        finally:
+            obs.uninstall()
+            faults.uninstall()
+        waits = histograms["service.queue_wait_ms"]
+        assert waits["count"] == 10
+        assert waits["p50"] > 0
+
+
+def _parity_graphs() -> list:
+    """A clean graph, then one copy per rule corrupt_graph can inject."""
+    base = user_session_graph(12, 2, seed=7)
+    graphs = [base]
+    for index, rule in enumerate(CORRUPTIBLE):
+        corrupted = corrupt_graph(base, SCHEMA, rule, seed=index)
+        assert corrupted is not None, rule
+        graphs.append(corrupted)
+    return graphs
+
+
+@pytest.fixture(scope="module")
+def large_graph():
+    """A graph above the batcher's ParallelValidator threshold, with one
+    DS5 violation, and its naive-engine report."""
+    graph = corrupt_graph(user_session_graph(830, 2, seed=5), SCHEMA, "DS5", seed=1)
+    assert len(graph) >= ParallelValidator.SMALL_GRAPH_THRESHOLD
+    return graph, naive_canonical(graph)
+
+
+class TestBatchingInputs:
+    """``submit`` takes a PropertyGraph or a GraphRecords view; either way
+    each request is one shard and its report matches the naive oracle."""
+
+    @pytest.mark.parametrize("as_records", [False, True], ids=["graph", "records"])
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    @pytest.mark.parametrize("max_batch", [1, 8])
+    def test_inputs_byte_identical_to_naive(self, record, as_records, jobs, max_batch):
+        graphs = _parity_graphs()
+        expected = [naive_canonical(g) for g in graphs]
+        assert len(set(expected)) == len(expected)  # every corruption shows
+        inputs = [
+            records_from_dict(graph_to_dict(g)) if as_records else g for g in graphs
+        ]
+        batcher = BatchingValidator(jobs=jobs, max_batch=max_batch)
+        try:
+            futures = [batcher.submit(record, graph) for graph in inputs]
+            reports = [canonical(future.result(timeout=60)) for future in futures]
+        finally:
+            batcher.close()
+        assert reports == expected
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_large_records_view_byte_identical_to_naive(
+        self, record, large_graph, jobs
+    ):
+        graph, expected = large_graph
+        view = records_from_dict(graph_to_dict(graph))
+        batcher = BatchingValidator(jobs=jobs)
+        try:
+            report = batcher.submit(record, view).result(timeout=120)
+        finally:
+            batcher.close()
+        assert canonical(report) == expected
+
+    def test_process_rung_pickles_records_view(self, large_graph):
+        graph, expected = large_graph
+        view = records_from_dict(graph_to_dict(graph))
+        validator = ParallelValidator(SCHEMA, jobs=2, executor="process")
+        assert canonical(validator.validate(view)) == expected
+
 
 # --------------------------------------------------------------------------- #
 # HTTP lifecycle
 # --------------------------------------------------------------------------- #
+
+
+#: Malformed graph documents: the error code graph_from_dict raises for
+#: each, which ``/v1/validate`` must return with the same message.
+MALFORMED = {
+    "duplicate id": ("E_GRAPH", {
+        "nodes": [{"id": "u", "label": "User"}, {"id": "u", "label": "User"}],
+    }),
+    "dangling source": ("E_GRAPH", {
+        "nodes": [{"id": "u", "label": "User"}],
+        "edges": [{"id": "e", "source": "x", "target": "u", "label": "user"}],
+    }),
+    "dangling target": ("E_GRAPH", {
+        "nodes": [{"id": "u", "label": "User"}],
+        "edges": [{"id": "e", "source": "u", "target": "x", "label": "user"}],
+    }),
+    "non-string label": ("E_GRAPH", {"nodes": [{"id": "u", "label": 7}]}),
+    "non-object element": ("E_LOAD", {"nodes": [["u", "User"]]}),
+    "non-object properties": ("E_LOAD", {
+        "nodes": [{"id": "u", "label": "User", "properties": ["login"]}],
+    }),
+    "unhashable id": ("E_LOAD", {"nodes": [{"id": ["u"], "label": "User"}]}),
+}
 
 
 @pytest.fixture
@@ -368,6 +498,32 @@ class TestHttpService:
         tenants = stats["service"]["tenants"]
         assert tenants["acme"]["warm_plan_hits"] >= 1
         assert "service.coalesce_ratio" in stats["gauges"]
+        for histogram in ("service.latency_ms", "service.batch_seconds",
+                          "service.queue_wait_ms"):
+            assert stats["histograms"][histogram]["count"] >= 1
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_graph_errors_match_graph_from_dict(self, service, name):
+        code, document = MALFORMED[name]
+        with pytest.raises(GraphError) as raised:
+            graph_from_dict(copy.deepcopy(document))
+        assert raised.value.code == code
+        client, _thread = service
+        client.register("acme", "users", SDL)
+        status, body = client.validate("acme", "users", document)
+        assert status == 400
+        assert body["error"] == {"code": code, "message": str(raised.value)}
+
+    def test_list_valued_properties_validate_like_graph_from_dict(self, service):
+        document = graph_to_dict(user_session_graph(6, 2, seed=2))
+        document["nodes"][0]["properties"]["tags"] = ["a", "b"]
+        document["edges"][0]["properties"]["trail"] = [1, 2, 3]
+        expected = naive_canonical(graph_from_dict(copy.deepcopy(document)))
+        client, _thread = service
+        client.register("acme", "users", SDL)
+        status, report = client.validate("acme", "users", document)
+        assert status == 200
+        assert json.dumps(report, sort_keys=True) == expected
 
     def test_restart_reloads_registry(self, tmp_path, graph, expected):
         root = str(tmp_path / "persist")
