@@ -409,7 +409,7 @@ def _adversarial_union_fanout(quick: bool) -> Iterator[Callable[[], object]]:
     adversarial=True,
 )
 def _adversarial_key_collision(quick: bool) -> Iterator[Callable[[], object]]:
-    from ..validation import IndexedValidator, compile_plan
+    from ..validation import ParallelValidator, compile_plan
     from ..workloads import key_collision_graph, key_collision_schema
 
     blocks, enum_values = (3, 3) if quick else (6, 4)
@@ -418,7 +418,8 @@ def _adversarial_key_collision(quick: bool) -> Iterator[Callable[[], object]]:
     graph = key_collision_graph(
         blocks, enum_values, nodes_per_type=nodes_per_type, seed=13
     )
-    validator = IndexedValidator(schema, plan=compile_plan(schema))
+    # the inline plan kernel, as validate() runs it
+    validator = ParallelValidator(schema, plan=compile_plan(schema))
     # DS7 reports one violation per colliding pair: nodes are dealt
     # round-robin over the 2*enum_values key tuples, so the count is
     # sum-over-tuples C(count, 2) per block

@@ -22,8 +22,9 @@ the target type; for each, collect the required-edge obligations (DS6 per
 node and field, DS4 per node and @requiredForTarget site) and satisfy them
 one at a time by adding justified edges, backtracking across target/source
 choices; cardinality constraints (WS4/DS3/DS2) are checked on the fly, and
-every candidate is confirmed with the real validator (with required scalar
-properties filled in with fresh distinct values) before being returned.
+every candidate is confirmed with the inline plan kernel that
+:func:`~repro.validation.validate` runs (with required scalar properties
+filled in with fresh distinct values) before being returned.
 
 The finder compiles the schema into lookup tables once, in its
 constructor, so the edge search never walks the schema:
@@ -66,7 +67,7 @@ from ..pg.model import PropertyGraph
 from ..resilience import faults
 from ..schema.subtype import is_named_subtype
 from ..validation import sites
-from ..validation.indexed import IndexedValidator
+from ..validation.parallel import ParallelValidator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..resilience import Budget
@@ -119,7 +120,7 @@ class BoundedModelFinder:
         self.schema = schema
         self.max_assignments = max_assignments
         self.budget = budget
-        self._validator = IndexedValidator(schema)
+        self._validator = ParallelValidator(schema)
         labels = sorted(schema.object_types)
         named = (*schema.object_types, *schema.interface_types, *schema.union_types)
         below = frozenset(

@@ -10,7 +10,7 @@ in one pass per element -- the shape Theorem 1's AC0 bound describes.
 Without ``jobs`` it runs inline on one shard; an explicit ``jobs`` fans it
 out over a thread or process pool.  ``"indexed"`` (one pass per rule) stays
 available as a reference engine; the incremental validator and the bounded
-model finder are still built on it.
+model finder run the plan kernel too.
 
 Validator construction goes through the compiled-plan cache
 (:func:`repro.validation.plan.compile_plan`), so repeated ``validate()``

@@ -11,6 +11,14 @@ only the affected *scopes* instead of the whole graph:
 * key scopes -- DS7 for one (key site, key-value signature) group, with the
   signature index maintained incrementally.
 
+Every element and edge-group recheck runs the fused plan kernel that
+one-shot validation and the service run
+(:func:`~repro.validation.parallel.validate_shard`) over a
+:class:`~repro.validation.shard.GraphShard` holding just that scope, and
+the signature index takes its key-value signatures from the kernel's DS7
+triples.  The rules thus have one implementation for one-shot, service and
+live graphs.
+
 After any sequence of mutations, ``report()`` equals a from-scratch strong
 validation of the current graph (the differential tests enforce this).
 """
@@ -20,9 +28,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping
 
 from .. import obs
-from ..pg.values import value_signature
-from .indexed import IndexedValidator
-from .plan import ValidationPlan
+from .parallel import validate_shard
+from .plan import ValidationPlan, compile_plan
+from .shard import EdgeRecord, GraphShard
 from .sites import KeySite, labels_below
 from .violations import ValidationReport, Violation, _ordered_pairs
 
@@ -31,9 +39,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..resilience import Budget
     from ..schema.model import GraphQLSchema
 
-_MISSING = ("<missing>",)
-
 ScopeKey = tuple
+
+#: The rules each scope's one-scope shard is checked for.
+_NODE_RULES = ("WS1", "SS1", "SS2", "DS4", "DS5", "DS6")
+_EDGE_RULES = ("WS2", "WS3", "SS3", "SS4", "DS2")
+_GROUP_RULES = ("WS4", "DS1", "DS3")
+_KEY_RULES = ("DS7",)
 
 
 class IncrementalValidator:
@@ -54,9 +66,8 @@ class IncrementalValidator:
         self.schema = schema
         self.graph = graph
         self.budget = budget
-        self._engine = IndexedValidator(schema, plan=plan)
         # schema analysis is shared with the other engines via the plan
-        self.plan = self._engine.plan
+        self.plan = plan if plan is not None else compile_plan(schema)
         self._key_sites = self.plan.key_sites
         # scope key -> violations found in that scope
         self._violations: dict[ScopeKey, list[Violation]] = {}
@@ -210,127 +221,52 @@ class IncrementalValidator:
             for signature in self._signatures[site_index]:
                 self._recheck_key_scope(site_index, signature)
 
+    def _kernel(self, shard: GraphShard, rules: tuple[str, ...]) -> list[Violation]:
+        return validate_shard(self.plan, self.graph, shard, rules)[0]
+
+    def _edge_record(self, edge: "ElementId") -> EdgeRecord:
+        graph = self.graph
+        source, target = graph.endpoints(edge)
+        return (
+            edge, source, target,
+            graph.label(edge), graph.label(source), graph.label(target),
+        )
+
     def _recheck_node(self, node: "ElementId") -> None:
         """Re-run the per-node rules (WS1/SS1/SS2/DS4/DS5/DS6) for one node."""
         obs.count("validation.rechecks.node")
-        graph, engine = self.graph, self._engine
-        found: list[Violation] = []
-        single = _SingleNodeIndex(graph, node)
-        for checker in (engine._ws1, engine._ss1, engine._ss2):
-            found.extend(checker(graph, single))  # type: ignore[arg-type]
-        found.extend(
-            violation
-            for checker in (engine._ds4, engine._ds5, engine._ds6)
-            for violation in checker(graph, single)  # type: ignore[arg-type]
-        )
-        self._store(("node", node), found)
+        shard = GraphShard(0, nodes=[(node, self.graph.label(node))])
+        self._store(("node", node), self._kernel(shard, _NODE_RULES))
 
     def _recheck_edge(self, edge: "ElementId") -> None:
         """Re-run the per-edge rules (WS2/WS3/SS3/SS4/DS2) for one edge."""
         obs.count("validation.rechecks.edge")
-        graph, engine, schema = self.graph, self._engine, self.schema
-        single = _SingleEdgeIndex(graph, edge)
-        found: list[Violation] = []
-        # WS2 / SS3 / DS2 consume the restricted index directly
-        for checker in (engine._ws2, engine._ss3, engine._ds2):
-            found.extend(checker(graph, single))  # type: ignore[arg-type]
-        # WS3 / SS4 iterate graph.edges in the engine, so check inline here
-        source, target = graph.endpoints(edge)
-        type_name, field_name = graph.label(source), graph.label(edge)
-        ref = schema.type_f(type_name, field_name)
-        if ref is None:
-            found.append(
-                Violation(
-                    "SS4",
-                    f"{type_name}.{field_name}",
-                    (edge,),
-                    f"edge label {field_name} is not a field of {type_name}",
-                )
-            )
-        else:
-            if schema.is_scalar_type(ref.base):
-                found.append(
-                    Violation(
-                        "SS4",
-                        f"{type_name}.{field_name}",
-                        (edge,),
-                        f"edge label {field_name} corresponds to an attribute field",
-                    )
-                )
-            if not self.plan.is_below(graph.label(target), ref.base):
-                found.append(
-                    Violation(
-                        "WS3",
-                        f"{type_name}.{field_name}",
-                        (edge,),
-                        f"target label {graph.label(target)} is not a subtype of {ref.base}",
-                    )
-                )
-        self._store(("edge", edge), found)
+        shard = GraphShard(0, edges=[self._edge_record(edge)])
+        self._store(("edge", edge), self._kernel(shard, _EDGE_RULES))
 
     def _recheck_edge_group(self, scope: ScopeKey) -> None:
         """Re-run WS4/DS1 for one (source, label) group or DS3 for one
-        (target, label) group."""
+        (target, label) group.  Like the kernel's shards, a group with
+        fewer than two edges holds nothing: the pairwise rules are vacuous
+        on it."""
         obs.count("validation.rechecks.edge_group")
         direction, node, label = scope
-        graph, schema = self.graph, self.schema
-        found: list[Violation] = []
-        if not graph.is_node(node):
+        graph = self.graph
+        records: list[EdgeRecord] = []
+        if graph.is_node(node):
+            if direction == "out":
+                records = [self._edge_record(edge) for edge in graph.out_edges(node, label)]
+            else:
+                records = graph.in_edge_records(node, label)
+        if len(records) < 2:
             self._violations.pop(scope, None)
             return
+        group = [(node, label, records)]
         if direction == "out":
-            edges = graph.out_edges(node, label)
-            ref = schema.type_f(graph.label(node), label)
-            if ref is not None and not ref.is_list and len(edges) > 1:
-                for e1, e2 in _ordered_pairs(edges):
-                    found.append(
-                        Violation(
-                            "WS4",
-                            f"{graph.label(node)}.{label}",
-                            (e1, e2),
-                            f"two parallel edges for non-list field type {ref}",
-                        )
-                    )
-            by_endpoints: dict[tuple, list["ElementId"]] = {}
-            for edge in edges:
-                by_endpoints.setdefault(graph.endpoints(edge), []).append(edge)
-            for site in self._engine._distinct:
-                if site.field_name != label:
-                    continue
-                if not self.plan.is_below(graph.label(node), site.type_name):
-                    continue
-                for group in by_endpoints.values():
-                    for e1, e2 in _ordered_pairs(group):
-                        found.append(
-                            Violation(
-                                "DS1",
-                                site.location,
-                                (e1, e2),
-                                "two @distinct edges share both endpoints",
-                            )
-                        )
+            shard = GraphShard(0, source_groups=group)
         else:
-            edges = graph.in_edges(node, label)
-            for site in self._engine._unique_ft:
-                if site.field_name != label:
-                    continue
-                qualifying = [
-                    edge
-                    for edge in edges
-                    if self.plan.is_below(
-                        graph.label(graph.endpoints(edge)[0]), site.type_name
-                    )
-                ]
-                for e1, e2 in _ordered_pairs(qualifying):
-                    found.append(
-                        Violation(
-                            "DS3",
-                            site.location,
-                            (e1, e2),
-                            "target has two incoming @uniqueForTarget edges",
-                        )
-                    )
-        self._store(scope, found)
+            shard = GraphShard(0, target_groups=group)
+        self._store(scope, self._kernel(shard, _GROUP_RULES))
 
     def _recheck_key_scopes_of(
         self, node: "ElementId", removed: bool = False
@@ -366,26 +302,15 @@ class IncrementalValidator:
     # signature index maintenance
     # ------------------------------------------------------------------ #
 
-    def _signature_for(self, node: "ElementId", site_index: int) -> tuple | None:
-        graph = self.graph
-        site = self._key_sites[site_index]
-        if not self.plan.is_below(graph.label(node), site.type_name):
-            return None
-        scalar_fields = self.plan.key_scalar_fields[site_index]
-        return tuple(
-            value_signature(graph.property_value(node, field_name))
-            if graph.has_property(node, field_name)
-            else _MISSING
-            for field_name in scalar_fields
-        )
-
     def _index_node_signatures(self, node: "ElementId") -> None:
-        per_site: list[tuple | None] = []
-        for site_index in range(len(self._key_sites)):
-            signature = self._signature_for(node, site_index)
-            per_site.append(signature)
-            if signature is not None:
-                self._signatures[site_index].setdefault(signature, set()).add(node)
+        """Index *node* under the key-value signature the kernel's DS7 pass
+        computes for each key site its label lies below."""
+        per_site: list[tuple | None] = [None] * len(self._key_sites)
+        shard = GraphShard(0, nodes=[(node, self.graph.label(node))])
+        triples = validate_shard(self.plan, self.graph, shard, _KEY_RULES)[1]
+        for site_index, signature, _node in triples:
+            per_site[site_index] = signature
+            self._signatures[site_index].setdefault(signature, set()).add(node)
         self._node_signatures[node] = per_site
 
     def _unindex_node_signatures(self, node: "ElementId") -> None:
@@ -442,8 +367,7 @@ def migrated_validator(
     fresh.schema = new_schema
     fresh.graph = graph
     fresh.budget = source.budget
-    fresh._engine = IndexedValidator(new_schema)
-    fresh.plan = fresh._engine.plan
+    fresh.plan = compile_plan(new_schema)
     fresh._key_sites = fresh.plan.key_sites
 
     # -- remap the DS7 signature index by (type, fields) site identity --- #
@@ -535,35 +459,3 @@ def migrated_validator(
         fresh._recheck_key_scope(j, signature)
         rechecked += 1
     return fresh, rechecked
-
-
-class _SingleNodeIndex:
-    """A _GraphIndex restricted to one node (for per-node rule reuse)."""
-
-    def __init__(self, graph: "PropertyGraph", node: "ElementId") -> None:
-        self.nodes_by_label = {graph.label(node): [node]}
-        self.node_properties = [
-            (node, name, value) for name, value in graph.properties(node).items()
-        ]
-        self.edge_properties: list = []
-        self.by_source_label: dict = {}
-        self.by_target_label: dict = {}
-        self.by_endpoints_label: dict = {}
-        self.loops_by_label: dict = {}
-
-
-class _SingleEdgeIndex:
-    """A _GraphIndex restricted to one edge (for per-edge rule reuse)."""
-
-    def __init__(self, graph: "PropertyGraph", edge: "ElementId") -> None:
-        source, target = graph.endpoints(edge)
-        label = graph.label(edge)
-        self.nodes_by_label: dict = {}
-        self.node_properties: list = []
-        self.edge_properties = [
-            (edge, name, value) for name, value in graph.properties(edge).items()
-        ]
-        self.by_source_label = {(source, label): [edge]}
-        self.by_target_label = {(target, label): [edge]}
-        self.by_endpoints_label = {(source, target, label): [edge]}
-        self.loops_by_label = {label: [edge]} if source == target else {}

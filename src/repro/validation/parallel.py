@@ -74,7 +74,6 @@ from ..errors import BudgetExhaustedError
 from ..pg.records import GraphRecords
 from ..pg.values import value_signature
 from ..resilience import faults
-from ..resilience.ladder import FALLBACK as _FALLBACK  # noqa: F401  (re-export)
 # usable_cores lives in the ladder (sat's portfolio needs it without this
 # module); callers and tests still import and patch it here
 from ..resilience.ladder import ExecutorLadder, usable_cores

@@ -17,7 +17,14 @@ import pytest
 import repro
 from repro.pg import dump_graph_jsonl, dumps_graph
 from repro.schema import print_schema
-from repro.workloads import CORPUS, hub_chain_schema, user_session_graph
+from repro.workloads import (
+    CORPUS,
+    MUTATION_SCHEMA_SDL,
+    MutationWorkloadConfig,
+    hub_chain_schema,
+    user_session_graph,
+    write_mutation_journal,
+)
 
 _SRC = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -44,14 +51,15 @@ def _loaded_after(code: str, watched: tuple[str, ...]) -> list[str]:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def _run_cli(argv: list[str]) -> str:
+def _run_cli(argv: list[str], exits: tuple[int, ...] = (0,)) -> str:
     # stdout is the probe's channel: send the command's own output away;
-    # exit 0 proves the command ran to the end, not out on an early error
+    # an expected exit code proves the command ran to the end, not out on
+    # an early error (2)
     return (
         "import contextlib, io\n"
         "from repro.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n"
+        f"    assert main({argv!r}) in {exits!r}\n"
     )
 
 
@@ -71,12 +79,18 @@ def inputs(tmp_path_factory):
     # needs more nodes than the default bound
     hub = root / "hub.graphql"
     hub.write_text(print_schema(hub_chain_schema(depth=3, leaves=2)))
+    mutation_schema = root / "mutations.graphql"
+    mutation_schema.write_text(MUTATION_SCHEMA_SDL)
+    journal = root / "journal.jsonl"
+    write_mutation_journal(str(journal), MutationWorkloadConfig(commits=12, seed=3))
     return {
         "schema": str(schema),
         "library": str(library),
         "graph": str(graph),
         "jsonl": str(jsonl),
         "hub": str(hub),
+        "mutation_schema": str(mutation_schema),
+        "journal": str(journal),
     }
 
 
@@ -137,9 +151,11 @@ def test_validate_loads_only_the_plan_kernel(inputs):
     assert _loaded_after(code, watched) == ["repro.validation.parallel"]
 
 
-def test_sat_loads_neither_validation_kernels_nor_the_sat_encoding(inputs):
+def test_sat_loads_neither_reference_engines_nor_the_sat_encoding(inputs):
+    # the bounded witness search confirms candidates with the plan kernel,
+    # so sat loads exactly one kernel: repro.validation.parallel
     watched = (
-        "repro.validation.parallel",
+        "repro.validation.indexed",
         "repro.validation.cdc",
         "repro.validation.incremental",
         "repro.validation.stream",
@@ -151,6 +167,19 @@ def test_sat_loads_neither_validation_kernels_nor_the_sat_encoding(inputs):
     )
     for schema in (inputs["library"], inputs["hub"]):
         assert _loaded_after(_run_cli(["sat", schema]), watched) == []
+
+
+def test_cdc_rechecks_scopes_with_the_plan_kernel(inputs):
+    # every incremental scope recheck runs the fused plan kernel; neither
+    # reference engine is loaded on the CDC path (exit 1: the journal
+    # leaves violations behind)
+    code = _run_cli(["cdc", inputs["mutation_schema"], inputs["journal"]], (1,))
+    watched = (
+        "repro.validation.parallel",
+        "repro.validation.indexed",
+        "repro.validation.naive",
+    )
+    assert _loaded_after(code, watched) == ["repro.validation.parallel"]
 
 
 def test_fully_decided_sat_loads_no_process_pool_machinery(inputs):

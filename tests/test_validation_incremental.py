@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.pg import PropertyGraph
-from repro.validation import IncrementalValidator, IndexedValidator
-from repro.workloads import user_session_graph
+from repro.validation import IncrementalValidator, IndexedValidator, validate
+from repro.workloads import corrupt_graph, library_graph, user_session_graph
 from repro.workloads.paper_schemas import CORPUS
 
 SCHEMA = CORPUS["user_session_edge_props"].load()
@@ -175,3 +175,53 @@ class TestFromEmpty:
         live.add_edge("e", "s", "u", "user", {"certainty": 1.0})
         assert live.conforms
         assert_matches_scratch(live)
+
+
+#: The rules corrupt_graph has an injection strategy for.
+_CORRUPTIBLE = ("SS1", "WS1", "SS2", "SS4", "WS3", "WS4", "DS1", "DS2", "DS5", "DS6", "DS7")
+
+
+def _corrupted_cases() -> list:
+    """(schema, corrupted graph) for every rule corrupt_graph can inject
+    into a user_session_edge_props or a library graph."""
+    bases = {
+        "user_session_edge_props": (SCHEMA, user_session_graph(6, 2, seed=11)),
+        "library": (LIBRARY, library_graph(3, 5, 1, 1, seed=11)),
+    }
+    cases = []
+    for name, (schema, base) in bases.items():
+        for index, rule in enumerate(_CORRUPTIBLE):
+            corrupted = corrupt_graph(base, schema, rule, seed=index)
+            if corrupted is not None:
+                cases.append(pytest.param(schema, corrupted, id=f"{name}-{rule}"))
+    return cases
+
+
+def _exact(report) -> list:
+    """The full violation list -- detail text included -- in one order."""
+    return sorted(
+        (v.rule, v.location, tuple(str(e) for e in v.elements), v.detail)
+        for v in report.violations
+    )
+
+
+class TestExactReportParity:
+    """Scope rechecks give the naive engine's report, detail text and all,
+    whether the graph is validated whole or grown one mutation at a time."""
+
+    def test_every_corruption_has_a_case(self):
+        assert len(_corrupted_cases()) >= 16
+
+    @pytest.mark.parametrize("schema, graph", _corrupted_cases())
+    def test_matches_naive(self, schema, graph):
+        expected = _exact(validate(schema, graph, engine="naive"))
+        assert expected
+        built = IncrementalValidator(schema, graph.copy())
+        assert _exact(built.report()) == expected
+        grown = IncrementalValidator(schema, PropertyGraph())
+        for node in graph.nodes:
+            grown.add_node(node, graph.label(node), graph.properties(node))
+        for edge in graph.edges:
+            source, target = graph.endpoints(edge)
+            grown.add_edge(edge, source, target, graph.label(edge), graph.properties(edge))
+        assert _exact(grown.report()) == expected
