@@ -10,13 +10,15 @@ tableau expansions, shard sizes), not just wall clock.
 Layout under the store root (default ``.perf/``)::
 
     .perf/profiles.jsonl   append-only, one profile object per line
-    .perf/index.json       atomic summary (tmp + fsync + os.replace)
+    .perf/index.json       atomic summary (resilience.durable.atomic_write)
 
 The JSONL file is the source of truth; the index is a cheap derived
 summary and is rebuilt whenever it disagrees with the data file (so a
-crash between the two writes can never corrupt the store).  A torn final
-line -- the only state an interrupted append can leave -- is ignored on
-read, mirroring the CDC journal's crash posture.
+crash between the two writes can never corrupt the store).  A final line
+without its newline is torn -- the only state an interrupted append can
+leave -- and every reader ignores it; the next append truncates it away.
+This is not the CDC journal's posture: the journal is strict and raises
+:class:`~repro.errors.GraphLoadError` on a truncated line.
 
 Every profile is schema-pinned: :data:`PROFILE_SCHEMA` is validated on
 append *and* on read through the same mini JSON-schema checker the
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from ..errors import ReproError
+from ..resilience.durable import atomic_write
 
 __all__ = [
     "PROFILE_FORMAT",
@@ -253,20 +256,17 @@ class ProfileStore:
     def profiles(self) -> list[Profile]:
         """Every valid record, in append order.
 
-        A torn *final* line (interrupted append) is silently ignored;
-        corruption anywhere else raises :class:`PerfStoreError` with the
-        line number.
+        A torn final line (interrupted append) is silently ignored; a
+        corrupt complete line raises :class:`PerfStoreError` with the line
+        number.
         """
         if not self.exists():
             return []
         records: list[Profile] = []
-        lines = self._raw_lines()
-        for number, line in lines:
+        for number, line in self._raw_lines():
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as bad:
-                if number == lines[-1][0]:
-                    break  # torn tail from an interrupted append
                 raise PerfStoreError(
                     f"{self.data_path}:{number}: corrupt profile record: {bad}"
                 ) from None
@@ -274,11 +274,13 @@ class ProfileStore:
         return records
 
     def _raw_lines(self) -> list[tuple[int, str]]:
+        """The complete non-blank lines; a final line without its newline
+        is a torn append and is skipped."""
         with open(self.data_path, "r", encoding="utf-8") as fp:
             return [
                 (number, line)
                 for number, line in enumerate(fp, start=1)
-                if line.strip()
+                if line.endswith("\n") and line.strip()
             ]
 
     def runs(self) -> dict[int, list[Profile]]:
@@ -345,24 +347,9 @@ class ProfileStore:
         except FileNotFoundError:
             return
         with fp:
-            fp.seek(0, os.SEEK_END)
-            size = fp.tell()
-            if size == 0:
-                return
-            fp.seek(size - 1)
-            if fp.read(1) == b"\n":
-                return
-            position = size
-            while position > 0:
-                step = min(4096, position)
-                fp.seek(position - step)
-                chunk = fp.read(step)
-                cut = chunk.rfind(b"\n")
-                if cut != -1:
-                    fp.truncate(position - step + cut + 1)
-                    return
-                position -= step
-            fp.truncate(0)
+            data = fp.read()
+            if data and not data.endswith(b"\n"):
+                fp.truncate(data.rfind(b"\n") + 1)
 
     def _write_index(self) -> None:
         profiles = self.profiles()
@@ -376,13 +363,12 @@ class ProfileStore:
             "last_commit": profiles[-1].commit if profiles else None,
             "env_digests": sorted({p.env.get("digest", "") for p in profiles}),
         }
-        tmp = self.index_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fp:
-            json.dump(index, fp, indent=2, sort_keys=True)
-            fp.write("\n")
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp, self.index_path)
+        atomic_write(
+            self.index_path,
+            (json.dumps(index, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+            "perf.index",
+            profiles=len(profiles),
+        )
 
     @staticmethod
     def _ordered_commits(profiles: list[Profile]) -> list[str]:

@@ -13,7 +13,11 @@ tracebacking the service.  This package holds the shared machinery:
   retry / backoff / executor-fallback scheduler behind every fan-out
   engine (sharded validation, portfolio satisfiability): positional
   results for deterministic merges, stuck-worker timeouts, and a
-  recovery log chaos tests can assert on;
+  recovery log chaos tests can assert on (the service batcher runs its
+  requests inline on its serial rung);
+* :func:`~repro.resilience.durable.atomic_write` -- the one durable
+  writer (tmp + fsync + rename, with a ``phase=rename`` fault point)
+  behind CDC checkpoints, registry versions and the perf index;
 * :mod:`repro.resilience.faults` -- deterministic fault injection
   (``PGSCHEMA_FAULTS``) used by the chaos tests to prove every recovery
   path: injected worker crashes, delays and allocation spikes at named

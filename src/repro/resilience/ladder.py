@@ -110,7 +110,6 @@ class ExecutorLadder:
         serial: Callable[[int, int], object],
         thread_submit: "Callable[[ThreadPoolExecutor, int, int], Future] | None" = None,
         process_submit: "Callable[[object, int, int], Future] | None" = None,
-        make_thread_pool: "Callable[[int], ThreadPoolExecutor] | None" = None,
         make_process_pool: "Callable[[int], object] | None" = None,
         budget=None,
     ) -> None:
@@ -118,9 +117,9 @@ class ExecutorLadder:
 
         ``serial(index, attempt)`` runs a task inline;
         ``thread_submit(pool, index, attempt)`` /
-        ``process_submit(pool, index, attempt)`` submit one task to a pool
-        built by ``make_thread_pool(n)`` / ``make_process_pool(n)``.  Rungs
-        without a submit callable degrade to the next rung down.
+        ``process_submit(pool, index, attempt)`` submit one task to a
+        ``ThreadPoolExecutor(n)`` / a pool built by ``make_process_pool(n)``.
+        Rungs without a submit callable degrade to the next rung down.
         """
         if mode not in EXECUTORS:
             raise ValueError(f"unknown executor {mode!r}; expected one of {EXECUTORS}")
@@ -144,7 +143,6 @@ class ExecutorLadder:
                 serial,
                 thread_submit,
                 process_submit,
-                make_thread_pool,
                 make_process_pool,
             )
             if not failures:
@@ -216,7 +214,6 @@ class ExecutorLadder:
         serial,
         thread_submit,
         process_submit,
-        make_thread_pool,
         make_process_pool,
     ) -> list[tuple[int, BaseException]]:
         """One attempt at the pending tasks; returns the tasks that failed
@@ -236,11 +233,7 @@ class ExecutorLadder:
             return failures
         workers = min(self.jobs, len(pending))
         if mode == "thread":
-            pool = (
-                make_thread_pool(workers)
-                if make_thread_pool is not None
-                else ThreadPoolExecutor(max_workers=workers)
-            )
+            pool = ThreadPoolExecutor(max_workers=workers)
             submit = thread_submit
         else:
             assert make_process_pool is not None

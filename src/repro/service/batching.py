@@ -1,4 +1,4 @@
-"""Request batching, admission control and fallback for ``pgschema serve``.
+"""Request batching, admission control and retries for ``pgschema serve``.
 
 The service's hot path: many small concurrent validate requests against
 the same schema version should share one drain sweep, one plan and one
@@ -11,32 +11,36 @@ owns
   deadline miss;
 * a **drain loop** that dequeues greedily (up to ``max_batch`` requests
   per sweep) and *coalesces* requests sharing ``(schema record, mode)``
-  into one batch, running each request as one task on a shared thread
-  pool before gathering the batch;
-* **per-request deadlines** through the PR 3 Budget machinery: queue wait
-  counts against the deadline, and exhaustion -- in the queue or inside
-  the kernel -- surfaces as a typed *partial* report (``complete=False``
-  with a structured interruption; HTTP 202), never a wrong answer;
-* a **fallback ladder**: batches retry with backoff at the
-  ``service.batch`` fault site, then fall back to serial in-thread
-  execution; graphs at or above the parallel validator's process
-  threshold route through :class:`~repro.validation.parallel.ParallelValidator`,
-  which carries the full process -> thread -> serial recovery ladder.
+  into one batch, run inline in the drain thread;
+* **per-request deadlines** through :class:`~repro.resilience.Budget`:
+  queue wait counts against the deadline, and exhaustion -- in the queue
+  or inside the kernel -- surfaces as a typed *partial* report
+  (``complete=False`` with a structured interruption; HTTP 202), never a
+  wrong answer;
+* **retries on the shared ladder**: each batch runs on the serial rung of
+  an :class:`~repro.resilience.ExecutorLadder`, one task per request, with
+  the ``service.batch`` fault site in every request attempt.  A retry
+  reruns only the requests that failed; a request that fails every retry
+  gets :class:`~repro.errors.WorkerFailureError` while the rest of its
+  batch still gets its reports.  Graphs at or above the parallel
+  validator's process threshold route through
+  :class:`~repro.validation.parallel.ParallelValidator`, whose process ->
+  thread -> serial ladder is the only real parallelism here.
 
 Each request is one shard: its :class:`~repro.pg.records.GraphRecords`
 view (what ``/v1/validate`` decodes the graph document into, or
 :meth:`~repro.pg.records.GraphRecords.from_graph` of a submitted
 :class:`~repro.pg.model.PropertyGraph`) is both the graph the kernel reads
-and its only shard.  The pool runs requests, not shards: the kernel is
-pure Python and holds the GIL, so shards of one request would not run in
-parallel; they would only add a partition pass and a wider merge.
+and its only shard.  Requests run inline, not on a thread pool: the kernel
+is pure Python and holds the GIL, so a pool would add thread handoffs and
+no parallelism, and shards of one request would only add a partition pass
+and a wider merge.
 
 Determinism contract: each request's report is produced by
 ``validate_shard`` + ``merge_shard_results`` over its records view -- the
 identical kernel/merge path as the CLI's default engine -- so a batched
 response is byte-identical to a single-shot ``pgschema validate`` run,
-regardless of batch composition, job count, or which ladder rung finally
-served it.
+regardless of batch composition, job count, or how many retries it took.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from .. import obs
@@ -57,21 +61,19 @@ from ..errors import (
 )
 from ..pg.model import PropertyGraph
 from ..pg.records import GraphRecords
-from ..resilience import Budget, faults
+from ..resilience import Budget, ExecutorLadder, faults
 from ..validation.parallel import (
     ParallelValidator,
-    ShardResult,
     merge_shard_results,
     usable_cores,
     validate_shard,
 )
-from ..validation.plan import ValidationPlan
 from ..validation.violations import ValidationReport, rules_for_mode
 from .registry import SchemaRecord
 
 __all__ = ["BatchingValidator"]
 
-#: The fault-injection site every batch attempt passes through.
+#: The fault-injection site every request attempt passes through.
 BATCH_FAULT_SITE = "service.batch"
 
 
@@ -121,28 +123,27 @@ class BatchingValidator:
         max_batch: int = 32,
         deadline: float | None = None,
         max_retries: int = 2,
-        retry_base_delay: float = 0.05,
     ) -> None:
         """``deadline`` is the default per-request seconds (``submit`` may
-        override per call); ``max_retries`` bounds same-rung batch retries
-        before the serial fallback."""
+        override per call); ``max_retries`` bounds the retries of a failing
+        request before it gets :class:`~repro.errors.WorkerFailureError`;
+        ``jobs`` sizes the process pool of big-graph requests."""
         self.jobs = max(1, jobs) if jobs is not None else usable_cores()
         self.max_queue = max_queue
         self.max_batch = max(1, max_batch)
         self.deadline = deadline
         self.max_retries = max(0, max_retries)
-        self.retry_base_delay = retry_base_delay
-        #: recovery events (one dict per failed batch attempt), mirroring
-        #: ``ParallelValidator.recovery_log`` so chaos tests can assert a
-        #: fault fired and was survived
-        self.recovery_log: list[dict[str, object]] = []
+        self._ladder = ExecutorLadder(
+            jobs=1, max_retries=self.max_retries, site=BATCH_FAULT_SITE, log_key="request"
+        )
+        #: the last batch's ladder log (one dict per failed request
+        #: attempt), as ``ParallelValidator.recovery_log``, so chaos tests
+        #: can assert a fault fired and was survived
+        self.recovery_log = self._ladder.recovery_log
         self.requests = 0
         self.batches = 0
         self.rejected = 0
         self._queue: "queue.Queue[_Request | None]" = queue.Queue(maxsize=max_queue)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.jobs, thread_name_prefix="pgschema-batch"
-        )
         self._lock = threading.Lock()
         self._closed = False
         self._worker = threading.Thread(
@@ -210,7 +211,6 @@ class BatchingValidator:
             self._closed = True
         self._queue.put(None)
         self._worker.join()
-        self._pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------ #
     # the drain loop: dequeue greedily, coalesce, execute
@@ -242,8 +242,11 @@ class BatchingValidator:
                 self._run_group(group)
 
     def _run_group(self, group: list[_Request]) -> None:
-        """One coalesced batch: retries, then the serial fallback rung."""
+        """One coalesced batch, run inline on the serial rung of an
+        :class:`~repro.resilience.ExecutorLadder`: each request is one
+        task, and a retry reruns only the requests that failed."""
         record = group[0].record
+        rules = rules_for_mode(group[0].mode)
         self.batches += 1
         obs.count("service.batches")
         obs.observe("service.batch_size", len(group))
@@ -252,49 +255,8 @@ class BatchingValidator:
             obs.observe(
                 "service.queue_wait_ms", (started - request.enqueued_at) * 1000.0
             )
-        with obs.span(
-            "service.batch",
-            tenant=record.tenant,
-            schema=record.name,
-            version=record.version,
-            requests=len(group),
-        ):
-            attempt = 0
-            while True:
-                try:
-                    faults.fault_point(
-                        BATCH_FAULT_SITE,
-                        tenant=record.tenant,
-                        schema=record.name,
-                        requests=len(group),
-                        attempt=attempt,
-                        executor="thread",
-                    )
-                    reports = self._execute_group(group, serial=False)
-                    break
-                except Exception as error:  # noqa: BLE001 - ladder boundary
-                    self._record_failure(record, attempt, "thread", error)
-                    attempt += 1
-                    if attempt > self.max_retries:
-                        reports = self._serial_fallback(group, record, attempt)
-                        break
-                    time.sleep(self.retry_base_delay * (2 ** (attempt - 1)))
-        obs.observe("service.batch_seconds", time.monotonic() - started)
-        now = time.monotonic()
-        for request in group:
-            obs.observe(
-                "service.latency_ms", (now - request.enqueued_at) * 1000.0
-            )
-            result = reports.get(id(request))
-            if result is None:
-                continue  # fallback already set the failure on the future
-            request.future.set_result(result)
 
-    def _serial_fallback(
-        self, group: list[_Request], record: SchemaRecord, attempt: int
-    ) -> dict[int, ValidationReport]:
-        """The last rung: run each request inline in the drain thread."""
-        try:
+        def serial(index: int, attempt: int) -> ValidationReport:
             faults.fault_point(
                 BATCH_FAULT_SITE,
                 tenant=record.tenant,
@@ -302,90 +264,35 @@ class BatchingValidator:
                 requests=len(group),
                 attempt=attempt,
                 executor="serial",
+                request=index,
             )
-            return self._execute_group(group, serial=True)
-        except Exception as error:  # noqa: BLE001 - ladder boundary
-            self._record_failure(record, attempt, "serial", error)
-            failure = WorkerFailureError(
-                f"batch failed after {attempt} retry attempt(s) and the "
-                f"serial fallback: {error}",
-                attempts=attempt + 1,
-            )
-            for request in group:
-                request.future.set_exception(failure)
-            return {}
+            return _validate_request(group[index], rules, self.jobs)
 
-    def _record_failure(
-        self, record: SchemaRecord, attempt: int, executor: str, error: Exception
-    ) -> None:
-        self.recovery_log.append(
-            {
-                "site": BATCH_FAULT_SITE,
-                "tenant": record.tenant,
-                "schema": record.name,
-                "attempt": attempt,
-                "executor": executor,
-                "error": repr(error),
-            }
-        )
-        obs.count("service.batch_failures")
-
-    # ------------------------------------------------------------------ #
-    # execution: one pooled task per request, per-request merge
-    # ------------------------------------------------------------------ #
-
-    def _execute_group(
-        self, group: list[_Request], serial: bool
-    ) -> dict[int, ValidationReport]:
-        """Run every request of one coalesced batch; nothing is published
-        to client futures until the whole batch succeeded, so a crashed
-        attempt can be retried without clients observing duplicates."""
-        record = group[0].record
-        rules = rules_for_mode(group[0].mode)
-        reports: dict[int, ValidationReport] = {}
-        pooled: list[tuple[_Request, "Future[ValidationReport]"]] = []
-        for request in group:
+        reports: list[ValidationReport | None] = [None] * len(group)
+        failure: WorkerFailureError | None = None
+        with obs.span(
+            "service.batch",
+            tenant=record.tenant,
+            schema=record.name,
+            version=record.version,
+            requests=len(group),
+        ):
             try:
-                budget = request.budget()
-                if budget is not None:
-                    budget.charge_nodes(len(request.graph), site=BATCH_FAULT_SITE)
-            except BudgetExhaustedError as stop:
-                # deadline burned in the queue (or the graph alone exceeds
-                # max_nodes): typed partial report, no kernel run
-                reports[id(request)] = merge_shard_results(
-                    record.plan, [], request.mode, rules, stop.reason
-                )
-                continue
-            if serial:
-                reports[id(request)] = _validate_request(
-                    record.plan, request, rules, budget
-                )
-            elif len(request.graph) >= ParallelValidator.SMALL_GRAPH_THRESHOLD:
-                # big single graph: the process-pool ladder can use more
-                # than one core; ParallelValidator embeds the full
-                # process -> thread -> serial recovery contract
-                validator = ParallelValidator(
-                    record.schema,
-                    jobs=self.jobs,
-                    plan=record.plan,
-                    on_budget="unknown",
-                )
-                reports[id(request)] = validator.validate(
-                    request.graph, request.mode, budget
-                )
+                self._ladder.run("serial", range(len(group)), reports, serial=serial)
+            except WorkerFailureError as error:
+                failure = error
+        if self.recovery_log:
+            obs.count("service.batch_failures", len(self.recovery_log))
+        obs.observe("service.batch_seconds", time.monotonic() - started)
+        now = time.monotonic()
+        for request, report in zip(group, reports):
+            obs.observe(
+                "service.latency_ms", (now - request.enqueued_at) * 1000.0
+            )
+            if report is None:
+                request.future.set_exception(failure)
             else:
-                # one task per request, not per shard: the GIL serialises
-                # the kernel's threads, so shards would only add a partition
-                # pass and a wider merge to every request
-                pooled.append((
-                    request,
-                    self._pool.submit(
-                        _validate_request, record.plan, request, rules, budget
-                    ),
-                ))
-        for request, future in pooled:
-            reports[id(request)] = future.result()
-        return reports
+                request.future.set_result(report)
 
     # ------------------------------------------------------------------ #
     # observability
@@ -408,18 +315,25 @@ class BatchingValidator:
 
 
 def _validate_request(
-    plan: ValidationPlan,
-    request: _Request,
-    rules: tuple[str, ...],
-    budget: Budget | None,
+    request: _Request, rules: tuple[str, ...], jobs: int
 ) -> ValidationReport:
     """One request as one shard: its records view is both the graph and its
-    only shard, as in the parallel validator's one-shard path.  A budget
-    that runs out inside the kernel yields a typed partial report."""
-    results: list[ShardResult | None] = [None]
-    interruption: BudgetReason | None = None
+    only shard, as in the parallel validator's one-shard path.  A deadline
+    burned in the queue, or one that runs out in the kernel, yields a typed
+    partial report."""
+    plan = request.record.plan
     try:
-        results[0] = validate_shard(plan, request.graph, request.graph, rules, budget)
+        budget = request.budget()
+        if budget is not None:
+            budget.charge_nodes(len(request.graph), site=BATCH_FAULT_SITE)
+        if len(request.graph) >= ParallelValidator.SMALL_GRAPH_THRESHOLD:
+            # big single graph: the process-pool ladder can use more than
+            # one core, with its own process -> thread -> serial recovery
+            validator = ParallelValidator(
+                request.record.schema, jobs=jobs, plan=plan, on_budget="unknown"
+            )
+            return validator.validate(request.graph, request.mode, budget)
+        result = validate_shard(plan, request.graph, request.graph, rules, budget)
     except BudgetExhaustedError as stop:
-        interruption = stop.reason
-    return merge_shard_results(plan, results, request.mode, rules, interruption)
+        return merge_shard_results(plan, [], request.mode, rules, stop.reason)
+    return merge_shard_results(plan, [result], request.mode, rules)

@@ -18,12 +18,15 @@ process.  Names are scoped ``(tenant, name, version)``; a lookup always
 carries the tenant, so tenant A cannot address -- or warm, or evict --
 tenant B's state.
 
-Persistence reuses the CDC checkpoint idiom (PR 8): each version is one
+Persistence goes through :func:`~repro.resilience.durable.atomic_write`,
+like CDC checkpoints: each version is one
 ``<root>/<tenant>/<name>/<version>.graphql`` file written to a ``.tmp``
 sibling, fsynced, then atomically renamed into place, so a crash mid-write
-can never leave a half-registered version.  Restart recovery is a
-directory walk: every persisted version is re-parsed and re-compiled, so a
-restarted daemon comes back warm with the same version numbers.
+can never leave a half-registered version.  A version is published only
+after its file is durable, so a failed write burns no version number.
+Restart recovery is a directory walk: every persisted version is
+re-parsed and re-compiled, so a restarted daemon comes back warm with the
+same version numbers.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..errors import ServiceError
+from ..resilience.durable import atomic_write
 from ..satisfiability.cache import SatCache
 from ..schema import parse_schema
 from ..schema.model import GraphQLSchema
@@ -119,7 +123,7 @@ class SchemaRegistry:
             plan = ValidationPlan(schema)
             sat_cache = SatCache(schema)
         with self._lock:
-            versions = self._records.setdefault((tenant, name), {})
+            versions = self._records.get((tenant, name), {})
             version = max(versions, default=0) + 1
             record = SchemaRecord(
                 tenant=tenant,
@@ -130,12 +134,15 @@ class SchemaRegistry:
                 plan=plan,
                 sat_cache=sat_cache,
             )
+            if self.root is not None:
+                # published only once durable: a failed write leaves no
+                # version behind that a restart would forget and reuse
+                self._persist(record)
             versions[version] = record
+            self._records[(tenant, name)] = versions
             stats = self._tenant_counters(tenant)
             stats["schemas_registered"] += 1
             stats["cold_compiles"] += 1
-        if self.root is not None:
-            self._persist(record)
         obs.count("service.registrations")
         return record
 
@@ -194,7 +201,7 @@ class SchemaRegistry:
         )
 
     # ------------------------------------------------------------------ #
-    # persistence (the PR 8 atomic-checkpoint idiom)
+    # persistence (every version file through atomic_write)
     # ------------------------------------------------------------------ #
 
     def _open_root(self, root: str) -> None:
@@ -210,21 +217,23 @@ class SchemaRegistry:
         directory = os.path.join(self.root, record.tenant, record.name)
         try:
             os.makedirs(directory, exist_ok=True)
-            final = os.path.join(directory, f"{record.version}.graphql")
-            tmp = final + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(record.sdl)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, final)
+            atomic_write(
+                os.path.join(directory, f"{record.version}.graphql"),
+                record.sdl.encode("utf-8"),
+                "registry.persist",
+                tenant=record.tenant,
+                schema=record.name,
+                version=record.version,
+            )
         except OSError as error:
             raise ServiceError(f"cannot persist schema version: {error}") from error
 
     def _reload(self) -> None:
         """Rebuild every persisted record (restart recovery).
 
-        ``.tmp`` leftovers from a crashed write are skipped -- ``os.replace``
-        guarantees a ``.graphql`` file is always a complete document.
+        ``.tmp`` leftovers from a crashed write are skipped --
+        :func:`~repro.resilience.durable.atomic_write` guarantees a
+        ``.graphql`` file is always a complete document.
         """
         assert self.root is not None
         loaded = 0

@@ -15,11 +15,11 @@ scope-local (no subtype/union/interface/enum surgery) the validator is
 structural falls back to a full rebuild.
 
 Durability is the headline.  Every ``checkpoint_every`` commits the
-consumer writes an atomic checkpoint (tmp file + fsync + rename into
-``checkpoint_dir``) holding the journal byte offset / sequence / line,
-the commit counter, the serialized graph, the current schema SDL, the
-violation store, the emitted-events byte offset, and a SHA-256 digest
-over the whole payload.  Recovery walks a ladder:
+consumer writes an atomic checkpoint into ``checkpoint_dir`` (through
+:func:`~repro.resilience.durable.atomic_write`) holding the journal byte
+offset / sequence / line, the commit counter, the serialized graph, the
+current schema SDL, the violation store, the emitted-events byte offset,
+and a SHA-256 digest over the whole payload.  Recovery walks a ladder:
 
 1. newest checkpoint whose digest verifies *and* whose violation store
    matches a validator rebuilt from its own graph (scope-state check);
@@ -52,6 +52,7 @@ from ..evolution import SchemaDiff, diff_schemas
 from ..pg.io import graph_from_dict, graph_to_dict
 from ..pg.model import PropertyGraph
 from ..resilience import faults
+from ..resilience.durable import atomic_write
 from ..schema.build import parse_schema
 from ..schema.printer import print_schema
 from .incremental import IncrementalValidator, migrated_validator
@@ -743,17 +744,9 @@ class CDCConsumer:
             final = os.path.join(
                 self._checkpoint_dir, f"ckpt-{self._commit_index:010d}.json"
             )
-            tmp = final + ".tmp"
-            with open(tmp, "wb") as fp:
-                fp.write(blob)
-                fp.flush()
-                os.fsync(fp.fileno())
-            # a crash between here and the rename leaves only the tmp file,
-            # which recovery ignores -- the previous checkpoint still wins
-            faults.fault_point(
-                "cdc.checkpoint", commit=self._commit_index, phase="rename"
-            )
-            os.replace(tmp, final)
+            # a crash before the rename leaves only the tmp file, which
+            # recovery ignores -- the previous checkpoint still wins
+            atomic_write(final, blob, "cdc.checkpoint", commit=self._commit_index)
             self._checkpoints_written += 1
             obs.gauge("cdc.checkpoint_bytes", len(blob))
             obs.count("cdc.checkpoints")

@@ -211,6 +211,19 @@ class TestProfileStore:
         with open(store.data_path) as handle:
             assert all(json.loads(line) for line in handle)
 
+    def test_torn_tail_does_not_rewrite_the_index(self, tmp_path):
+        """Reader and index agree on what a torn tail is, so reads leave
+        the index file alone instead of rewriting it on every summary."""
+        store = ProfileStore(str(tmp_path / ".perf"))
+        store.append([make_profile("a.one")])
+        with open(store.data_path, "a") as handle:
+            handle.write('{"format": "pgschema-perf-prof')  # torn append
+        inode = os.stat(store.index_path).st_ino
+        for _ in range(2):
+            assert store.summary()["profiles"] == 1
+            # a rewrite renames a new file over the index: a new inode
+            assert os.stat(store.index_path).st_ino == inode
+
     def test_mid_file_corruption_raises_with_line(self, tmp_path):
         store = ProfileStore(str(tmp_path / ".perf"))
         store.append([make_profile("a.one")])

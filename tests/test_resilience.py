@@ -2,10 +2,12 @@
 
 Chaos scenarios that kill real worker processes live in test_chaos.py;
 this module covers the building blocks: Budget semantics, the error
-taxonomy, fault-spec parsing and firing, and the budgeted behaviour of
-every decision procedure (tableau, bounded search, DPLL, validators).
+taxonomy, fault-spec parsing and firing, the budgeted behaviour of
+every decision procedure (tableau, bounded search, DPLL, validators), and
+the crash posture of every ``atomic_write`` site.
 """
 
+import os
 import pickle
 
 import pytest
@@ -21,17 +23,19 @@ from repro.errors import (
     exit_code_for,
     render_error,
 )
+from repro.perf import Profile, ProfileStore
 from repro.resilience import Budget, faults
 from repro.sat import CNF, pigeonhole, solve
 from repro.satisfiability import SatisfiabilityChecker
 from repro.schema import parse_schema
+from repro.service import SchemaRegistry
 from repro.validation import (
     IndexedValidator,
     NaiveValidator,
     ParallelValidator,
     validate,
 )
-from repro.workloads import load, user_session_graph
+from repro.workloads import CORPUS, load, user_session_graph
 
 CYCLIC_SDL = """
 type A { b: B @required }
@@ -431,3 +435,69 @@ class TestBudgetedValidation:
         ).validate(graph)
         assert not partial.complete
         assert partial.verdict in ("unknown", "violations")
+
+
+# --------------------------------------------------------------------------- #
+# durable writes: a crash before the rename keeps the previous state
+# --------------------------------------------------------------------------- #
+
+
+def _registry_case(root):
+    """Version 1 is durable; the crashed write is version 2."""
+    sdl = CORPUS["user_session_edge_props"].sdl
+    registry = SchemaRegistry(root)
+    registry.register("acme", "users", sdl)
+
+    def recovered():
+        reloaded = SchemaRegistry(root)
+        return reloaded.list("acme") == [{"name": "users", "versions": [1]}]
+
+    directory = os.path.join(root, "acme", "users")
+    return (
+        directory,
+        os.path.join(directory, "2.graphql"),
+        lambda: registry.register("acme", "users", sdl),
+        recovered,
+    )
+
+
+def _perf_index_case(root):
+    """One profile is indexed; the crashed write indexes the second."""
+
+    def profile(scenario):
+        return Profile(commit="c1", run=1, scenario=scenario, family="f", samples=(0.01,))
+
+    store = ProfileStore(root)
+    store.append([profile("a.one")])
+    return (
+        root,
+        store.index_path,
+        lambda: store.append([profile("b.two")]),
+        lambda: store.summary()["profiles"] == 2,  # rebuilt from the JSONL
+    )
+
+
+@pytest.mark.parametrize(
+    "site, case",
+    [("registry.persist", _registry_case), ("perf.index", _perf_index_case)],
+)
+def test_crash_before_rename_keeps_previous_file(tmp_path, site, case):
+    directory, target, write, recovered = case(str(tmp_path / "root"))
+    before = sorted(os.listdir(directory))
+    previous = None
+    if os.path.exists(target):
+        with open(target, "rb") as fp:
+            previous = fp.read()
+    faults.install(f"crash@{site}:phase=rename")
+    try:
+        with pytest.raises(faults.InjectedCrashError):
+            write()
+    finally:
+        faults.uninstall()
+    if previous is None:
+        assert not os.path.exists(target)
+    else:
+        with open(target, "rb") as fp:
+            assert fp.read() == previous
+    assert sorted(os.listdir(directory)) == sorted(before + [os.path.basename(target) + ".tmp"])
+    assert recovered()

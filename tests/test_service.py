@@ -11,7 +11,9 @@ The contract under test (ISSUE 9's acceptance criteria):
   lookups are tenant-scoped;
 * the registry survives a restart (atomic persistence + reload);
 * graceful shutdown drains every admitted request;
-* a ``crash@service.batch`` fault is survived by the retry/serial ladder;
+* a ``crash@service.batch`` fault is survived by the ladder's retries, and
+  a request that fails every retry fails alone, not with its batch;
+* a schema version is published only once its file is durable;
 * ``/v1/validate`` decodes the graph document into a ``GraphRecords`` view
   that validates like its ``PropertyGraph`` and refuses a malformed
   document with the status, code and message ``graph_from_dict`` gives.
@@ -146,6 +148,23 @@ class TestRegistry:
         reloaded = SchemaRegistry(root)
         assert len(reloaded) == 1
 
+    def test_failed_persist_publishes_no_version(self, tmp_path):
+        """A version is published only once durable: a write that dies
+        before its rename leaves nothing to serve and no number to reuse."""
+        root = str(tmp_path / "reg")
+        registry = SchemaRegistry(root)
+        registry.register("acme", "users", SDL)
+        faults.install("crash@registry.persist:phase=rename")
+        try:
+            with pytest.raises(faults.InjectedCrashError):
+                registry.register("acme", "users", SDL)
+        finally:
+            faults.uninstall()
+        assert registry.list("acme") == [{"name": "users", "versions": [1]}]
+        assert registry.get("acme", "users").version == 1
+        assert SchemaRegistry(root).list("acme") == registry.list("acme")
+        assert registry.register("acme", "users", SDL).version == 2
+
     def test_registry_path_is_a_file(self, tmp_path):
         path = tmp_path / "occupied"
         path.write_text("not a directory")
@@ -254,11 +273,11 @@ class TestBatching:
         assert batcher.recovery_log[0]["site"] == "service.batch"
 
     def test_persistent_crash_falls_back_to_serial(self, record, graph, expected):
-        """Crashes on every thread-rung attempt drop the batch to the
-        serial fallback, which still produces the identical report."""
-        faults.install("crash@service.batch:executor=thread")
+        """Crashes on the first two attempts spend both retries; the third
+        attempt on the serial rung still produces the identical report."""
+        faults.install("crash@service.batch:times=2")
         try:
-            batcher = BatchingValidator(jobs=2, max_retries=1)
+            batcher = BatchingValidator(jobs=2, max_retries=2)
             try:
                 report = batcher.submit(record, graph).result(timeout=60)
             finally:
@@ -266,8 +285,34 @@ class TestBatching:
         finally:
             faults.uninstall()
         assert canonical(report) == expected
-        executors = [entry["executor"] for entry in batcher.recovery_log]
-        assert executors.count("thread") == 2  # first try + one retry
+        assert [entry["attempt"] for entry in batcher.recovery_log] == [0, 1]
+        assert {entry["executor"] for entry in batcher.recovery_log} == {"serial"}
+
+    def test_failing_request_does_not_fail_its_batch(self, record, graph, expected):
+        """A delay fault pins the first batch so a backlog of three requests
+        coalesces; only the request that crashes on every attempt fails,
+        and its batch-mates still get their reports."""
+        faults.install(
+            "delay@service.batch:seconds=0.3,times=1;crash@service.batch:request=1"
+        )
+        try:
+            batcher = BatchingValidator(jobs=2, max_batch=32)
+            try:
+                first = batcher.submit(record, graph)
+                while batcher.batches == 0:  # the first batch is in flight
+                    time.sleep(0.005)
+                backlog = [batcher.submit(record, graph) for _ in range(3)]
+                assert canonical(first.result(timeout=60)) == expected
+                assert canonical(backlog[0].result(timeout=60)) == expected
+                with pytest.raises(WorkerFailureError):
+                    backlog[1].result(timeout=60)
+                assert canonical(backlog[2].result(timeout=60)) == expected
+            finally:
+                batcher.close()
+        finally:
+            faults.uninstall()
+        assert batcher.batches == 2
+        assert {entry["request"] for entry in batcher.recovery_log} == {1}
 
     def test_total_failure_is_worker_failure_error(self, record, graph):
         faults.install("crash@service.batch")
