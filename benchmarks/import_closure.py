@@ -4,8 +4,10 @@ Run directly: ``python benchmarks/import_closure.py`` (with ``src`` on
 ``PYTHONPATH``).  Each subcommand runs once in a fresh interpreter on a
 corpus input; the table lists the ``repro`` modules in ``sys.modules``
 afterwards and their source lines, every module in ``sys.modules``
-(standard library included), and the cyclic-GC collections per generation
-(``gc.get_stats()``) the run triggered.  Without a bytecode cache
+(standard library included), how many of the loaded ``repro`` classes are
+``@dataclass``-decorated, whether :mod:`dataclasses` and
+:mod:`concurrent.futures` were imported at all, and the cyclic-GC
+collections per generation (``gc.get_stats()``) the run triggered.  Without a bytecode cache
 (``PYTHONDONTWRITEBYTECODE=1``, or a fresh checkout) every one of those
 lines is compiled again on every exec.  The counts repeat exactly from run
 to run, so a change in them is a change in the program, not noise.
@@ -36,14 +38,25 @@ lines = 0
 for name in names:
     with open(sys.modules[name].__file__, encoding="utf-8") as handle:
         lines += sum(1 for _ in handle)
+decorated = sum(
+    1
+    for name in names
+    for value in vars(sys.modules[name]).values()
+    if isinstance(value, type)
+    and value.__module__ == name
+    and "__dataclass_fields__" in vars(value)
+)
+unused = [name in sys.modules for name in ("dataclasses", "concurrent.futures")]
 collections = [generation["collections"] for generation in gc.get_stats()]
-print(json.dumps([len(names), lines, len(sys.modules), collections]))
+print(json.dumps([len(names), lines, len(sys.modules), decorated, unused, collections]))
 """
 
 
-def closure(argv: list[str]) -> tuple[int, int, int, list[int]]:
+def closure(argv: list[str]) -> tuple[int, int, int, int, list[bool], list[int]]:
     """What ``pgschema *argv*`` loads and collects: ``repro`` modules,
-    their source lines, all modules, and GC collections per generation."""
+    their source lines, all modules, dataclass-decorated ``repro`` classes,
+    whether ``dataclasses`` / ``concurrent.futures`` are loaded, and GC
+    collections per generation."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -55,8 +68,7 @@ def closure(argv: list[str]) -> tuple[int, int, int, list[int]]:
         env=env,
         check=True,
     )
-    modules, lines, total, collections = json.loads(done.stdout.strip().splitlines()[-1])
-    return modules, lines, total, collections
+    return tuple(json.loads(done.stdout.strip().splitlines()[-1]))  # type: ignore[return-value]
 
 
 def main() -> None:
@@ -84,13 +96,15 @@ def main() -> None:
         }
         print(
             f"{'subcommand':<34} | {'modules':>7} | {'lines':>6} | "
-            f"{'all modules':>11} | gc collections (gen 0/1/2)"
+            f"{'all modules':>11} | {'@dataclass':>10} | dataclasses/futures | "
+            "gc collections (gen 0/1/2)"
         )
         for label, argv in runs.items():
-            modules, lines, total, collections = closure(argv)
+            modules, lines, total, decorated, unused, collections = closure(argv)
+            loaded = "/".join("yes" if flag else "no" for flag in unused)
             print(
                 f"{label:<34} | {modules:>7} | {lines:>6} | {total:>11} | "
-                + "/".join(map(str, collections))
+                f"{decorated:>10} | {loaded:<19} | " + "/".join(map(str, collections))
             )
 
 

@@ -46,7 +46,8 @@ Quickstart::
     assert report.conforms
 """
 
-from typing import TYPE_CHECKING, Any
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
     from .errors import (
@@ -128,12 +129,17 @@ _EXPORTS = {
 }
 
 
-def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+def _lazy_exports(namespace: dict[str, Any], exports: dict[str, str]) -> Callable[[str], Any]:
+    """A package's PEP 562 ``__getattr__``: binds *exports* (name -> submodule) on first use."""
 
-    value = getattr(import_module(f".{module_name}", __name__), name)
-    globals()[name] = value
-    return value
+    def __getattr__(name: str) -> Any:
+        if name not in exports:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        module = import_module(f".{exports[name]}", namespace["__name__"])
+        namespace[name] = getattr(module, name)
+        return namespace[name]
+
+    return __getattr__
+
+
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

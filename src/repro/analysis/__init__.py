@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..record import Record
 from .cardinality import CardinalityFacts, CardinalityPass
 from .framework import (
     AnalysisContext,
@@ -109,8 +109,7 @@ def analysis_cache_clear() -> None:
         _results.clear()
 
 
-@dataclass(frozen=True)
-class SatPreVerdicts:
+class SatPreVerdicts(Record):
     """The sound pre-verdict feed: only *proven* SAT/UNSAT claims.
 
     ``types`` maps object-type names to their proven verdict; ``fields``
@@ -121,8 +120,8 @@ class SatPreVerdicts:
     so key reasoning is not sound for tableau semantics.
     """
 
-    types: dict[str, bool] = field(default_factory=dict)
-    fields: dict[tuple[str, str], bool] = field(default_factory=dict)
+    types: dict[str, bool] = {}
+    fields: dict[tuple[str, str], bool] = {}
 
     @property
     def decided(self) -> int:

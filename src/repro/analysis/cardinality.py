@@ -54,30 +54,29 @@ tableau work it can reproduce, never guesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from ..lint.diagnostics import Diagnostic, Severity, Span
+from ..record import Record
 from . import lattice
 from .framework import AnalysisContext, AnalysisPass, fixpoint
 from .graph import FieldEdge, TypeDependencyGraph
 from .lattice import Interval
 
 
-@dataclass
-class CardinalityFacts:
+class CardinalityFacts(Record, frozen=False):
     """The pass's fact object: intervals, verdicts, and their reasons."""
 
     #: dead object type -> human-readable proof sketch
-    dead: dict[str, str] = field(default_factory=dict)
+    dead: dict[str, str] = {}
     #: object types with a constructed finite model fragment
     good: frozenset[str] = frozenset()
     #: relationship declaration -> SAT (True) / UNSAT (False) / undecided
-    field_verdicts: dict[tuple[str, str], bool | None] = field(default_factory=dict)
+    field_verdicts: dict[tuple[str, str], bool | None] = {}
     #: reasons for decided field verdicts
-    field_reasons: dict[tuple[str, str], str] = field(default_factory=dict)
+    field_reasons: dict[tuple[str, str], str] = {}
     #: fixpoint round counts (dead, good) for the profile surface
-    rounds: dict[str, int] = field(default_factory=dict)
+    rounds: dict[str, int] = {}
 
     def interval(self, object_type: str) -> Interval:
         """The instance-count abstraction: ``[0, 0]`` when dead, else

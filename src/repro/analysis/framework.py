@@ -20,11 +20,11 @@ correct transfer function).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .. import obs
 from ..lint.diagnostics import Diagnostic, sort_key
+from ..record import Record
 from .graph import TypeDependencyGraph
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,14 +53,13 @@ def fixpoint(
     return rounds + 1
 
 
-@dataclass
-class AnalysisContext:
+class AnalysisContext(Record, frozen=False):
     """Everything a pass sees: the schema, the graph, and prior facts."""
 
     schema: "GraphQLSchema"
     graph: TypeDependencyGraph
-    facts: dict[str, Any] = field(default_factory=dict)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    facts: dict[str, Any] = {}
+    diagnostics: list[Diagnostic] = []
 
     def fact(self, name: str) -> Any:
         if name not in self.facts:
@@ -87,8 +86,7 @@ class AnalysisPass:
         raise NotImplementedError
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(Record, frozen=False):
     """The outcome of one pass-manager run over one schema."""
 
     schema: "GraphQLSchema"

@@ -24,9 +24,9 @@ every pass needs in O(1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
+from ..record import Record
 from ..schema.directives import (
     DISTINCT,
     NO_LOOPS,
@@ -36,11 +36,10 @@ from ..schema.directives import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..schema.model import FieldDefinition, GraphQLSchema
+    from ..schema.model import GraphQLSchema
 
 
-@dataclass(frozen=True)
-class FieldEdge:
+class FieldEdge(Record):
     """One relationship field declaration, as a dependency-graph edge bundle.
 
     ``targets`` is ``below(base)``: the object types an edge declared here
@@ -143,11 +142,6 @@ class TypeDependencyGraph:
 
     def below(self, type_name: str) -> frozenset[str]:
         return self.schema.object_types_below(type_name)
-
-    def field_declaration(
-        self, type_name: str, field_name: str
-    ) -> "FieldDefinition | None":
-        return self.schema.field(type_name, field_name)
 
     def allowed(self, object_type: str, field_name: str) -> frozenset[str]:
         """Admissible targets of an ``f``-edge out of an ``ot`` node.

@@ -16,11 +16,10 @@ chains an analysis could diverge on (bounds only tighten toward a crossing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..record import Record
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A cardinality interval ``[lo, hi]`` with ``hi=None`` meaning ``∞``."""
 
     lo: int = 0
@@ -30,10 +29,6 @@ class Interval:
     def is_empty(self) -> bool:
         """True when the bounds cross: no count satisfies the constraints."""
         return self.hi is not None and self.lo > self.hi
-
-    @property
-    def is_unbounded(self) -> bool:
-        return self.hi is None
 
     def meet(self, other: "Interval") -> "Interval":
         """Intersection: the counts admitted by *both* constraint sets."""

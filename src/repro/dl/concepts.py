@@ -4,23 +4,27 @@ The description logic of the Theorem-3 proof: ALC (⊤, ⊥, concept names,
 ¬C, C ⊓ D, C ⊔ D, ∃R.C, ∀R.C) plus qualified number restrictions (≥n R.C,
 ≤n R.C) and inverse roles (R⁻ usable wherever a role is expected).
 
-All nodes are immutable dataclasses; n-ary ⊓/⊔ keep their operands as
-tuples.  Use :func:`repro.dl.nnf.nnf` to push negations inward before
-handing concepts to the tableau.
+All nodes are immutable records (:mod:`repro.record`); n-ary ⊓/⊔ keep
+their operands as tuples.  Use :func:`repro.dl.nnf.nnf` to push negations
+inward before handing concepts to the tableau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ..record import Record
 
-@dataclass(frozen=True)
-class Role:
+
+class Role(Record):
     """A role name or its inverse."""
 
     name: str
     inverse: bool = False
+
+    def __init__(self, name: str, inverse: bool = False) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "inverse", inverse)
 
     def inv(self) -> "Role":
         """The inverse role: inv(R) = R⁻ and inv(R⁻) = R."""
@@ -30,7 +34,7 @@ class Role:
         return f"{self.name}⁻" if self.inverse else self.name
 
 
-class Concept:
+class Concept(Record):
     """Base class for ALCQI concepts."""
 
     __slots__ = ()
@@ -45,19 +49,16 @@ class Concept:
         return Not(self)
 
 
-@dataclass(frozen=True)
 class Top(Concept):
     def __str__(self) -> str:
         return "⊤"
 
 
-@dataclass(frozen=True)
 class Bottom(Concept):
     def __str__(self) -> str:
         return "⊥"
 
 
-@dataclass(frozen=True)
 class Name(Concept):
     """An atomic concept name."""
 
@@ -67,7 +68,6 @@ class Name(Concept):
         return self.name
 
 
-@dataclass(frozen=True)
 class Not(Concept):
     body: Concept
 
@@ -75,7 +75,6 @@ class Not(Concept):
         return f"¬{self.body}"
 
 
-@dataclass(frozen=True)
 class And(Concept):
     parts: tuple[Concept, ...]
 
@@ -83,7 +82,6 @@ class And(Concept):
         return "(" + " ⊓ ".join(str(part) for part in self.parts) + ")"
 
 
-@dataclass(frozen=True)
 class Or(Concept):
     parts: tuple[Concept, ...]
 
@@ -91,7 +89,6 @@ class Or(Concept):
         return "(" + " ⊔ ".join(str(part) for part in self.parts) + ")"
 
 
-@dataclass(frozen=True)
 class Exists(Concept):
     """∃R.C -- equivalent to ≥1 R.C."""
 
@@ -102,7 +99,6 @@ class Exists(Concept):
         return f"∃{self.role}.{self.body}"
 
 
-@dataclass(frozen=True)
 class Forall(Concept):
     """∀R.C -- equivalent to ≤0 R.¬C."""
 
@@ -113,7 +109,6 @@ class Forall(Concept):
         return f"∀{self.role}.{self.body}"
 
 
-@dataclass(frozen=True)
 class AtLeast(Concept):
     """≥n R.C"""
 
@@ -125,7 +120,6 @@ class AtLeast(Concept):
         return f"≥{self.n} {self.role}.{self.body}"
 
 
-@dataclass(frozen=True)
 class AtMost(Concept):
     """≤n R.C"""
 

@@ -50,11 +50,11 @@ verdict; a budget trip never yields a wrong SAT/UNSAT answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .. import obs
 from ..errors import BudgetExhaustedError, BudgetReason
+from ..record import Record
 from ..resilience import faults
 from .concepts import (
     And,
@@ -89,8 +89,7 @@ class TableauLimitError(BudgetExhaustedError):
     """
 
 
-@dataclass
-class TableauStats:
+class TableauStats(Record, frozen=False):
     """Search statistics of one satisfiability check."""
 
     nodes_created: int = 0

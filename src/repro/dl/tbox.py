@@ -8,14 +8,11 @@ added to the label of every node of the completion graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .concepts import Concept, Not, Or
-from .nnf import nnf
+from ..record import Record
+from .concepts import Concept
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(Record):
     """A general concept inclusion C ⊑ D."""
 
     sub: Concept
@@ -25,8 +22,7 @@ class Axiom:
         return f"{self.sub} ⊑ {self.sup}"
 
 
-@dataclass
-class TBox:
+class TBox(Record, frozen=False):
     """A terminology: a finite list of GCIs plus disjointness groups.
 
     A disjointness group is a set of concept *names* declared mutually
@@ -37,9 +33,9 @@ class TBox:
     the axiom set.
     """
 
-    axioms: list[Axiom] = field(default_factory=list)
-    disjoint_groups: list[frozenset[str]] = field(default_factory=list)
-    definitions: dict[str, Concept] = field(default_factory=dict)
+    axioms: list[Axiom] = []
+    disjoint_groups: list[frozenset[str]] = []
+    definitions: dict[str, Concept] = {}
 
     def include(self, sub: Concept, sup: Concept) -> None:
         """Add C ⊑ D."""
@@ -63,20 +59,6 @@ class TBox:
         if name in self.definitions:
             raise ValueError(f"concept {name} defined twice")
         self.definitions[name] = concept
-
-    def equate(self, left: Concept, right: Concept) -> None:
-        """Add C ≡ D (as two inclusions)."""
-        self.include(left, right)
-        self.include(right, left)
-
-    def internalised(self) -> tuple[Concept, ...]:
-        """The universal constraints nnf(¬C ⊔ D), one per axiom, deduplicated."""
-        seen: list[Concept] = []
-        for axiom in self.axioms:
-            constraint = nnf(Or((Not(axiom.sub), axiom.sup)))
-            if constraint not in seen:
-                seen.append(constraint)
-        return tuple(seen)
 
     def __len__(self) -> int:
         return len(self.axioms)

@@ -32,7 +32,7 @@ failures the same way (one line, code included).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
 class ReproError(Exception):
@@ -124,8 +124,7 @@ class QueryError(ReproError):
     code = "E_QUERY"
 
 
-@dataclass(frozen=True)
-class BudgetReason:
+class BudgetReason(Record):
     """Structured explanation of why a budget-limited run stopped early.
 
     Attributes:

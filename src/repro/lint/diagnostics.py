@@ -10,7 +10,8 @@ declaration, so tools can point at the exact line like a compiler does.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+from ..record import Record
 
 
 class Severity(enum.Enum):
@@ -25,8 +26,7 @@ class Severity(enum.Enum):
         return {"error": 0, "warning": 1, "info": 2}[self.value]
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
     """A 1-based source position; ``Span()`` means "no source available"."""
 
     line: int = 0
@@ -44,8 +44,7 @@ class Span:
         return Span(getattr(node, "line", 0) or 0, getattr(node, "column", 0) or 0)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One lint finding.
 
     Attributes:

@@ -9,7 +9,6 @@ object type each finding proves unsatisfiable.
 
 from __future__ import annotations
 
-import difflib
 from typing import TYPE_CHECKING, Iterable
 
 from .. import obs
@@ -46,6 +45,8 @@ def resolve_rules(
     def lookup(token: str) -> LintRule:
         rule = RULES.get(token) or by_name.get(token)
         if rule is None:
+            import difflib
+
             known = ", ".join(sorted(RULES))
             close = difflib.get_close_matches(
                 token, [*RULES, *by_name], n=1, cutoff=0.4

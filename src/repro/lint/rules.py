@@ -28,9 +28,9 @@ The two unsat-class rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
+from ..record import Record
 from ..schema.directives import (
     DISTINCT,
     KEY,
@@ -48,8 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
 CheckFunction = Callable[["GraphQLSchema"], Iterator[Diagnostic]]
 
 
-@dataclass(frozen=True)
-class LintRule:
+class LintRule(Record):
     """A registered rule: metadata plus its check function."""
 
     code: str
@@ -107,8 +106,7 @@ def _covered(schema: "GraphQLSchema", object_type: str, ancestor: str) -> bool:
     return object_type in _below(schema, ancestor)
 
 
-@dataclass(frozen=True)
-class _IncomingBound:
+class _IncomingBound(Record):
     """One declaration contributing an incoming-edge bound at some target."""
 
     declarer: str

@@ -24,14 +24,14 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any
+
+from ..record import Record
 
 __all__ = ["SpanEvent", "TracedResult", "Tracer"]
 
 
-@dataclass(frozen=True, slots=True)
-class SpanEvent:
+class SpanEvent(Record):
     """One finished span (or instant event, when ``duration`` is None)."""
 
     name: str
@@ -39,11 +39,10 @@ class SpanEvent:
     duration: float | None  # seconds; None marks an instant event
     pid: int
     tid: int
-    attrs: dict[str, Any] = field(default_factory=dict)
+    attrs: dict[str, Any] = {}
 
 
-@dataclass(slots=True)
-class TracedResult:
+class TracedResult(Record, frozen=False):
     """A worker task result with the spans/metrics recorded while computing it.
 
     Process workers return these instead of bare results when observability

@@ -20,8 +20,6 @@ library:
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..errors import GraphError
 
 #: Python types accepted as atomic property values.
@@ -83,10 +81,3 @@ def value_signature(value: PropertyValue) -> tuple[object, ...]:
 def values_equal(left: PropertyValue, right: PropertyValue) -> bool:
     """Type-strict equality of property values (see :func:`value_signature`)."""
     return value_signature(left) == value_signature(right)
-
-
-def check_values(values: Iterable[object]) -> None:
-    """Validate an iterable of candidate property values, raising on the first bad one."""
-    for value in values:
-        if not is_property_value(value):
-            raise GraphError(f"not a legal property value: {value!r}")

@@ -45,10 +45,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-
 from .. import obs
 from ..errors import FaultConfigError
+from ..record import Record
 
 __all__ = [
     "ENV_VAR",
@@ -78,13 +77,12 @@ class InjectedCrashError(RuntimeError):
     recognising it."""
 
 
-@dataclass
-class FaultRule:
+class FaultRule(Record, frozen=False):
     """One fault: fire ``kind`` at ``site`` when the context matches."""
 
     kind: str
     site: str
-    match: dict[str, str] = field(default_factory=dict)
+    match: dict[str, str] = {}
     seconds: float = 0.0
     bytes: int = 0
     times: int | None = None

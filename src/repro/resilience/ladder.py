@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .. import obs
 from ..errors import BudgetExhaustedError, WorkerFailureError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 __all__ = ["EXECUTORS", "FALLBACK", "ExecutorLadder", "usable_cores"]
 
@@ -233,6 +235,9 @@ class ExecutorLadder:
             return failures
         workers = min(self.jobs, len(pending))
         if mode == "thread":
+            # imported here: a run that stays on the serial rung never loads it
+            from concurrent.futures import ThreadPoolExecutor
+
             pool = ThreadPoolExecutor(max_workers=workers)
             submit = thread_submit
         else:
@@ -265,6 +270,8 @@ class ExecutorLadder:
         answer, not a crash); a worker that died, raised, or exceeded
         ``task_timeout`` marks its task failed for retry/fallback.
         """
+        from concurrent.futures import BrokenExecutor
+
         deadline_at = (
             time.monotonic() + self.task_timeout
             if self.task_timeout is not None

@@ -59,11 +59,11 @@ the budget charges are the same with or without the pruning.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ..errors import BudgetExhaustedError, BudgetReason
 from ..pg.model import PropertyGraph
+from ..record import Record
 from ..resilience import faults
 from ..schema.subtype import is_named_subtype
 from ..validation import sites
@@ -74,8 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..schema.model import GraphQLSchema
 
 
-@dataclass
-class BoundedSearchResult:
+class BoundedSearchResult(Record, frozen=False):
     """Outcome of a bounded model search.
 
     ``reason`` is set when the search stopped early -- the assignment cap,

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from .. import obs
@@ -169,15 +168,13 @@ class SatCache:
         """A fresh copy of the cached verdict (``bounded`` not attached)."""
         cached = self._types.get(type_name)
         self._count(cached is not None)
-        return None if cached is None else replace(cached)
+        return None if cached is None else cached.without_witness()
 
     def put_type(self, verdict: "TypeSatisfiability") -> None:
         if verdict.tableau_satisfiable is None:
             return  # UNKNOWN: a bigger budget deserves a fresh attempt
         with self._lock:
-            self._types.setdefault(
-                verdict.type_name, replace(verdict, bounded=None)
-            )
+            self._types.setdefault(verdict.type_name, verdict.without_witness())
 
     # -- field (edge-definition) verdicts ------------------------------- #
 

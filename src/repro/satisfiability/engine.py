@@ -39,7 +39,6 @@ and one :class:`~repro.satisfiability.cache.SatCache`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .. import obs
@@ -49,6 +48,7 @@ from ..dl.translate import schema_to_tbox
 from ..errors import BudgetExhaustedError, BudgetReason
 from ..lint.diagnostics import Diagnostic
 from ..lint.engine import unsat_diagnostics
+from ..record import Record
 from .bounded import BoundedModelFinder, BoundedSearchResult
 from .cache import SatCache, sat_cache_for
 
@@ -107,8 +107,7 @@ def record_report_outcomes(report: "SchemaSatisfiabilityReport") -> None:
         registry.count(f"sat.fields.{outcome}")
 
 
-@dataclass
-class TypeSatisfiability:
+class TypeSatisfiability(Record, frozen=False):
     """The verdicts for one object type.
 
     ``tableau_satisfiable`` is three-valued: True/False for a decided
@@ -134,6 +133,11 @@ class TypeSatisfiability:
             return "unknown"
         return "sat" if self.tableau_satisfiable else "unsat"
 
+    def without_witness(self) -> "TypeSatisfiability":
+        """A copy with no bounded search attached."""
+        fields = (self.decided_by, self.diagnostic, self.reason)
+        return TypeSatisfiability(self.type_name, self.tableau_satisfiable, None, *fields)
+
     @property
     def witness(self) -> "PropertyGraph | None":
         return self.bounded.witness if self.bounded else None
@@ -151,12 +155,11 @@ class TypeSatisfiability:
         return None
 
 
-@dataclass
-class SchemaSatisfiabilityReport:
+class SchemaSatisfiabilityReport(Record, frozen=False):
     """Per-element satisfiability of a whole schema (§6.2's soundness check)."""
 
-    types: dict[str, TypeSatisfiability] = field(default_factory=dict)
-    fields: dict[tuple[str, str], bool | None] = field(default_factory=dict)
+    types: dict[str, TypeSatisfiability] = {}
+    fields: dict[tuple[str, str], bool | None] = {}
 
     @property
     def unsatisfiable_types(self) -> list[str]:

@@ -34,12 +34,12 @@ UNKNOWNs match the serial engine's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .. import obs
 from ..dl.concepts import And, Exists, Name, Role
 from ..errors import BudgetExhaustedError
+from ..record import Record
 from ..resilience import faults
 from ..resilience.ladder import ExecutorLadder, usable_cores
 from .engine import (
@@ -67,8 +67,7 @@ __all__ = [
 _EXECUTORS = ("auto", "serial", "thread", "process")
 
 
-@dataclass(frozen=True)
-class SatUnit:
+class SatUnit(Record):
     """One batched work unit: a declaring type and its relationship fields.
 
     ``type_name`` is the object type the unit must produce a
@@ -85,14 +84,13 @@ class SatUnit:
     fields: tuple[tuple[str, str], ...]
 
 
-@dataclass
-class UnitResult:
+class UnitResult(Record, frozen=False):
     """The picklable outcome of one unit (crosses process boundaries)."""
 
     index: int
     type_verdict: TypeSatisfiability | None
     fields: dict[tuple[str, str], bool | None]
-    wins: dict[str, int] = field(default_factory=dict)
+    wins: dict[str, int] = {}
 
     def win(self, engine: str) -> None:
         self.wins[engine] = self.wins.get(engine, 0) + 1
@@ -153,7 +151,7 @@ def _ladder_pass(
             decided.win(rung)
     if open_type is None and not open_fields:
         return decided, None
-    return decided, replace(unit, type_name=open_type, fields=tuple(open_fields))
+    return decided, SatUnit(unit.index, open_type, unit.declaring, tuple(open_fields))
 
 
 # --------------------------------------------------------------------------- #

@@ -19,18 +19,12 @@ base type -- specifies a node property, §3.2) or a *relationship definition*
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from ..errors import SchemaError
+from ..record import Record, Spanned
 from .directives import KEY
 from .scalars import ScalarRegistry
 from .typerefs import TypeRef
-
-
-def _span_field() -> int:
-    """Source line/column carried over from the SDL document (0 when the
-    schema was assembled programmatically); excluded from equality."""
-    return field(default=0, compare=False)  # type: ignore[return-value]
 
 
 class FieldKind(enum.Enum):
@@ -40,8 +34,7 @@ class FieldKind(enum.Enum):
     RELATIONSHIP = "relationship"
 
 
-@dataclass(frozen=True)
-class AppliedDirective:
+class AppliedDirective(Spanned):
     """A pair ``(d, argvals)`` from ``D × AV`` (Definition 4.1).
 
     ``arguments`` is the partial function *argvals* as a sorted tuple of
@@ -50,8 +43,6 @@ class AppliedDirective:
 
     name: str
     arguments: tuple[tuple[str, object], ...] = ()
-    line: int = _span_field()
-    column: int = _span_field()
 
     @staticmethod
     def of(name: str, **arguments: object) -> "AppliedDirective":
@@ -74,8 +65,7 @@ class AppliedDirective:
         return tuple(name for name, _ in self.arguments)
 
 
-@dataclass(frozen=True)
-class ArgumentDefinition:
+class ArgumentDefinition(Spanned):
     """A field-argument definition: a point of ``type_AF`` plus extras."""
 
     name: str
@@ -83,12 +73,9 @@ class ArgumentDefinition:
     default: object = None
     has_default: bool = False
     directives: tuple[AppliedDirective, ...] = ()
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
-class FieldDefinition:
+class FieldDefinition(Spanned):
     """A field definition: a point of ``type_F`` with its arguments and directives."""
 
     name: str
@@ -97,8 +84,6 @@ class FieldDefinition:
     arguments: tuple[ArgumentDefinition, ...] = ()
     directives: tuple[AppliedDirective, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
     def argument(self, name: str) -> ArgumentDefinition | None:
         for arg in self.arguments:
@@ -118,8 +103,7 @@ class FieldDefinition:
         return self.kind is FieldKind.RELATIONSHIP
 
 
-@dataclass(frozen=True)
-class ObjectType:
+class ObjectType(Spanned):
     """An object type ``ot ∈ OT``: node type whose name labels nodes (§3.1)."""
 
     name: str
@@ -127,8 +111,6 @@ class ObjectType:
     interfaces: tuple[str, ...] = ()
     directives: tuple[AppliedDirective, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
     def field(self, field_name: str) -> FieldDefinition | None:
         for field_def in self.fields:
@@ -146,16 +128,13 @@ class ObjectType:
         )
 
 
-@dataclass(frozen=True)
-class InterfaceType:
+class InterfaceType(Spanned):
     """An interface type ``it ∈ IT`` (used for edge targets, §3.4)."""
 
     name: str
     fields: tuple[FieldDefinition, ...] = ()
     directives: tuple[AppliedDirective, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
     def field(self, field_name: str) -> FieldDefinition | None:
         for field_def in self.fields:
@@ -164,24 +143,20 @@ class InterfaceType:
         return None
 
 
-@dataclass(frozen=True)
-class UnionType:
+class UnionType(Spanned):
     """A union type ``ut ∈ UT`` with its member object types."""
 
     name: str
     members: frozenset[str] = frozenset()
     directives: tuple[AppliedDirective, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
-class DirectiveDefinition:
+class DirectiveDefinition(Record):
     """A directive type: a row of ``type_AD`` (the directive's argument types)."""
 
     name: str
-    arguments: dict[str, TypeRef] = field(default_factory=dict)
+    arguments: dict[str, TypeRef] = {}
     locations: tuple[str, ...] = ()
 
 

@@ -15,14 +15,12 @@ SDL grammar but rejected when building a formal schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import SchemaError
+from ..record import Record
 from ..sdl import ast
 
 
-@dataclass(frozen=True)
-class TypeRef:
+class TypeRef(Record):
     """A named type with the paper's admissible wrappings.
 
     Attributes:
@@ -38,9 +36,12 @@ class TypeRef:
     is_list: bool = False
     inner_non_null: bool = False
 
-    def __post_init__(self) -> None:
-        if self.inner_non_null and not self.is_list:
+    def __init__(
+        self, base: str, non_null: bool = False, is_list: bool = False, inner_non_null: bool = False
+    ) -> None:
+        if inner_non_null and not is_list:
             raise SchemaError("inner_non_null requires a list type")
+        super().__init__(base, non_null, is_list, inner_non_null)
 
     # ------------------------------------------------------------------ #
     # constructors

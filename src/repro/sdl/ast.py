@@ -1,8 +1,9 @@
 """Abstract syntax tree for GraphQL SDL documents (June 2018 spec, §3).
 
-All nodes are immutable dataclasses.  The AST is deliberately close to the
-grammar; interpretation (which fields are attributes vs relationships, what
-the directives mean, ...) happens in :mod:`repro.schema.build`, not here.
+All nodes are immutable records (:mod:`repro.record`).  The AST is
+deliberately close to the grammar; interpretation (which fields are
+attributes vs relationships, what the directives mean, ...) happens in
+:mod:`repro.schema.build`, not here.
 
 Definition-level nodes carry the 1-based ``line``/``column`` of the token
 that opens them (0 when built programmatically).  The span fields are
@@ -11,11 +12,7 @@ excluded from equality so hand-assembled ASTs compare equal to parsed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-def _span_field() -> int:
-    return field(default=0, compare=False)  # type: ignore[return-value]
+from ..record import Record, Spanned
 
 
 # --------------------------------------------------------------------------- #
@@ -23,54 +20,45 @@ def _span_field() -> int:
 # --------------------------------------------------------------------------- #
 
 
-class ValueNode:
+class ValueNode(Record):
     """Base class for GraphQL value literals."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IntValue(ValueNode):
     value: int
 
 
-@dataclass(frozen=True)
 class FloatValue(ValueNode):
     value: float
 
 
-@dataclass(frozen=True)
 class StringValue(ValueNode):
     value: str
     block: bool = False
 
 
-@dataclass(frozen=True)
 class BooleanValue(ValueNode):
     value: bool
 
 
-@dataclass(frozen=True)
 class NullValue(ValueNode):
     pass
 
 
-@dataclass(frozen=True)
 class EnumValue(ValueNode):
     name: str
 
 
-@dataclass(frozen=True)
 class ListValue(ValueNode):
     values: tuple[ValueNode, ...]
 
 
-@dataclass(frozen=True)
 class ObjectValue(ValueNode):
     fields: tuple[tuple[str, ValueNode], ...]
 
 
-@dataclass(frozen=True)
 class Variable(ValueNode):
     """A ``$name`` reference; only legal inside executable documents."""
 
@@ -82,23 +70,20 @@ class Variable(ValueNode):
 # --------------------------------------------------------------------------- #
 
 
-class TypeNode:
+class TypeNode(Record):
     """Base class for type references."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NamedTypeNode(TypeNode):
     name: str
 
 
-@dataclass(frozen=True)
 class ListTypeNode(TypeNode):
     of_type: TypeNode
 
 
-@dataclass(frozen=True)
 class NonNullTypeNode(TypeNode):
     of_type: TypeNode
 
@@ -108,20 +93,14 @@ class NonNullTypeNode(TypeNode):
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class ArgumentNode:
+class ArgumentNode(Spanned):
     name: str
     value: ValueNode
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
-class DirectiveNode:
+class DirectiveNode(Spanned):
     name: str
     arguments: tuple[ArgumentNode, ...] = ()
-    line: int = _span_field()
-    column: int = _span_field()
 
 
 # --------------------------------------------------------------------------- #
@@ -129,8 +108,7 @@ class DirectiveNode:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class InputValueDefinition:
+class InputValueDefinition(Spanned):
     """An argument definition (of a field or a directive) or an input field."""
 
     name: str
@@ -138,98 +116,71 @@ class InputValueDefinition:
     default_value: ValueNode | None = None
     directives: tuple[DirectiveNode, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
-class FieldDefinition:
+class FieldDefinition(Spanned):
     name: str
     type: TypeNode
     arguments: tuple[InputValueDefinition, ...] = ()
     directives: tuple[DirectiveNode, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-class Definition:
+class Definition(Spanned):
     """Base class for top-level SDL definitions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SchemaDefinition(Definition):
     """``schema { query: ... }`` -- parsed but ignored by the Property Graph
     interpretation (Section 3.6 of the paper)."""
 
     operation_types: tuple[tuple[str, str], ...]
     directives: tuple[DirectiveNode, ...] = ()
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
 class ScalarTypeDefinition(Definition):
     name: str
     directives: tuple[DirectiveNode, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
 class ObjectTypeDefinition(Definition):
     name: str
     fields: tuple[FieldDefinition, ...] = ()
     interfaces: tuple[str, ...] = ()
     directives: tuple[DirectiveNode, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
 class InterfaceTypeDefinition(Definition):
     name: str
     fields: tuple[FieldDefinition, ...] = ()
     directives: tuple[DirectiveNode, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
 class UnionTypeDefinition(Definition):
     name: str
     types: tuple[str, ...] = ()
     directives: tuple[DirectiveNode, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
-class EnumValueDefinition:
+class EnumValueDefinition(Spanned):
     name: str
     directives: tuple[DirectiveNode, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
 class EnumTypeDefinition(Definition):
     name: str
     values: tuple[EnumValueDefinition, ...] = ()
     directives: tuple[DirectiveNode, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
 class InputObjectTypeDefinition(Definition):
     """``input`` types -- parsed for completeness, ignored by the Property
     Graph interpretation (the paper's formalization omits input types)."""
@@ -238,25 +189,19 @@ class InputObjectTypeDefinition(Definition):
     fields: tuple[InputValueDefinition, ...] = ()
     directives: tuple[DirectiveNode, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
 class DirectiveDefinition(Definition):
     name: str
     arguments: tuple[InputValueDefinition, ...] = ()
     locations: tuple[str, ...] = ()
     description: str | None = None
-    line: int = _span_field()
-    column: int = _span_field()
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     """A parsed SDL document: a sequence of top-level definitions."""
 
-    definitions: tuple[Definition, ...] = field(default_factory=tuple)
+    definitions: tuple[Definition, ...] = ()
 
     def definitions_of(self, kind: type) -> list:
         """All definitions of one node class, in document order."""

@@ -8,7 +8,8 @@ The same token stream serves both the schema definition language parser
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+from ..record import Record
 
 
 class TokenKind(enum.Enum):
@@ -55,8 +56,7 @@ PUNCTUATORS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     """A single lexical token.
 
     Attributes:
@@ -71,6 +71,12 @@ class Token:
     value: str
     line: int
     column: int
+
+    def __init__(self, kind: TokenKind, value: str, line: int, column: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
     def __repr__(self) -> str:
         return f"Token({self.kind.name}, {self.value!r}, {self.line}:{self.column})"

@@ -5,7 +5,9 @@ Exports resolve on first access (PEP 562), like the top-level package:
 the stream validator or the reference engines.
 """
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
+
+from .. import _lazy_exports
 
 if TYPE_CHECKING:
     from .cdc import CDCConsumer, CDCResult, ViolationEvent
@@ -120,12 +122,4 @@ _EXPORTS = {
 }
 
 
-def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f".{module_name}", __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .. import obs
+from ..record import Record
 from . import sites
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,8 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
 ValueChecker = Callable[[object], bool]
 
 
-@dataclass(frozen=True)
-class NodeRules:
+class NodeRules(Record):
     """Everything the per-node rules need for one node label."""
 
     #: label ∈ OT (SS1 fires on every node otherwise).
@@ -63,8 +62,7 @@ class NodeRules:
     key_memberships: tuple[tuple[int, tuple[str, ...]], ...]
 
 
-@dataclass(frozen=True)
-class EdgeRules:
+class EdgeRules(Record):
     """Everything the per-edge rules need for one (source label, edge label)."""
 
     #: type_F(source label, edge label), or None when undefined.

@@ -37,11 +37,11 @@ a sequential run (the differential tests enforce this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 from zlib import crc32
 
 from ..pg.records import group_edges
+from ..record import Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pg.model import ElementId, PropertyGraph
@@ -58,8 +58,7 @@ def stable_bucket(key: str, num_buckets: int) -> int:
     return crc32(key.encode("utf-8", "surrogatepass")) % num_buckets
 
 
-@dataclass
-class GraphShard:
+class GraphShard(Record, frozen=False):
     """One worker's share of a Property Graph.
 
     ``source_groups`` and ``target_groups`` only carry groups with at least
@@ -67,16 +66,26 @@ class GraphShard:
     """
 
     index: int
-    nodes: list[NodeRecord] = field(default_factory=list)
-    edges: list[EdgeRecord] = field(default_factory=list)
+    nodes: list[NodeRecord] = []
+    edges: list[EdgeRecord] = []
     #: (source, edge label, edge records) groups for WS4/DS1.
-    source_groups: list[tuple["ElementId", str, list[EdgeRecord]]] = field(
-        default_factory=list
-    )
+    source_groups: list[tuple["ElementId", str, list[EdgeRecord]]] = []
     #: (target, edge label, edge records) groups for DS3.
-    target_groups: list[tuple["ElementId", str, list[EdgeRecord]]] = field(
-        default_factory=list
-    )
+    target_groups: list[tuple["ElementId", str, list[EdgeRecord]]] = []
+
+    def __init__(
+        self,
+        index: int,
+        nodes: "list[NodeRecord] | None" = None,
+        edges: "list[EdgeRecord] | None" = None,
+        source_groups: "list[tuple[ElementId, str, list[EdgeRecord]]] | None" = None,
+        target_groups: "list[tuple[ElementId, str, list[EdgeRecord]]] | None" = None,
+    ) -> None:
+        self.index = index
+        self.nodes = [] if nodes is None else nodes
+        self.edges = [] if edges is None else edges
+        self.source_groups = [] if source_groups is None else source_groups
+        self.target_groups = [] if target_groups is None else target_groups
 
     def __len__(self) -> int:
         return len(self.nodes) + len(self.edges)

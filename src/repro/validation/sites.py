@@ -8,9 +8,9 @@ check the graph against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..record import Record
 from ..schema.directives import (
     DISTINCT,
     KEY,
@@ -24,8 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..schema.model import FieldDefinition, GraphQLSchema
 
 
-@dataclass(frozen=True)
-class FieldSite:
+class FieldSite(Record):
     """A directive applied to a field definition: the paper's (t, f)."""
 
     type_name: str
@@ -37,8 +36,7 @@ class FieldSite:
         return f"{self.type_name}.{self.field_name}"
 
 
-@dataclass(frozen=True)
-class KeySite:
+class KeySite(Record):
     """A ``@key(fields: [...])`` directive applied to a type."""
 
     type_name: str

@@ -9,8 +9,9 @@ sets, which is how the differential tests establish engine agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+from ..record import Record
 
 #: Rule catalogue: id -> (title, statement from the paper).
 RULES: dict[str, tuple[str, str]] = {
@@ -157,8 +158,7 @@ def record_rule_checks(registry, rules: tuple[str, ...], nodes: int, edges: int)
         )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One witnessed failure of a satisfaction rule.
 
     Attributes:
@@ -175,6 +175,12 @@ class Violation:
     location: str
     elements: tuple
     detail: str = ""
+
+    def __init__(self, rule: str, location: str, elements: tuple, detail: str = "") -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def title(self) -> str:
@@ -204,8 +210,7 @@ def _ordered_pairs(elements: list) -> Iterator[tuple]:
             yield canonical_pair(first, second)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record, frozen=False):
     """The outcome of validating one Property Graph against one schema.
 
     ``conforms`` is True iff no violations were found for the rules that were
@@ -221,11 +226,25 @@ class ValidationReport:
     """
 
     mode: str
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation] = []
     rules_checked: tuple[str, ...] = ALL_RULES
     complete: bool = True
     #: a :class:`repro.errors.BudgetReason` when ``complete`` is False
     interruption: object | None = None
+
+    def __init__(
+        self,
+        mode: str,
+        violations: list[Violation] | None = None,
+        rules_checked: tuple[str, ...] = ALL_RULES,
+        complete: bool = True,
+        interruption: object | None = None,
+    ) -> None:
+        self.mode = mode
+        self.violations = [] if violations is None else violations
+        self.rules_checked = rules_checked
+        self.complete = complete
+        self.interruption = interruption
 
     @property
     def conforms(self) -> bool:

@@ -94,8 +94,15 @@ def inputs(tmp_path_factory):
     }
 
 
+# Standard-library modules a one-shot run never needs: no record class is
+# a dataclass, no pool is built, nothing logs, and the did-you-mean hint
+# is only computed for an unknown lint rule.
+_ONE_SHOT_UNUSED = ("dataclasses", "concurrent.futures", "logging", "difflib")
+
+
 def test_importing_the_cli_loads_no_subcommand_machinery():
     heavy = (
+        *_ONE_SHOT_UNUSED,
         "numpy",
         "asyncio",
         "repro.service",
@@ -105,6 +112,21 @@ def test_importing_the_cli_loads_no_subcommand_machinery():
         "repro.analysis",
     )
     assert _loaded_after("import repro.cli", heavy) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lint", "{library}"],
+        ["validate", "{schema}", "{graph}"],
+        ["sat", "{library}"],
+        ["sat", "{hub}"],
+    ],
+    ids=["lint", "validate", "sat-library", "sat-hub"],
+)
+def test_one_shot_runs_load_no_dataclasses_pools_or_logging(inputs, argv):
+    code = _run_cli([arg.format(**inputs) for arg in argv])
+    assert _loaded_after(code, _ONE_SHOT_UNUSED) == []
 
 
 def test_lint_loads_neither_validation_nor_satisfiability(inputs):
