@@ -130,13 +130,14 @@ _EXPORTS = {
 
 
 def _lazy_exports(namespace: dict[str, Any], exports: dict[str, str]) -> Callable[[str], Any]:
-    """A package's PEP 562 ``__getattr__``: binds *exports* (name -> submodule) on first use."""
+    """A package's PEP 562 ``__getattr__``: binds *exports* (name -> submodule) on
+    first use; a name mapped to itself (``"ast": "ast"``) exports the submodule."""
 
     def __getattr__(name: str) -> Any:
         if name not in exports:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
         module = import_module(f".{exports[name]}", namespace["__name__"])
-        namespace[name] = getattr(module, name)
+        namespace[name] = module if exports[name] == name else getattr(module, name)
         return namespace[name]
 
     return __getattr__

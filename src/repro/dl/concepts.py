@@ -5,7 +5,7 @@ The description logic of the Theorem-3 proof: ALC (⊤, ⊥, concept names,
 ≤n R.C) and inverse roles (R⁻ usable wherever a role is expected).
 
 All nodes are immutable records (:mod:`repro.record`); n-ary ⊓/⊔ keep
-their operands as tuples.  Use :func:`repro.dl.nnf.nnf` to push negations
+their operands as tuples.  Use :func:`repro.dl.normal_form.nnf` to push negations
 inward before handing concepts to the tableau.
 """
 

@@ -70,7 +70,7 @@ from .concepts import (
     Role,
     Top,
 )
-from .nnf import complement, nnf
+from .normal_form import complement, nnf
 from .tbox import TBox
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -28,11 +28,15 @@ stays byte-identical with tracing on or off.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from .metrics import Histogram, MetricsRegistry
-from .trace import SpanEvent, TracedResult, Tracer
+from .. import _lazy_exports
+
+if TYPE_CHECKING:
+    from .metrics import Histogram, MetricsRegistry
+    from .trace import SpanEvent, TracedResult, Tracer
 
 __all__ = [
     "Histogram",
@@ -55,6 +59,18 @@ __all__ = [
     "unwrap",
     "worker_config",
 ]
+
+# Exported name -> the submodule that defines it (PEP 562): with observation
+# off neither sink loads.  Keep in step with the TYPE_CHECKING imports above.
+_EXPORTS = {
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "SpanEvent": "trace",
+    "TracedResult": "trace",
+    "Tracer": "trace",
+}
+
+__getattr__ = _lazy_exports(globals(), _EXPORTS)
 
 
 class Observation:
@@ -119,6 +135,9 @@ def observed(
     *, trace: bool = False, metrics: bool = False
 ) -> Iterator[Observation]:
     """Scoped install: ``with obs.observed(trace=True) as ob: ...``."""
+    from .metrics import MetricsRegistry
+    from .trace import Tracer
+
     observation = install(
         Tracer() if trace else None, MetricsRegistry() if metrics else None
     )
@@ -188,6 +207,9 @@ def install_worker(config: dict | None) -> None:
     if config is None:
         uninstall()
         return
+    from .metrics import MetricsRegistry
+    from .trace import Tracer
+
     install(
         Tracer(epoch=config["epoch"]) if config.get("trace") else None,
         MetricsRegistry() if config.get("metrics") else None,
@@ -205,6 +227,8 @@ def package(payload: Any) -> Any:
     observation = _active
     if observation is None:
         return payload
+    from .trace import TracedResult
+
     return TracedResult(
         payload=payload,
         events=observation.tracer.drain() if observation.tracer else [],
@@ -218,9 +242,11 @@ def unwrap(result: Any) -> Any:
     Absorbs any shipped spans into the active tracer and merges the worker
     metrics snapshot into the active registry, then returns the bare
     payload.  Safe on bare results and on ``None`` slots (budget-partial
-    runs), so merge loops can call it unconditionally.
+    runs), so merge loops can call it unconditionally.  Without
+    :mod:`repro.obs.trace` loaded (unpickling loads it) there is none.
     """
-    if type(result) is not TracedResult:
+    trace = sys.modules.get(__name__ + ".trace")
+    if trace is None or type(result) is not trace.TracedResult:
         return result
     observation = _active
     if observation is not None:

@@ -25,13 +25,15 @@ suite mutates real documents byte-by-byte to enforce this.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Callable, Iterator
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterator
 
 from .. import obs
 from ..errors import GraphError, GraphLoadError
-from .model import PropertyGraph
 from .records import GraphRecords
 from .values import normalize_value
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .model import PropertyGraph
 
 
 def graph_to_dict(graph: PropertyGraph) -> dict[str, Any]:
@@ -118,6 +120,8 @@ def graph_from_dict(data: Any, source: str | None = None) -> PropertyGraph:
     structural problems (duplicate ids, dangling endpoints) keep raising
     the narrower :class:`~repro.errors.GraphError` subtypes.
     """
+    from .model import PropertyGraph
+
     nodes, edges = _sections(data, source)
     graph = PropertyGraph()
     try:
@@ -455,6 +459,8 @@ def load_graph_jsonl(fp: IO[str], source: str | None = None) -> PropertyGraph:
     are re-raised as :class:`~repro.errors.GraphLoadError` tagged with the
     offending line.
     """
+    from .model import PropertyGraph
+
     if source is None:
         source = getattr(fp, "name", None)
     graph = PropertyGraph()

@@ -16,19 +16,12 @@ carry no semantics of their own.
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from ..errors import GraphError
-from .values import PropertyValue, normalize_value
+from .values import _EMPTY_PROPERTIES, PropertyValue, normalize_value
 
 ElementId = Hashable
-
-#: Shared empty mapping returned by :meth:`PropertyGraph.property_map` for
-#: elements without properties.  A read-only proxy, not a plain dict: it is
-#: shared across every element of every graph, so a caller mutating it
-#: would silently give *all* property-less elements phantom properties.
-_EMPTY_PROPERTIES: Mapping[str, PropertyValue] = MappingProxyType({})
 
 
 class PropertyGraph:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
 
-from .model import _EMPTY_PROPERTIES
+from .values import _EMPTY_PROPERTIES
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import PropertyGraph

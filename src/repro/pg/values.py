@@ -20,12 +20,19 @@ library:
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Mapping
+
 from ..errors import GraphError
 
 #: Python types accepted as atomic property values.
 ATOMIC_TYPES = (bool, int, float, str)
 
 PropertyValue = bool | int | float | str | tuple
+
+#: The ``property_map`` of every element without properties, in graphs and
+#: records views: read-only, as mutating it would change every such element.
+_EMPTY_PROPERTIES: Mapping[str, PropertyValue] = MappingProxyType({})
 
 
 def is_atomic_value(value: object) -> bool:

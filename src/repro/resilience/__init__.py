@@ -29,10 +29,15 @@ The structured failure types (:class:`~repro.errors.BudgetReason`,
 the rest of the taxonomy; they are re-exported here for convenience.
 """
 
+from typing import TYPE_CHECKING
+
+from .. import _lazy_exports
 from ..errors import BudgetExhaustedError, BudgetReason, WorkerFailureError
-from . import faults
-from .budget import UNLIMITED, Budget
-from .ladder import ExecutorLadder
+
+if TYPE_CHECKING:
+    from . import faults
+    from .budget import UNLIMITED, Budget
+    from .ladder import ExecutorLadder
 
 __all__ = [
     "UNLIMITED",
@@ -43,3 +48,15 @@ __all__ = [
     "WorkerFailureError",
     "faults",
 ]
+
+# Exported name -> the submodule that defines it (PEP 562): a run without
+# a budget or a fault plan loads neither.  Keep in step with TYPE_CHECKING.
+_EXPORTS = {
+    "faults": "faults",
+    "UNLIMITED": "budget",
+    "Budget": "budget",
+    "ExecutorLadder": "ladder",
+}
+
+
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -160,25 +160,30 @@ class BoundedModelFinder:
             )
             for label in labels
         }
-        # (label, field) -> labels an "out" edge of that field may target
-        self._out_partners = {
-            key: frozenset(
-                target for target in labels if (target, base) in below
+
+        def partners(label: str, kind: str, field_name: str, declaring: str) -> frozenset[str]:
+            if kind == "out":  # targets below the field's base type
+                declared = relationship.get((label, field_name))
+                return frozenset(
+                    target
+                    for target in labels
+                    if declared is not None and (target, declared[0]) in below
+                )
+            # sources below the declaring type whose field admits the label
+            return frozenset(
+                source
+                for source in labels
+                if (source, declaring) in below
+                and (source, field_name) in relationship
+                and (label, relationship[(source, field_name)][0]) in below
             )
-            for key, (base, _is_list) in relationship.items()
+
+        # label -> the partner labels of each of its demands, in template
+        # order: a multiset missing every partner of one cannot meet it
+        self._partner_sets = {
+            label: tuple(partners(label, *template) for template in templates)
+            for label, templates in self._templates.items()
         }
-        # (label, field, declaring type) -> labels an "in" edge may come from
-        self._in_partners: dict[tuple[str, str, str], frozenset[str]] = {}
-        for label, templates in self._templates.items():
-            for kind, field_name, declaring in templates:
-                if kind == "in":
-                    self._in_partners[(label, field_name, declaring)] = frozenset(
-                        source
-                        for source in labels
-                        if (source, declaring) in below
-                        and (source, field_name) in relationship
-                        and (label, relationship[(source, field_name)][0]) in below
-                    )
 
     def find_model(
         self,
@@ -230,9 +235,9 @@ class BoundedModelFinder:
     # ------------------------------------------------------------------ #
 
     def _try_labels(self, labels: tuple[str, ...]) -> PropertyGraph | None:
-        obligations = self._collect_obligations(labels)
-        if not self._feasible(labels, obligations):
+        if not self._feasible(labels):
             return None
+        obligations = self._collect_obligations(labels)
         edges = self._search_edges(labels, frozenset(), obligations, 0)
         if edges is None:
             return None
@@ -247,27 +252,19 @@ class BoundedModelFinder:
             for kind, field_name, declaring in self._templates[label]
         ]
 
-    def _feasible(
-        self, labels: tuple[str, ...], obligations: list[_Obligation]
-    ) -> bool:
+    def _feasible(self, labels: tuple[str, ...]) -> bool:
         """Does every obligation have a partner label in the multiset?
 
         False means no edge among *labels* can meet some obligation, so
         :meth:`_search_edges` would return None (see the module docstring).
+        An obligation's partners depend only on its node's label, so each
+        distinct label is checked once, before any obligation is built.
         """
         present = frozenset(labels)
-        for obligation in obligations:
-            label = labels[obligation.node]
-            if obligation.kind == "out":
-                partners = self._out_partners.get(
-                    (label, obligation.field_name), frozenset()
-                )
-            else:
-                partners = self._in_partners[
-                    (label, obligation.field_name, obligation.declaring_type)
-                ]
-            if partners.isdisjoint(present):
-                return False
+        for label in present:
+            for partners in self._partner_sets[label]:
+                if partners.isdisjoint(present):
+                    return False
         return True
 
     def _search_edges(

@@ -43,8 +43,6 @@ from typing import TYPE_CHECKING
 
 from .. import obs
 from ..dl.concepts import And, Concept, Exists, Name, Role
-from ..dl.tableau import Tableau
-from ..dl.translate import schema_to_tbox
 from ..errors import BudgetExhaustedError, BudgetReason
 from ..lint.diagnostics import Diagnostic
 from ..lint.engine import unsat_diagnostics
@@ -54,6 +52,7 @@ from .cache import SatCache, sat_cache_for
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..analysis import SatPreVerdicts
+    from ..dl.tableau import Tableau
     from ..dl.tbox import TBox
     from ..pg.model import PropertyGraph
     from ..resilience import Budget
@@ -345,6 +344,8 @@ class SatisfiabilityChecker:
         if self._tbox is None:
             with self._tbox_lock:
                 if self._tbox is None:
+                    from ..dl.translate import schema_to_tbox
+
                     self._tbox = schema_to_tbox(self.schema)
         return self._tbox
 
@@ -355,6 +356,8 @@ class SatisfiabilityChecker:
         root-label verdicts)."""
         tableau = getattr(self._local, "tableau", None)
         if tableau is None:
+            from ..dl.tableau import Tableau
+
             tableau = Tableau(self.tbox, max_nodes=self._max_nodes)
             if self.cache is not None:
                 tableau.label_cache = self.cache.labels

@@ -29,7 +29,6 @@ from .. import obs
 from ..errors import SchemaError
 from ..sdl import ast
 from ..sdl.parser import parse_document
-from .consistency import check_consistency
 from .directives import (
     FIELD_LEVEL_DIRECTIVES,
     OBJECT_LEVEL_DIRECTIVES,
@@ -88,6 +87,8 @@ def build_schema(
         builder = _SchemaBuilder(document, scalar_predicates or {})
         schema = builder.build()
         if check:
+            from .consistency import check_consistency
+
             check_consistency(schema)
         span.set(
             types=len(schema.object_types),

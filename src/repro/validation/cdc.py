@@ -137,19 +137,39 @@ class CDCResult:
         return self.report.conforms
 
 
+# One encoder each for the checkpoint/events bytes and the violation-state
+# sort key (``json.dumps`` with any option builds a new one per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_SORT_KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
 def _violation_state(report: ValidationReport) -> list[list[Any]]:
     """Canonical JSON-friendly form of a report's violation multiset."""
     entries = [
         [violation.rule, violation.location, list(violation.elements), violation.detail]
         for violation in report.violations
     ]
-    entries.sort(key=lambda entry: json.dumps(entry, sort_keys=True, default=str))
+    entries.sort(key=_SORT_KEY_ENCODER.encode)
     return entries
 
 
 def _digest(payload: dict[str, Any]) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_ENCODER.encode(payload).encode("utf-8")).hexdigest()
+
+
+def _checkpoint_blob(payload: dict[str, Any]) -> bytes:
+    """The checkpoint file: *payload* plus its :func:`_digest`, each member
+    encoded once and joined twice (without, then with the digest)."""
+    members = {key: _ENCODER.encode(value) for key, value in payload.items()}
+
+    def document() -> str:
+        return "{" + ",".join(
+            f"{_ENCODER.encode(key)}:{members[key]}" for key in sorted(members)
+        ) + "}"
+
+    digest = hashlib.sha256(document().encode("utf-8")).hexdigest()
+    members["digest"] = _ENCODER.encode(digest)
+    return document().encode("utf-8")
 
 
 def _event_sort_key(key: tuple) -> tuple[str, str, list[str]]:
@@ -368,12 +388,14 @@ class CDCConsumer:
             obs.instant("cdc.recovered", source="cold")
             return "cold"
 
-    def _checkpoint_candidates(self) -> list[str]:
+    def _checkpoint_candidates(self, names: list[str] | None = None) -> list[str]:
+        """Checkpoint paths, newest first, among *names* (default: listed now)."""
         assert self._checkpoint_dir is not None
-        try:
-            names = os.listdir(self._checkpoint_dir)
-        except OSError:
-            return []
+        if names is None:
+            try:
+                names = os.listdir(self._checkpoint_dir)
+            except OSError:
+                return []
         return [
             os.path.join(self._checkpoint_dir, name)
             for name in sorted(names, reverse=True)
@@ -474,16 +496,11 @@ class CDCConsumer:
     def _write_events(self, events: list[ViolationEvent]) -> None:
         if self._events_fp is None:
             self._events_offset += sum(
-                len(json.dumps(event.to_json(), sort_keys=True, separators=(",", ":")))
-                + 1
-                for event in events
+                len(_ENCODER.encode(event.to_json())) + 1 for event in events
             )
             return
         for event in events:
-            blob = (
-                json.dumps(event.to_json(), sort_keys=True, separators=(",", ":"))
-                + "\n"
-            ).encode("utf-8")
+            blob = (_ENCODER.encode(event.to_json()) + "\n").encode("utf-8")
             self._events_fp.write(blob)
             self._events_offset += len(blob)
 
@@ -735,12 +752,7 @@ class CDCConsumer:
                 "graph": graph_to_dict(self._validator.graph),
                 "violations": _violation_state(self._validator.report()),
             }
-            payload["digest"] = _digest(
-                {key: value for key, value in payload.items() if key != "digest"}
-            )
-            blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-                "utf-8"
-            )
+            blob = _checkpoint_blob(payload)
             final = os.path.join(
                 self._checkpoint_dir, f"ckpt-{self._commit_index:010d}.json"
             )
@@ -754,13 +766,13 @@ class CDCConsumer:
 
     def _prune_checkpoints(self, keep: str) -> None:
         assert self._checkpoint_dir is not None
-        candidates = self._checkpoint_candidates()
-        for stale in candidates[_KEEP_CHECKPOINTS:]:
+        names = os.listdir(self._checkpoint_dir)
+        for stale in self._checkpoint_candidates(names)[_KEEP_CHECKPOINTS:]:
             try:
                 os.remove(stale)
             except OSError:
                 pass
-        for name in os.listdir(self._checkpoint_dir):
+        for name in names:
             if name.endswith(".json.tmp"):
                 stale = os.path.join(self._checkpoint_dir, name)
                 if stale != keep + ".tmp":

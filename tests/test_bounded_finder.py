@@ -88,9 +88,58 @@ def test_pruning_rejects_the_broken_hub_chains():
     finder = BoundedModelFinder(hub_chain_schema(8, 6))
     for labels in _label_multisets(finder.schema, 3):
         if "Stage0" in labels:
-            assert not finder._feasible(labels, finder._collect_obligations(labels))
-    chain = ("Stage7", "Terminal")
-    assert finder._feasible(chain, finder._collect_obligations(chain))
+            assert not finder._feasible(labels)
+    assert finder._feasible(("Stage7", "Terminal"))
+
+
+def _obligation_feasible(finder, labels) -> bool:
+    """The feasibility definition over built obligations: every obligation
+    of every node has a partner label among *labels* -- for "out", a label
+    below the field's base type; for "in", a label below the declaring type
+    that declares the field as a relationship whose base type is above the
+    node's label."""
+    below, relationship = finder._below, finder._relationship
+    for obligation in finder._collect_obligations(labels):
+        label = labels[obligation.node]
+        if obligation.kind == "out":
+            declared = relationship.get((label, obligation.field_name))
+            partners = [
+                target
+                for target in labels
+                if declared is not None and (target, declared[0]) in below
+            ]
+        else:
+            partners = [
+                source
+                for source in labels
+                if (source, obligation.declaring_type) in below
+                and (source, obligation.field_name) in relationship
+                and (label, relationship[(source, obligation.field_name)][0]) in below
+            ]
+        if not partners:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("schema_name", sorted(CASES))
+def test_label_set_check_rejects_what_the_obligations_reject(schema_name):
+    """Over every multiset the pinned searches try, checking each distinct
+    label's partner sets against the label set rejects exactly the
+    multisets the per-obligation definition rejects."""
+    finder = BoundedModelFinder(_schema(schema_name))
+    tried = []
+    search = finder._try_labels
+
+    def record(labels):
+        tried.append(labels)
+        return search(labels)
+
+    finder._try_labels = record
+    for type_name, _key in CASES[schema_name]:
+        finder.find_model(type_name, max_nodes=4)
+    assert tried
+    for labels in tried:
+        assert finder._feasible(labels) == _obligation_feasible(finder, labels), labels
 
 
 def _with_required_for_target(schema, picks: list[bool]):
@@ -127,8 +176,8 @@ def test_pruning_is_exact(
     )
     finder = BoundedModelFinder(schema)
     for labels in _label_multisets(schema, 3):
-        obligations = finder._collect_obligations(labels)
-        if not finder._feasible(labels, obligations):
+        if not finder._feasible(labels):
+            obligations = finder._collect_obligations(labels)
             assert finder._search_edges(labels, frozenset(), obligations, 0) is None, labels
 
 

@@ -1,6 +1,7 @@
 """The pgschema command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -473,3 +474,36 @@ class TestCdc:
         ])
         assert code == 1
         assert "incomplete" in capsys.readouterr().out.lower()
+
+
+_HELP_GOLDEN = Path(__file__).parent / "golden" / "cli_help"
+# Every parser of the argparse tree: the top level, each subcommand and
+# each ``perf`` sub-subcommand.  Golden name: the argv joined by "-".
+_HELP_ARGVS = [
+    [],
+    *[
+        [name]
+        for name in (
+            "check", "lint", "analyze", "validate", "cdc", "sat", "translate", "api",
+            "query", "infer", "diff", "stats", "serve", "export-cypher", "perf",
+        )
+    ],
+    *[["perf", name] for name in ("record", "diff", "trend", "check")],
+]
+
+
+@pytest.mark.parametrize("argv", _HELP_ARGVS, ids=lambda argv: "-".join(argv) or "pgschema")
+def test_help_text_is_unchanged(argv, monkeypatch, capsys):
+    # argparse wraps help to the terminal width: pin it
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    golden = _HELP_GOLDEN / f"{'-'.join(argv) or 'pgschema'}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_help_goldens_cover_every_parser():
+    assert {path.stem for path in _HELP_GOLDEN.glob("*.txt")} == {
+        "-".join(argv) or "pgschema" for argv in _HELP_ARGVS
+    }

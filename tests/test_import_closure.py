@@ -210,3 +210,81 @@ def test_fully_decided_sat_loads_no_process_pool_machinery(inputs):
     watched = ("concurrent.futures.process", "multiprocessing")
     for schema in (inputs["library"], inputs["hub"]):
         assert _loaded_after(_run_cli(["sat", schema]), watched) == []
+
+
+# Printers run only where a schema is printed (api, CDC checkpoints, ...),
+# never on the one-shot path.
+_PRINTERS = ("repro.schema.printer", "repro.sdl.printer")
+
+
+@pytest.mark.parametrize(
+    "argv, watched",
+    [
+        # metrics/trace load only when a registry or tracer is built, the
+        # resilience package only for a budget, a pool or a fault plan, and
+        # the consistency checks only for check=True (lint: check=False)
+        (
+            ["lint", "{library}"],
+            (
+                "repro.obs.metrics",
+                "repro.obs.trace",
+                "repro.resilience",
+                "repro.resilience.budget",
+                "repro.resilience.durable",
+                "repro.resilience.faults",
+                "repro.resilience.ladder",
+                "repro.schema.consistency",
+                *_PRINTERS,
+            ),
+        ),
+        # the plan kernel reads a GraphRecords view: no PropertyGraph
+        (
+            ["validate", "{schema}", "{graph}"],
+            ("repro.pg.model", "repro.dl", "repro.obs.metrics", "repro.obs.trace", *_PRINTERS),
+        ),
+        # lint, analysis and the bounded search decide every hub element:
+        # the TBox is never translated and no tableau is built
+        (
+            ["sat", "{hub}"],
+            (
+                "repro.dl.tableau",
+                "repro.dl.normal_form",
+                "repro.dl.translate",
+                "repro.schema.consistency",
+                *_PRINTERS,
+            ),
+        ),
+    ],
+    ids=["lint", "validate", "sat-hub"],
+)
+def test_one_shot_runs_load_only_what_they_execute(inputs, argv, watched):
+    code = _run_cli([arg.format(**inputs) for arg in argv])
+    assert _loaded_after(code, watched) == []
+
+
+_COMMAND_MODULES = tuple(
+    f"repro.commands.{path.stem}"
+    for path in sorted((Path(_SRC) / "repro" / "commands").glob("*.py"))
+    if path.stem != "__init__"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, exits",
+    [
+        (["check", "{schema}"], (0,)),
+        (["lint", "{library}"], (0,)),
+        (["analyze", "{library}"], (0,)),
+        (["validate", "{schema}", "{graph}"], (0,)),
+        (["validate", "{schema}", "{jsonl}", "--stream"], (0,)),
+        (["sat", "{hub}"], (0,)),
+        (["translate", "{library}"], (0,)),
+        (["stats", "{graph}"], (0,)),
+        (["cdc", "{mutation_schema}", "{journal}"], (1,)),
+    ],
+    ids=["check", "lint", "analyze", "validate", "validate-stream", "sat", "translate",
+         "stats", "cdc"],
+)
+def test_one_shot_runs_load_only_their_own_handler(inputs, argv, exits):
+    code = _run_cli([arg.format(**inputs) for arg in argv], exits)
+    assert _loaded_after(code, _COMMAND_MODULES) == [f"repro.commands.{argv[0]}"]

@@ -106,10 +106,11 @@ class TestPublicAPI:
     """Every exported name is the object its defining module binds.
 
     Checked after importing every submodule, because importing a submodule
-    rebinds the package attribute of the same name: ``repro.dl.nnf`` (the
-    function) would silently become the module if the package resolved it
-    lazily.  A not-``None`` check cannot see that -- a module is not
-    ``None`` either.
+    rebinds the package attribute of the same name: were the function
+    ``repro.dl.nnf`` defined in a submodule ``repro.dl.nnf`` (it lives in
+    ``repro.dl.normal_form``), the lazily resolved export would silently
+    become the module.  A not-``None`` check cannot see that -- a module is
+    not ``None`` either.
     """
 
     def test_top_level_exports_resolve(self):
@@ -130,6 +131,8 @@ class TestPublicAPI:
             "repro.api",
             "repro.baselines",
             "repro.workloads",
+            "repro.obs",
+            "repro.resilience",
         ),
     )
     def test_subpackage_exports_resolve(self, package_name):
@@ -146,20 +149,36 @@ class TestPublicAPI:
         assert set(repro._EXPORTS) | {"__version__"} == set(repro.__all__)
 
     @pytest.mark.parametrize(
-        "package_name", ("repro.pg", "repro.validation", "repro.satisfiability")
+        "package_name",
+        (
+            "repro.pg",
+            "repro.validation",
+            "repro.satisfiability",
+            "repro.schema",
+            "repro.sdl",
+            "repro.dl",
+            "repro.obs",
+            "repro.resilience",
+        ),
     )
     def test_lazy_subpackage_exports_match_the_table(self, package_name):
         package = importlib.import_module(package_name)
         prefix = f"{package_name}."
+        defining = _defining_modules(package)
         origins = {
             name: module_name.removeprefix(prefix)
-            for name, (module_name, _) in _defining_modules(package).items()
+            for name, (module_name, _) in defining.items()
         }
         assert origins == package._EXPORTS
-        assert set(package._EXPORTS) == set(package.__all__)
+        assert set(package._EXPORTS) <= set(package.__all__)
+        # every other export is bound by the __init__ itself, eagerly: the
+        # package's __getattr__ resolves only the table
+        for name in set(package.__all__) - set(package._EXPORTS):
+            assert name in vars(package), name
         for name, module_name in package._EXPORTS.items():
             module = importlib.import_module(prefix + module_name)
-            assert getattr(package, name) is getattr(module, name), name
+            expected = module if defining[name][1] is None else getattr(module, name)
+            assert getattr(package, name) is expected, name
 
     def test_version(self):
         import repro
