@@ -36,7 +36,7 @@ The environment variable is parsed once, lazily at first use, so a
 malformed spec raises a catchable :class:`~repro.errors.FaultConfigError`
 (the CLI reports it as ``error[E_FAULTS]``) instead of crashing at import.
 Tests install plans programmatically (:func:`install` / :func:`uninstall`,
-which restores the environment-derived plan).  The parallel validator
+which restores the environment-derived plan).  The executor ladder
 re-installs the active spec inside pool workers, so plans survive any
 multiprocessing start method.
 """

@@ -1,46 +1,64 @@
-"""The executor ladder: retries, backoff, and executor fallback for task fans.
+"""The executor ladder: one fan-out contract with retries, backoff and fallback.
 
-:class:`ExecutorLadder` is the worker-recovery machinery PR 3 built into
-:class:`~repro.validation.parallel.ParallelValidator`, extracted so every
-fan-out engine (sharded validation, portfolio satisfiability) shares one
-implementation of the recovery contract:
+:class:`ExecutorLadder` runs every fan-out in the project -- sharded
+validation, portfolio satisfiability, the service batcher -- on one
+contract.  An engine supplies only what it knows:
 
-* a batch of indexed tasks is attempted on one executor rung (``serial``,
-  ``thread`` or ``process``); results land *positionally* in a
-  caller-provided array, so merging stays deterministic no matter which
-  rung finally produced each result;
+* **the task** -- a module-level function ``task(state, payload, attempt,
+  executor)``; module level, so the process rung pickles it by reference;
+* **the data** -- the parent's ``state`` and a ``{index: payload}`` mapping,
+  one payload per task;
+* **the workers** -- a picklable ``(build, args)`` pair; ``build(*args)``
+  makes the same state once per worker process (e.g. recompiling a
+  validation plan whose closures cannot be pickled).  Without it the
+  process rung is unavailable and a run asked to start there starts on the
+  thread rung.
+
+The ladder does everything else, identically for every engine:
+
+* it fires the engine's fault site before every task attempt, with context
+  ``{log_key: index, "attempt": ..., "executor": ...}`` plus the run's
+  fixed extra keys (:func:`~repro.resilience.faults.fault_point`);
+* it runs the batch on one rung (``serial`` inline, ``thread`` on a
+  ``ThreadPoolExecutor``, ``process`` on a ``ProcessPoolExecutor`` whose one
+  initializer marks the worker, installs the parent's fault plan and
+  observability config, then builds the state); at most ``jobs`` tasks are
+  in flight, and each task's ``task_timeout`` clock starts when it is
+  submitted, so a task queued behind busy workers is never taken for a
+  stuck one;
+* results land *positionally* in a caller-provided array -- process-worker
+  results packaged with their spans and metrics (:func:`repro.obs.package`)
+  are unwrapped as they are stored -- so merging stays deterministic no
+  matter which rung finally produced each result;
 * a task attempt can fail three ways -- the worker process dies
-  (``BrokenExecutor``), the worker raises, or the attempt exceeds
-  ``task_timeout`` (a stuck worker).  Failed tasks are retried with
-  exponential backoff (``retry_base_delay * 2**attempt``); once
-  ``max_retries`` same-rung retries are spent, the *failing tasks* fall
-  down the ladder process → thread → serial while completed results are
-  kept;
-* a worker that trips a :class:`~repro.resilience.Budget` re-raises
+  (``BrokenExecutor``), the task raises, or the attempt exceeds
+  ``task_timeout`` (a stuck worker, whose pool slot stays taken).  Failed
+  tasks are retried with exponential backoff
+  (``retry_base_delay * 2**attempt``); once ``max_retries`` same-rung
+  retries are spent, the *failing tasks* fall down the ladder process →
+  thread → serial while completed results are kept;
+* a task that trips a :class:`~repro.resilience.Budget` re-raises
   :class:`~repro.errors.BudgetExhaustedError` in the caller -- that is an
   answer, not a crash -- and when even the serial rung fails the last cause
   is re-raised wrapped in :class:`~repro.errors.WorkerFailureError`;
 * every failed attempt is recorded in :attr:`ExecutorLadder.recovery_log`
-  (keys: the configured ``log_key``, ``executor``, ``attempt``, ``error``)
-  so chaos tests can assert a fault actually fired and was survived.
-
-The ladder owns scheduling only; *what* a task does on each rung is
-supplied per :meth:`run` call as callables, keeping the worker plumbing
-(fault-injection sites, pool initializers, pickling strategy) with the
-engine that knows its own data.
+  (keys: the configured ``log_key``, ``executor``, ``attempt``, ``error``,
+  ``site``, ``at``) so chaos tests can assert a fault actually fired and was
+  survived.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .. import obs
 from ..errors import BudgetExhaustedError, WorkerFailureError
+from . import faults
 
 if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import Future, ThreadPoolExecutor
+    from concurrent.futures import Future
 
 __all__ = ["EXECUTORS", "FALLBACK", "ExecutorLadder", "usable_cores"]
 
@@ -49,6 +67,9 @@ EXECUTORS = ("serial", "thread", "process")
 
 #: The fallback ladder for failing tasks.
 FALLBACK = {"process": "thread", "thread": "serial"}
+
+#: ``task(state, payload, attempt, executor)`` -- one fan-out task.
+Task = Callable[..., object]
 
 
 def usable_cores() -> int:
@@ -63,17 +84,19 @@ class ExecutorLadder:
     """Retry/backoff/fallback scheduling of indexed tasks over executors.
 
     Args:
-        jobs: Maximum pool workers for the thread/process rungs.
+        jobs: Maximum tasks in flight (pool workers) on the thread/process
+            rungs.
         max_retries: Same-rung retries per ladder rung before falling back.
         retry_base_delay: Base of the exponential backoff sleep.
-        task_timeout: Wall seconds one task attempt may take before it is
-            treated as a stuck worker and recovered.
+        task_timeout: Wall seconds one task attempt may take, counted from
+            its submission, before it is treated as a stuck worker and
+            recovered.
         fallback: When False, exhausted retries raise instead of falling
             down the ladder.
         site: Budget site string used for deadline checks between attempts.
-        log_key: Name of the task-index key in ``recovery_log`` entries and
-            failure messages (``"shard"`` for validation, ``"unit"`` for
-            portfolio satisfiability).
+        log_key: Name of the task-index key in ``recovery_log`` entries,
+            fault contexts and failure messages (``"shard"`` for validation,
+            ``"unit"`` for portfolio satisfiability).
         timeout_label: Name of the timeout knob in stuck-worker messages
             (kept configurable so existing logs stay grep-stable).
     """
@@ -107,45 +130,37 @@ class ExecutorLadder:
     def run(
         self,
         mode: str,
-        indices: Sequence[int],
+        task: Task,
+        state: object,
+        payloads: Mapping[int, object],
         results: list,
-        serial: Callable[[int, int], object],
-        thread_submit: "Callable[[ThreadPoolExecutor, int, int], Future] | None" = None,
-        process_submit: "Callable[[object, int, int], Future] | None" = None,
-        make_process_pool: "Callable[[int], object] | None" = None,
+        fault_site: str,
+        worker: "tuple[Callable, tuple] | None" = None,
         budget=None,
+        **context,
     ) -> None:
-        """Fill ``results[index]`` for every index, starting on rung *mode*.
+        """Fill ``results[index]`` for every index of *payloads*, starting on
+        rung *mode*.
 
-        ``serial(index, attempt)`` runs a task inline;
-        ``thread_submit(pool, index, attempt)`` /
-        ``process_submit(pool, index, attempt)`` submit one task to a
-        ``ThreadPoolExecutor(n)`` / a pool built by ``make_process_pool(n)``.
-        Rungs without a submit callable degrade to the next rung down.
+        Every attempt runs ``task(state, payloads[index], attempt,
+        executor)`` -- in a process worker with the state ``build(*args)``
+        made from *worker* -- after firing *fault_site* with the task's
+        index, attempt and executor plus the fixed *context* keys.
         """
         if mode not in EXECUTORS:
             raise ValueError(f"unknown executor {mode!r}; expected one of {EXECUTORS}")
-        if mode == "process" and process_submit is None:
+        if mode == "process" and worker is None:
             mode = "thread"
-        if mode == "thread" and thread_submit is None:
-            mode = "serial"
-        pending = list(indices)
+        job = (task, state, payloads, (fault_site, self.log_key, context), worker)
+        pending = list(payloads)
         attempt = 0
         retries_left = self.max_retries
         self.recovery_log.clear()
         while pending:
             if budget is not None:
                 budget.check_deadline(site=self.site)
-            failures = self._attempt_once(
-                mode,
-                pending,
-                results,
-                attempt,
-                budget,
-                serial,
-                thread_submit,
-                process_submit,
-                make_process_pool,
+            failures, unstarted = self._attempt_once(
+                mode, job, pending, results, attempt, budget
             )
             if not failures:
                 return
@@ -174,7 +189,8 @@ class ExecutorLadder:
                         "error": repr(error),
                     },
                 )
-            pending = [index for index, _error in failures]
+            retry = {index for index, _error in failures}.union(unstarted)
+            pending = [index for index in pending if index in retry]
             attempt += 1
             if retries_left > 0:
                 retries_left -= 1
@@ -207,51 +223,53 @@ class ExecutorLadder:
     # ------------------------------------------------------------------ #
 
     def _attempt_once(
-        self,
-        mode: str,
-        pending: list[int],
-        results: list,
-        attempt: int,
-        budget,
-        serial,
-        thread_submit,
-        process_submit,
-        make_process_pool,
-    ) -> list[tuple[int, BaseException]]:
+        self, mode: str, job: tuple, pending: list[int], results: list, attempt: int, budget
+    ) -> tuple[list[tuple[int, BaseException]], list[int]]:
         """One attempt at the pending tasks; returns the tasks that failed
-        (with their causes).  Budget exhaustion is not a failure -- it
+        (with their causes) and those never started because every pool
+        worker was stuck.  Budget exhaustion is not a failure -- it
         propagates."""
+        task, state, payloads, fault, worker = job
         if mode == "serial":
             failures: list[tuple[int, BaseException]] = []
             for index in pending:
                 if budget is not None:
                     budget.check_deadline(site=self.site)
                 try:
-                    results[index] = serial(index, attempt)
+                    results[index] = _run_task(
+                        task, state, payloads[index], index, attempt, mode, fault
+                    )
                 except BudgetExhaustedError:
                     raise
                 except Exception as error:
                     failures.append((index, error))
-            return failures
+            return failures, []
         workers = min(self.jobs, len(pending))
+        # imported here: a run that stays on the serial rung never loads them
         if mode == "thread":
-            # imported here: a run that stays on the serial rung never loads it
             from concurrent.futures import ThreadPoolExecutor
 
             pool = ThreadPoolExecutor(max_workers=workers)
-            submit = thread_submit
         else:
-            assert make_process_pool is not None
-            pool = make_process_pool(workers)
-            submit = process_submit
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_worker_process,
+                initargs=(faults.active_spec(), obs.worker_config(), worker),
+            )
+            state = None  # each worker builds its own; the parent's is not pickled
+
+        def submit(index: int) -> "Future":
+            return pool.submit(
+                _run_task, task, state, payloads[index], index, attempt, mode, fault
+            )
+
         hard_shutdown = False
         try:
-            futures: dict[int, Future] = {
-                index: submit(pool, index, attempt) for index in pending
-            }
-            failures = self._collect(futures, results, budget)
+            failures, unstarted = self._collect(submit, workers, pending, results, budget)
             hard_shutdown = bool(failures)
-            return failures
+            return failures, unstarted
         except BaseException:
             hard_shutdown = True
             raise
@@ -260,59 +278,84 @@ class ExecutorLadder:
 
     def _collect(
         self,
-        futures: "dict[int, Future]",
+        submit: "Callable[[int], Future]",
+        workers: int,
+        pending: list[int],
         results: list,
         budget,
-    ) -> list[tuple[int, BaseException]]:
-        """Harvest futures into ``results``; classify what went wrong.
+    ) -> tuple[list[tuple[int, BaseException]], list[int]]:
+        """Keep up to *workers* tasks in flight and harvest them into
+        ``results``; classify what went wrong.
 
-        A worker that *tripped the budget* re-raises here (that is an
-        answer, not a crash); a worker that died, raised, or exceeded
-        ``task_timeout`` marks its task failed for retry/fallback.
+        A task that *tripped the budget* re-raises here (that is an answer,
+        not a crash); a worker that died, raised, or exceeded
+        ``task_timeout`` since its task was submitted marks the task failed
+        for retry/fallback.  A stuck worker keeps its slot, so when every
+        slot is stuck the tasks not yet submitted are returned unstarted.
         """
-        from concurrent.futures import BrokenExecutor
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 
-        deadline_at = (
-            time.monotonic() + self.task_timeout
-            if self.task_timeout is not None
-            else None
-        )
+        waiting = iter(pending)
+        running: "dict[Future, tuple[int, float]]" = {}
         failures: list[tuple[int, BaseException]] = []
-        for index, future in futures.items():
+        free = workers
+        while True:
+            while free and (index := next(waiting, None)) is not None:
+                try:
+                    running[submit(index)] = (index, time.monotonic())
+                    free -= 1
+                except BrokenExecutor as error:  # a worker died: the pool is gone
+                    obs.count("ladder.worker_crashes")
+                    failures.append((index, error))
+            if not running:
+                break
             timeout = None
-            if deadline_at is not None:
-                timeout = max(0.0, deadline_at - time.monotonic())
+            if self.task_timeout is not None:
+                first_started = min(started for _index, started in running.values())
+                timeout = max(0.0, first_started + self.task_timeout - time.monotonic())
             if budget is not None:
                 remaining = budget.remaining_seconds()
                 if remaining is not None:
                     timeout = remaining if timeout is None else min(timeout, remaining)
-            try:
-                results[index] = future.result(timeout=timeout)
-            except BudgetExhaustedError:
-                raise
-            except TimeoutError:
-                if budget is not None:
-                    # raises when the run deadline (not the task ceiling) expired
-                    budget.check_deadline(site=self.site)
-                future.cancel()
-                obs.count("ladder.stuck_workers")
-                failures.append(
-                    (
-                        index,
-                        WorkerFailureError(
-                            f"{self.log_key} {index} attempt exceeded "
-                            f"{self.timeout_label}={self.task_timeout}s",
-                            shard=index,
-                        ),
+            done, _ = wait(running, timeout=timeout, return_when=FIRST_COMPLETED)
+            if not done and budget is not None:
+                # raises when the run deadline (not the task ceiling) expired
+                budget.check_deadline(site=self.site)
+            for future in done:
+                index, _started = running.pop(future)
+                free += 1
+                try:
+                    results[index] = obs.unwrap(future.result())
+                except BudgetExhaustedError:
+                    raise
+                except BrokenExecutor as error:
+                    obs.count("ladder.worker_crashes")
+                    failures.append((index, error))
+                except Exception as error:
+                    obs.count("ladder.worker_errors")
+                    failures.append((index, error))
+            if self.task_timeout is not None:
+                now = time.monotonic()
+                for future, (index, started) in list(running.items()):
+                    if now - started < self.task_timeout:
+                        continue
+                    # the stuck worker keeps its slot: no ``free += 1``
+                    del running[future]
+                    future.cancel()
+                    obs.count("ladder.stuck_workers")
+                    failures.append(
+                        (
+                            index,
+                            WorkerFailureError(
+                                f"{self.log_key} {index} attempt exceeded "
+                                f"{self.timeout_label}={self.task_timeout}s",
+                                shard=index,
+                            ),
+                        )
                     )
-                )
-            except BrokenExecutor as error:
-                obs.count("ladder.worker_crashes")
-                failures.append((index, error))
-            except Exception as error:
-                obs.count("ladder.worker_errors")
-                failures.append((index, error))
-        return failures
+        order = {index: position for position, index in enumerate(pending)}
+        failures.sort(key=lambda failure: order[failure[0]])
+        return failures, list(waiting)
 
     @staticmethod
     def _shutdown_pool(pool, hard: bool) -> None:
@@ -329,3 +372,43 @@ class ExecutorLadder:
                     process.terminate()
                 except Exception:  # pragma: no cover - already-dead worker
                     pass
+
+
+# --------------------------------------------------------------------------- #
+# the task wrapper every rung runs, and the process-worker side
+# --------------------------------------------------------------------------- #
+
+
+def _run_task(task: Task, state, payload, index: int, attempt: int, executor: str, fault):
+    """One task attempt on any rung: fire the fault site, run the task.  In a
+    process worker the task gets the state the worker built, and its result
+    ships back with the spans and metrics the worker recorded for it."""
+    site, log_key, context = fault
+    faults.fault_point(
+        site, **{log_key: index}, attempt=attempt, executor=executor, **context
+    )
+    if executor != "process":
+        return task(state, payload, attempt, executor)
+    return obs.package(task(_worker_state, payload, attempt, executor))
+
+
+#: The state ``build(*args)`` made in this worker process.
+_worker_state: object = None
+
+
+def _init_worker_process(
+    fault_spec: str | None, obs_config: dict | None, worker: "tuple[Callable, tuple]"
+) -> None:
+    """Runs once per worker process.  Shipping the parent's fault spec
+    explicitly keeps injection working under any multiprocessing start
+    method, and marking the process as a worker arms ``mode=exit`` crash
+    faults (a real ``os._exit``, never in the parent).  The parent's
+    observability config rides along the same way: workers record into a
+    private capture buffer (sharing the parent tracer's monotonic epoch)
+    whose contents ship back with each task result."""
+    global _worker_state
+    faults.mark_worker_process()
+    faults.install(fault_spec)
+    obs.install_worker(obs_config)
+    build, args = worker
+    _worker_state = build(*args)

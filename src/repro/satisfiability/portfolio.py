@@ -18,9 +18,14 @@ at a time.  This module turns the sweep into a portfolio:
   UNSAT does the unit fall back to staged per-element checks -- first
   ``t`` alone (UNSAT there settles every field too), then individual
   fields -- reproducing the serial verdicts exactly.
-* **Fan-out.**  Open units are scheduled over the shared
-  :class:`~repro.resilience.ladder.ExecutorLadder` (retry with backoff,
-  process→thread→serial recovery); with no open unit no pool is made.  Results merge into canonical report order, so reports are
+* **Fan-out.**  Each open unit is one task of the shared
+  :class:`~repro.resilience.ladder.ExecutorLadder`: the task is
+  :func:`check_unit`, its state the parent's checker, and a process worker
+  builds its own :class:`~repro.satisfiability.engine.SatisfiabilityChecker`
+  once from the schema and the parent's configuration.  The ladder owns
+  pools, the ``portfolio.worker`` fault site, retry with backoff and the
+  process→thread→serial recovery; with no open unit no pool is made.
+  Results merge into canonical report order, so reports are
   byte-identical for any ``jobs`` count or executor rung, and
   process-worker verdicts are absorbed into the parent's cache.
 
@@ -40,8 +45,7 @@ from .. import obs
 from ..dl.concepts import And, Exists, Name, Role
 from ..errors import BudgetExhaustedError
 from ..record import Record
-from ..resilience import faults
-from ..resilience.ladder import ExecutorLadder, usable_cores
+from ..resilience.ladder import EXECUTORS, ExecutorLadder, usable_cores
 from .engine import (
     SatisfiabilityChecker,
     SchemaSatisfiabilityReport,
@@ -51,8 +55,6 @@ from .engine import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import ProcessPoolExecutor
-
     from ..dl.concepts import Concept
     from ..schema.model import GraphQLSchema
 
@@ -63,9 +65,6 @@ __all__ = [
     "check_unit",
     "run_portfolio",
 ]
-
-_EXECUTORS = ("auto", "serial", "thread", "process")
-
 
 class SatUnit(Record):
     """One batched work unit: a declaring type and its relationship fields.
@@ -161,9 +160,17 @@ def _ladder_pass(
 
 
 def check_unit(
-    checker: SatisfiabilityChecker, unit: SatUnit, *, find_witnesses: bool = False
+    checker: SatisfiabilityChecker,
+    work: tuple[SatUnit, bool],
+    attempt: int,
+    executor: str,
 ) -> UnitResult:
-    """Decide one open unit: batch concept, then the staged fallback."""
+    """Decide one open unit: batch concept, then the staged fallback.
+
+    The ladder task of :func:`run_portfolio`: *work* is the unit and whether
+    to find witnesses; the verdicts do not depend on *attempt* or
+    *executor*."""
+    unit, find_witnesses = work
     with obs.span(
         "sat.batch",
         unit=unit.index,
@@ -242,72 +249,13 @@ def _decide_batch(
     return type_verdict
 
 
-# --------------------------------------------------------------------------- #
-# executor rungs
-# --------------------------------------------------------------------------- #
-
-
-def _thread_check(
-    checker: SatisfiabilityChecker,
-    unit: SatUnit,
-    find_witnesses: bool,
-    attempt: int,
-) -> UnitResult:
-    faults.fault_point(
-        "portfolio.worker", unit=unit.index, attempt=attempt, executor="thread"
-    )
-    return check_unit(checker, unit, find_witnesses=find_witnesses)
-
-
-_WORKER_CHECKER: "SatisfiabilityChecker | None" = None
-
-
-def _worker_init(
-    schema: "GraphQLSchema",
-    config: tuple,
-    fault_spec: str | None,
-    obs_config: dict | None = None,
-) -> None:
-    """Process-pool initializer: build this worker's checker once."""
-    global _WORKER_CHECKER
-    faults.mark_worker_process()
-    faults.install(fault_spec)
-    obs.install_worker(obs_config)
-    (
-        max_nodes,
-        bounded_max_nodes,
-        lint_precheck,
-        budget,
-        on_budget,
-        analysis_precheck,
-    ) = config
-    _WORKER_CHECKER = SatisfiabilityChecker(
-        schema,
-        max_nodes=max_nodes,
-        bounded_max_nodes=bounded_max_nodes,
-        lint_precheck=lint_precheck,
-        budget=budget,
-        on_budget=on_budget,
-        analysis_precheck=analysis_precheck,
-    )
-
-
-def _process_check(payload: tuple) -> "UnitResult | obs.TracedResult":
-    unit, find_witnesses, attempt = payload
-    faults.fault_point(
-        "portfolio.worker", unit=unit.index, attempt=attempt, executor="process"
-    )
-    assert _WORKER_CHECKER is not None
-    return obs.package(check_unit(_WORKER_CHECKER, unit, find_witnesses=find_witnesses))
-
-
 def _choose_executor(executor: str, jobs: int, units: int) -> str:
     """The rung for *units* open units (auto: a pool only when it can help)."""
-    if executor not in _EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
-        )
     if executor != "auto":
+        if executor not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {executor!r}; expected one of {('auto', *EXECUTORS)}"
+            )
         return executor
     if jobs <= 1 or units <= 1 or usable_cores() <= 1:
         return "serial"
@@ -351,37 +299,6 @@ def run_portfolio(
         timeout_label="unit_timeout",
     )
 
-    def serial(index: int, attempt: int) -> UnitResult:
-        faults.fault_point(
-            "portfolio.worker", unit=index, attempt=attempt, executor="serial"
-        )
-        return check_unit(checker, open_units[index], find_witnesses=find_witnesses)
-
-    def thread_submit(pool, index, attempt):
-        return pool.submit(
-            _thread_check, checker, open_units[index], find_witnesses, attempt
-        )
-
-    def process_submit(pool, index, attempt):
-        return pool.submit(_process_check, (open_units[index], find_witnesses, attempt))
-
-    def make_process_pool(workers: int) -> "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        config = (
-            checker._max_nodes,
-            checker.bounded_max_nodes,
-            checker.lint_precheck,
-            checker.budget,
-            checker.on_budget,
-            checker.analysis_precheck,
-        )
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(checker.schema, config, faults.active_spec(), obs.worker_config()),
-        )
-
     with obs.span("sat.run", engine="portfolio", jobs=jobs, units=len(units)) as span:
         for unit in units:
             with obs.span(
@@ -398,17 +315,28 @@ def run_portfolio(
         span.set(executor=mode, open=len(open_units))
         ladder.run(
             mode,
-            list(open_units),
+            check_unit,
+            checker,
+            {index: (unit, find_witnesses) for index, unit in open_units.items()},
             worked,
-            serial=serial,
-            thread_submit=thread_submit,
-            process_submit=process_submit,
-            make_process_pool=make_process_pool,
+            "portfolio.worker",
+            # cache=True: each worker keeps its own schema-keyed cache
+            worker=(
+                SatisfiabilityChecker,
+                (
+                    checker.schema,
+                    checker._max_nodes,
+                    checker.bounded_max_nodes,
+                    checker.lint_precheck,
+                    checker.budget,
+                    checker.on_budget,
+                    True,
+                    checker.analysis_precheck,
+                ),
+            ),
         )
         checker.last_recovery_log = ladder.recovery_log
-        report, wins = _merge(
-            checker, decided, [obs.unwrap(worked[index]) for index in open_units]
-        )
+        report, wins = _merge(checker, decided, [worked[index] for index in open_units])
 
     # ``last_profile`` is derived from a per-run metrics registry -- the
     # unified profiling surface -- then folded into the globally observed

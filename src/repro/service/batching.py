@@ -18,8 +18,9 @@ owns
   (``complete=False`` with a structured interruption; HTTP 202), never a
   wrong answer;
 * **retries on the shared ladder**: each batch runs on the serial rung of
-  an :class:`~repro.resilience.ExecutorLadder`, one task per request, with
-  the ``service.batch`` fault site in every request attempt.  A retry
+  an :class:`~repro.resilience.ExecutorLadder`, one task per request, and
+  the ladder fires the ``service.batch`` fault site (with the batch's
+  tenant, schema and size) before every request attempt.  A retry
   reruns only the requests that failed; a request that fails every retry
   gets :class:`~repro.errors.WorkerFailureError` while the rest of its
   batch still gets its reports.  Graphs at or above the parallel
@@ -61,7 +62,7 @@ from ..errors import (
 )
 from ..pg.model import PropertyGraph
 from ..pg.records import GraphRecords
-from ..resilience import Budget, ExecutorLadder, faults
+from ..resilience import Budget, ExecutorLadder
 from ..validation.parallel import (
     ParallelValidator,
     merge_shard_results,
@@ -256,18 +257,6 @@ class BatchingValidator:
                 "service.queue_wait_ms", (started - request.enqueued_at) * 1000.0
             )
 
-        def serial(index: int, attempt: int) -> ValidationReport:
-            faults.fault_point(
-                BATCH_FAULT_SITE,
-                tenant=record.tenant,
-                schema=record.name,
-                requests=len(group),
-                attempt=attempt,
-                executor="serial",
-                request=index,
-            )
-            return _validate_request(group[index], rules, self.jobs)
-
         reports: list[ValidationReport | None] = [None] * len(group)
         failure: WorkerFailureError | None = None
         with obs.span(
@@ -278,7 +267,17 @@ class BatchingValidator:
             requests=len(group),
         ):
             try:
-                self._ladder.run("serial", range(len(group)), reports, serial=serial)
+                self._ladder.run(
+                    "serial",
+                    _validate_request,
+                    (rules, self.jobs),
+                    dict(enumerate(group)),
+                    reports,
+                    BATCH_FAULT_SITE,
+                    tenant=record.tenant,
+                    schema=record.name,
+                    requests=len(group),
+                )
             except WorkerFailureError as error:
                 failure = error
         if self.recovery_log:
@@ -315,12 +314,19 @@ class BatchingValidator:
 
 
 def _validate_request(
-    request: _Request, rules: tuple[str, ...], jobs: int
+    state: tuple[tuple[str, ...], int],
+    request: _Request,
+    attempt: int,
+    executor: str,
 ) -> ValidationReport:
-    """One request as one shard: its records view is both the graph and its
+    """The ladder task of one request (*state* is the batch's rules and the
+    job count of big-graph requests).
+
+    One request is one shard: its records view is both the graph and its
     only shard, as in the parallel validator's one-shard path.  A deadline
     burned in the queue, or one that runs out in the kernel, yields a typed
     partial report."""
+    rules, jobs = state
     plan = request.record.plan
     try:
         budget = request.budget()

@@ -31,22 +31,24 @@ Executor selection (``executor="auto"``):
   (``len(graph) < SMALL_GRAPH_THRESHOLD``) -- thread pool (cheap to start;
   process startup would dominate);
 * otherwise -- process pool, sidestepping the GIL for true multi-core runs.
-  Workers receive the schema and graph once (via the pool initializer) and
-  recompile the plan locally, so the plan's closures are never pickled.
 
 Two runs over the same graph produce byte-identical reports regardless of
 the executor: shard assignment uses a process-stable hash, shard results are
 merged in shard order, and the final violation list is canonically sorted.
 
-**Worker-failure recovery.**  Scheduling, retries with exponential backoff,
-the executor fallback ladder process → thread → serial, stuck-worker
-timeouts (``shard_timeout``) and the recovery log are delegated to the
-shared :class:`~repro.resilience.ExecutorLadder` (extracted from this
-module so the portfolio satisfiability engine reuses the identical
-recovery contract).  Because merging is positional (results land in a
-shard-indexed array) the recovered report is byte-identical to an
-undisturbed run no matter which executor finally produced each shard.
-When even the serial rung fails, the last cause is re-raised wrapped in
+**Fan-out.**  Every shard is one task of the shared
+:class:`~repro.resilience.ExecutorLadder`, which runs it on whichever rung
+it picks: the module-level task ``_shard_task`` wraps :func:`validate_shard`
+in a ``validation.shard`` span, its state is ``(plan, graph)``, and a
+process worker builds that state once as ``(compile_plan(schema), graph)``
+-- the schema and graph are shipped once per worker and the plan's closures
+are never pickled.  The ladder owns the rest: pools, the ``parallel.worker``
+fault site, retries with exponential backoff, the fallback process → thread
+→ serial, stuck-worker timeouts (``shard_timeout``) and the recovery log.
+Because merging is positional (results land in a shard-indexed array) the
+recovered report is byte-identical to an undisturbed run no matter which
+executor finally produced each shard.  When even the serial rung fails,
+the last cause is re-raised wrapped in
 :class:`~repro.errors.WorkerFailureError`.  Recovery decisions are
 recorded in :attr:`ParallelValidator.recovery_log` so chaos tests can
 assert a fault actually fired and was survived.
@@ -76,7 +78,7 @@ from ..pg.values import value_signature
 from ..resilience import faults
 # usable_cores lives in the ladder (sat's portfolio needs it without this
 # module); callers and tests still import and patch it here
-from ..resilience.ladder import ExecutorLadder, usable_cores
+from ..resilience.ladder import EXECUTORS, ExecutorLadder, usable_cores
 from .plan import ValidationPlan, compile_plan
 from .shard import GraphShard, partition_graph
 from .violations import (
@@ -100,8 +102,6 @@ SignatureTriple = tuple
 ShardResult = tuple[list[Violation], list[SignatureTriple]]
 
 _MISSING = ("<missing>",)
-
-_EXECUTORS = ("auto", "serial", "thread", "process")
 
 #: Deadline-check cadence inside the shard kernel (elements per check).
 _DEADLINE_CHECK_EVERY = 2048
@@ -150,9 +150,9 @@ class ParallelValidator:
         * ``fallback`` -- disable the executor ladder (then exhausted
           retries raise :class:`~repro.errors.WorkerFailureError`).
         """
-        if executor not in _EXECUTORS:
+        if executor != "auto" and executor not in EXECUTORS:
             raise ValueError(
-                f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
+                f"unknown executor {executor!r}; expected one of {('auto', *EXECUTORS)}"
             )
         if on_budget not in _ON_BUDGET:
             raise ValueError(
@@ -225,12 +225,34 @@ class ParallelValidator:
                 total_nodes += len(shard.nodes)
                 total_edges += len(shard.edges)
             record_rule_checks(registry, rules, total_nodes, total_edges)
+        # results are shard-indexed, so merging stays deterministic whichever
+        # rung of the ladder produced each one
         results: list[ShardResult | None] = [None] * len(shards)
         interruption: "BudgetReason | None" = None
+        ladder = ExecutorLadder(
+            jobs=self.jobs,
+            max_retries=self.max_retries,
+            retry_base_delay=self.retry_base_delay,
+            task_timeout=self.shard_timeout,
+            fallback=self.fallback,
+            site="validation.parallel",
+            log_key="shard",
+            timeout_label="shard_timeout",
+        )
+        self.recovery_log = ladder.recovery_log
         try:
             if budget is not None:
                 budget.charge_nodes(len(graph), site="validation.parallel")
-            self._run_shards(graph, shards, rules, results, budget)
+            ladder.run(
+                self.choose_executor(graph),
+                _shard_task,
+                (self.plan, graph),
+                {index: (shard, rules, budget) for index, shard in enumerate(shards)},
+                results,
+                "parallel.worker",
+                worker=(_worker_state, (self.schema, graph)),
+                budget=budget,
+            )
         except BudgetExhaustedError as stop:
             if self.on_budget == "error":
                 raise
@@ -256,84 +278,6 @@ class ParallelValidator:
             return "thread"
         return "process"
 
-    # ------------------------------------------------------------------ #
-    # execution: attempts, retries, the executor fallback ladder
-    # ------------------------------------------------------------------ #
-
-    def _run_shards(
-        self,
-        graph: "PropertyGraph | GraphRecords",
-        shards: "Sequence[GraphShard | GraphRecords]",
-        rules: tuple[str, ...],
-        results: "list[ShardResult | None]",
-        budget: "Budget | None",
-    ) -> None:
-        """Fill ``results`` (shard-indexed, so merging stays deterministic),
-        delegating retries and the executor fallback to the shared
-        :class:`~repro.resilience.ExecutorLadder`."""
-        ladder = ExecutorLadder(
-            jobs=self.jobs,
-            max_retries=self.max_retries,
-            retry_base_delay=self.retry_base_delay,
-            task_timeout=self.shard_timeout,
-            fallback=self.fallback,
-            site="validation.parallel",
-            log_key="shard",
-            timeout_label="shard_timeout",
-        )
-        self.recovery_log = ladder.recovery_log
-
-        def serial(index: int, attempt: int) -> ShardResult:
-            faults.fault_point(
-                "parallel.worker",
-                shard=shards[index].index,
-                attempt=attempt,
-                executor="serial",
-            )
-            with obs.span(
-                "validation.shard",
-                shard=shards[index].index,
-                attempt=attempt,
-                executor="serial",
-            ):
-                return validate_shard(self.plan, graph, shards[index], rules, budget)
-
-        def thread_submit(pool, index: int, attempt: int):
-            return pool.submit(
-                _thread_validate,
-                self.plan,
-                graph,
-                shards[index],
-                rules,
-                attempt,
-                budget,
-            )
-
-        def process_submit(pool, index: int, attempt: int):
-            return pool.submit(_pool_validate, (shards[index], rules, attempt, budget))
-
-        def make_process_pool(workers: int):
-            # imported here: the inline and thread paths never load
-            # multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pool_initializer,
-                initargs=(self.schema, graph, faults.active_spec(), obs.worker_config()),
-            )
-
-        ladder.run(
-            self.choose_executor(graph),
-            range(len(shards)),
-            results,
-            serial=serial,
-            thread_submit=thread_submit,
-            process_submit=process_submit,
-            make_process_pool=make_process_pool,
-            budget=budget,
-        )
-
     def _merge(
         self,
         results: "Sequence[ShardResult | None]",
@@ -342,22 +286,8 @@ class ParallelValidator:
         interruption: "BudgetReason | None" = None,
     ) -> ValidationReport:
         faults.fault_point("parallel.merge")
-        # The merge barrier doubles as the span-merge barrier: worker tasks
-        # that ran with observability on arrive as TracedResult wrappers,
-        # absorbed into the parent tracer/registry before the deterministic
-        # report merge (which therefore stays byte-identical either way).
-        results = [obs.unwrap(result) for result in results]
         with obs.span("validation.merge", shards=len(results)):
-            return self._merge_results(results, mode, rules, interruption)
-
-    def _merge_results(
-        self,
-        results: "Sequence[ShardResult | None]",
-        mode: str,
-        rules: tuple[str, ...],
-        interruption: "BudgetReason | None",
-    ) -> ValidationReport:
-        return merge_shard_results(self.plan, results, mode, rules, interruption)
+            return merge_shard_results(self.plan, results, mode, rules, interruption)
 
 
 def merge_shard_results(
@@ -418,65 +348,31 @@ def _sort_key(violation: Violation) -> tuple:
 
 
 # --------------------------------------------------------------------------- #
-# worker plumbing
+# the ladder task
 # --------------------------------------------------------------------------- #
 
-_pool_plan: ValidationPlan | None = None
-_pool_graph: "PropertyGraph | GraphRecords | None" = None
 
-
-def _thread_validate(
-    plan: ValidationPlan,
-    graph: "PropertyGraph | GraphRecords",
-    shard: "GraphShard | GraphRecords",
-    rules: tuple[str, ...],
+def _shard_task(
+    state: "tuple[ValidationPlan, PropertyGraph | GraphRecords]",
+    payload: "tuple[GraphShard | GraphRecords, tuple[str, ...], Budget | None]",
     attempt: int,
-    budget: "Budget | None",
+    executor: str,
 ) -> ShardResult:
-    faults.fault_point(
-        "parallel.worker", shard=shard.index, attempt=attempt, executor="thread"
-    )
+    """One shard attempt on any rung: the fused kernel in a span."""
+    plan, graph = state
+    shard, rules, budget = payload
     with obs.span(
-        "validation.shard", shard=shard.index, attempt=attempt, executor="thread"
+        "validation.shard", shard=shard.index, attempt=attempt, executor=executor
     ):
         return validate_shard(plan, graph, shard, rules, budget)
 
 
-def _pool_initializer(
-    schema: "GraphQLSchema",
-    graph: "PropertyGraph | GraphRecords",
-    fault_spec: str | None,
-    obs_config: dict | None = None,
-) -> None:
-    """Runs once per worker process: compile the plan locally (its closures
-    are never pickled), pin the shared graph, and mirror the parent's fault
-    plan -- shipping the spec explicitly keeps injection working under any
-    multiprocessing start method, and marking the process as a worker arms
-    ``mode=exit`` crash faults (a real ``os._exit``, never in the parent).
-    The parent's observability config rides along the same way: workers
-    record into a private capture buffer (sharing the parent tracer's
-    monotonic epoch) whose contents ship back with each task result."""
-    global _pool_plan, _pool_graph
-    _pool_plan = compile_plan(schema)
-    _pool_graph = graph
-    faults.mark_worker_process()
-    faults.install(fault_spec)
-    obs.install_worker(obs_config)
-
-
-def _pool_validate(
-    task: "tuple[GraphShard | GraphRecords, tuple[str, ...], int, Budget | None]",
-) -> "ShardResult | obs.TracedResult":
-    shard, rules, attempt, budget = task
-    assert _pool_plan is not None and _pool_graph is not None
-    faults.fault_point(
-        "parallel.worker", shard=shard.index, attempt=attempt, executor="process"
-    )
-    with obs.span(
-        "validation.shard", shard=shard.index, attempt=attempt, executor="process"
-    ):
-        result = validate_shard(_pool_plan, _pool_graph, shard, rules, budget)
-    return obs.package(result)
+def _worker_state(
+    schema: "GraphQLSchema", graph: "PropertyGraph | GraphRecords"
+) -> "tuple[ValidationPlan, PropertyGraph | GraphRecords]":
+    """A process worker's state: the plan compiled locally (its closures are
+    never pickled) and the graph shipped once per worker."""
+    return compile_plan(schema), graph
 
 
 # --------------------------------------------------------------------------- #

@@ -25,10 +25,12 @@ so the shard kernel never pays a per-element ``graph.label()`` /
 ``graph.endpoints()`` call on its hot paths; the single bulk resolution pass
 happens here (in :meth:`PropertyGraph.edge_records`).
 
-The hash is ``zlib.crc32`` over the stringified identifier, *not* Python's
-``hash()``: the builtin is salted per process, which would make shard
-assignment differ between the parent and spawned pool workers and between
-runs.  Stability is what makes two parallel runs byte-identical.
+The hash (:func:`stable_bucket`) is ``zlib.crc32`` over the stringified
+identifier, encoded with ``surrogatepass`` so a lone-surrogate id (valid
+JSON) still hashes, *not* Python's ``hash()``: the builtin is salted per
+process, which would make shard assignment differ between the parent and
+spawned pool workers and between runs.  Stability is what makes two
+parallel runs byte-identical.
 
 Every element/group lands in exactly one shard and every shard preserves
 graph iteration order, so the merged result of validating all shards equals
@@ -109,10 +111,10 @@ def partition_graph(
     edge_records = graph.edge_records()
     node_lists = [shard.nodes for shard in shards]
     for record in graph.node_items():
-        node_lists[crc32(str(record[0]).encode()) % num_shards].append(record)
+        node_lists[stable_bucket(str(record[0]), num_shards)].append(record)
     edge_lists = [shard.edges for shard in shards]
     for record in edge_records:
-        edge_lists[crc32(str(record[0]).encode()) % num_shards].append(record)
+        edge_lists[stable_bucket(str(record[0]), num_shards)].append(record)
     _collect_groups(edge_records, shards, num_shards)
     return shards
 
@@ -126,16 +128,10 @@ def _collect_groups(
     for (source, label), group in by_source.items():
         if len(group) < 2:
             continue
-        bucket = (
-            crc32(f"s\x00{source}\x00{label}".encode("utf-8", "surrogatepass"))
-            % num_shards
-        )
+        bucket = stable_bucket(f"s\x00{source}\x00{label}", num_shards)
         shards[bucket].source_groups.append((source, label, group))
     for (target, label), group in by_target.items():
         if len(group) < 2:
             continue
-        bucket = (
-            crc32(f"t\x00{target}\x00{label}".encode("utf-8", "surrogatepass"))
-            % num_shards
-        )
+        bucket = stable_bucket(f"t\x00{target}\x00{label}", num_shards)
         shards[bucket].target_groups.append((target, label, group))

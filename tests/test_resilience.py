@@ -7,8 +7,10 @@ every decision procedure (tableau, bounded search, DPLL, validators), and
 the crash posture of every ``atomic_write`` site.
 """
 
+import ast
 import os
 import pickle
+import re
 
 import pytest
 
@@ -24,7 +26,8 @@ from repro.errors import (
     render_error,
 )
 from repro.perf import Profile, ProfileStore
-from repro.resilience import Budget, faults
+from repro.resilience import Budget, ExecutorLadder, faults
+from repro.resilience.ladder import EXECUTORS
 from repro.sat import CNF, pigeonhole, solve
 from repro.satisfiability import SatisfiabilityChecker
 from repro.schema import parse_schema
@@ -501,3 +504,83 @@ def test_crash_before_rename_keeps_previous_file(tmp_path, site, case):
             assert fp.read() == previous
     assert sorted(os.listdir(directory)) == sorted(before + [os.path.basename(target) + ".tmp"])
     assert recovered()
+
+
+# --------------------------------------------------------------------------- #
+# the executor ladder: one task contract on every rung
+# --------------------------------------------------------------------------- #
+
+#: how often this process built a toy worker state
+_toy_builds = 0
+
+
+def _toy_state(offset):
+    """A toy worker build: the state records which process built it and
+    how many states that process had built by then."""
+    global _toy_builds
+    _toy_builds += 1
+    return offset, os.getpid(), _toy_builds
+
+
+def _toy_task(state, payload, attempt, executor):
+    offset, pid, builds = state
+    return payload * payload + offset, pid, builds
+
+
+def _fault_context(entry):
+    """The fault context an injected crash reported in a recovery entry."""
+    match = re.search(r"\(context (\{.*\})\)", entry["error"])
+    assert match, entry["error"]
+    return ast.literal_eval(match.group(1))
+
+
+def test_ladder_runs_one_task_contract_on_every_rung():
+    payloads = {0: 3, 2: 5, 3: 7, 6: 11}  # sparse: results stay positional
+    expected = [9 + 100, None, 25 + 100, 49 + 100, None, None, 121 + 100, None]
+    faults.install("crash@resilience.toy:attempt=0")  # every first attempt
+    try:
+        for rung in EXECUTORS:
+            ladder = ExecutorLadder(jobs=2, retry_base_delay=0.0, log_key="item")
+            results = [None] * len(expected)
+            ladder.run(
+                rung,
+                _toy_task,
+                (100, os.getpid(), 0),
+                payloads,
+                results,
+                "resilience.toy",
+                worker=(_toy_state, (100,)),
+                tenant="acme",
+            )
+            assert [r and r[0] for r in results] == expected, rung
+            assert [_fault_context(entry) for entry in ladder.recovery_log] == [
+                {"item": index, "attempt": 0, "executor": rung, "tenant": "acme"}
+                for index in payloads
+            ], rung
+            assert {entry["executor"] for entry in ladder.recovery_log} == {rung}
+            pids = {r[1] for r in results if r}
+            if rung == "process":
+                # two workers ran four tasks, each on the state it built once
+                assert os.getpid() not in pids and len(pids) <= 2
+                assert {r[2] for r in results if r} == {1}
+            else:
+                assert pids == {os.getpid()}
+    finally:
+        faults.uninstall()
+
+
+def test_queued_tasks_are_not_taken_for_stuck_workers():
+    """task_timeout runs from a task's submission: with one worker, three
+    0.3 s tasks under a 0.5 s ceiling all finish without a recovery."""
+    ladder = ExecutorLadder(jobs=1, task_timeout=0.5, log_key="item")
+    results = [None] * 3
+    faults.install("delay@resilience.toy:seconds=0.3")
+    try:
+        ladder.run(
+            "thread", _toy_task, (0, os.getpid(), 0), {0: 1, 1: 2, 2: 3}, results,
+            "resilience.toy",
+        )
+    finally:
+        faults.uninstall()
+    assert ladder.recovery_log == []
+    assert [r[0] for r in results] == [1, 4, 9]

@@ -8,7 +8,7 @@ clamping, and the facade wiring.
 
 import pytest
 
-from repro.pg import PropertyGraph
+from repro.pg import PropertyGraph, graph_from_dict, graph_to_dict
 from repro.validation import (
     IndexedValidator,
     ParallelValidator,
@@ -17,7 +17,7 @@ from repro.validation import (
     validate,
 )
 from repro.validation.parallel import usable_cores
-from repro.workloads import library_graph, load, user_session_graph
+from repro.workloads import corrupt_graph, library_graph, load, user_session_graph
 
 SCHEMA = load("library")
 
@@ -158,6 +158,23 @@ class TestFacadeWiring:
         left = validate(SCHEMA, graph, engine="parallel", jobs=2)
         right = validate(SCHEMA, graph, engine="indexed")
         assert left.keys() == right.keys()
+
+    def test_lone_surrogate_ids_fan_out_like_the_inline_run(self):
+        """Lone-surrogate ids are valid JSON; the partitioner must hash them
+        (every bucket encodes with ``surrogatepass``)."""
+        document = graph_to_dict(corrupt_graph(_graph(), SCHEMA, "DS1", seed=1))
+        for node in document["nodes"]:
+            node["id"] = f"{node['id']}\ud800"
+        for edge in document["edges"]:
+            edge["id"] = f"{edge['id']}\udfff"
+            edge["source"] = f"{edge['source']}\ud800"
+            edge["target"] = f"{edge['target']}\ud800"
+        graph = graph_from_dict(document)
+        inline = validate(SCHEMA, graph)
+        assert not inline.conforms
+        fanned = validate(SCHEMA, graph, jobs=2)
+        assert fanned.summary() == inline.summary()
+        assert [str(v) for v in fanned.violations] == [str(v) for v in inline.violations]
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown validation engine"):
