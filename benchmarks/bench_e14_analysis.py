@@ -16,7 +16,10 @@ Measured/asserted here:
    sweep with the feed off (asserted only outside quick mode; the margin is
    schema-dependent, so only direction is asserted, the ratio is printed);
 3. soundness: with the feed on and off, ``check_schema`` reports stay
-   byte-identical through ``to_json()`` -- asserted in every mode;
+   byte-identical through ``to_json()`` once the rung that decided
+   (``decided_by``, ``diagnostic``) is dropped, and the feed-on report says
+   ``"analysis"`` exactly where the analysis decided -- asserted in every
+   mode;
 4. analysis cost: running all four passes over the whole corpus is
    milliseconds, orders below one tableau search on the same schemas.
 
@@ -140,22 +143,30 @@ def test_feed_speeds_up_cold_sweeps():
 # --------------------------------------------------------------------------- #
 
 
+def _verdicts_only(report: dict) -> str:
+    """A ``to_json()`` dump without the rung that decided each type."""
+    for entry in report["types"].values():
+        del entry["decided_by"]
+        entry.pop("diagnostic", None)
+    return json.dumps(report, sort_keys=True)
+
+
 @pytest.mark.experiment("E14")
 @pytest.mark.parametrize("engine", ["serial", "portfolio"])
 def test_feed_reports_byte_identical(engine):
     for schema in _suite():
-        expected = json.dumps(
-            SatisfiabilityChecker(
-                schema, cache=False, analysis_precheck=False
-            )
-            .check_schema(engine=engine)
-            .to_json(),
-            sort_keys=True,
-        )
-        fed = SatisfiabilityChecker(schema, cache=SatCache(schema)).check_schema(
+        off = SatisfiabilityChecker(
+            schema, cache=False, analysis_precheck=False
+        ).check_schema(engine=engine).to_json()
+        on = SatisfiabilityChecker(schema, cache=SatCache(schema)).check_schema(
             engine=engine
-        )
-        assert json.dumps(fed.to_json(), sort_keys=True) == expected
+        ).to_json()
+        static = sat_preverdicts(schema).types
+        for name, entry in on["types"].items():
+            assert off["types"][name]["decided_by"] == "tableau"
+            expected = "analysis" if name in static else "tableau"
+            assert entry["decided_by"] == expected, name
+        assert _verdicts_only(on) == _verdicts_only(off)
 
 
 # --------------------------------------------------------------------------- #

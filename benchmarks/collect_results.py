@@ -321,11 +321,11 @@ def e9_ablation() -> None:
     print()
 
 
-def e11_lint_precheck() -> None:
-    print("## E11 — polynomial unsat pre-check vs tableau (dead chains)")
+def e11_static_rung() -> None:
+    print("## E11 — the static rung (analysis) vs the tableau (dead chains)")
     depths = (4, 8) if QUICK else (4, 16, 64)
     rows = []
-    print(f"{'depth':>6} | {'lint (ms)':>9} | {'tableau (ms)':>12}")
+    print(f"{'depth':>6} | {'analysis (ms)':>13} | {'tableau (ms)':>12}")
     for depth in depths:
         lines = ["interface Dead { x: Int }", "type T0 { next: Dead @required }"]
         for i in range(1, depth):
@@ -335,15 +335,15 @@ def e11_lint_precheck() -> None:
         def decide(engine: str) -> None:
             schema = parse_schema(sdl)
             checker = SatisfiabilityChecker(
-                schema, lint_precheck=(engine == "lint"), cache=False
+                schema, analysis_precheck=(engine == "analysis"), cache=False
             )
             verdict = checker.check_type(f"T{depth - 1}", find_witness=False)
             assert not verdict.tableau_satisfiable and verdict.decided_by == engine
 
-        t_lint = timed(decide, "lint")
+        t_static = timed(decide, "analysis")
         t_tableau = timed(decide, "tableau")
-        rows.append({"depth": depth, "lint_s": t_lint, "tableau_s": t_tableau})
-        print(f"{depth:>6} | {t_lint * 1000:>9.2f} | {t_tableau * 1000:>12.2f}")
+        rows.append({"depth": depth, "analysis_s": t_static, "tableau_s": t_tableau})
+        print(f"{depth:>6} | {t_static * 1000:>13.2f} | {t_tableau * 1000:>12.2f}")
     write_bench_json("e11", {"experiment": "E11", "rows": rows})
     print()
 
@@ -748,7 +748,7 @@ SECTIONS = {
     "e6": e6_satisfiability,
     "e8": e8_baseline,
     "e9": e9_ablation,
-    "e11": e11_lint_precheck,
+    "e11": e11_static_rung,
     "e12": e12_parallel_validation,
     "e13": e13_portfolio_sat,
     "e14": e14_analysis,

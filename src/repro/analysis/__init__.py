@@ -5,10 +5,12 @@ The package front door:
 * :func:`analyze_schema` -- run the default pass pipeline (cardinality
   intervals, constraint implication, key domains, reachability) over a
   schema, memoized per schema instance;
-* :func:`sat_preverdicts` -- the sound SAT/UNSAT pre-verdict feed the
-  satisfiability engines consult before constructing a tableau; only
-  verdicts the fixpoints *prove* are present, everything else is absent
-  and falls through to the engines;
+* :func:`sat_preverdicts` -- the sound SAT/UNSAT pre-verdict feed, the one
+  static rung of the satisfiability decision ladder; only verdicts the
+  fixpoints *prove* are present, everything else falls through to the
+  tableau.  It runs the cardinality pass alone, into the same memo, so a
+  later :func:`analyze_schema` runs only the other passes (which
+  ``pgschema sat`` never loads);
 * :func:`analysis_cache_clear` -- drop the per-schema memo (tests and
   benchmarks use it to force cold runs).
 
@@ -27,6 +29,7 @@ import threading
 import weakref
 from typing import TYPE_CHECKING
 
+from ..lint.diagnostics import Diagnostic
 from ..record import Record
 from .cardinality import CardinalityFacts, CardinalityPass
 from .framework import (
@@ -38,10 +41,7 @@ from .framework import (
     fixpoint,
 )
 from .graph import FieldEdge, TypeDependencyGraph
-from .implication import ImplicationPass
-from .keys import KeyDomainPass
 from .lattice import Interval
-from .reachability import ReachabilityPass
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..schema.model import GraphQLSchema
@@ -54,11 +54,8 @@ __all__ = [
     "CardinalityFacts",
     "CardinalityPass",
     "FieldEdge",
-    "ImplicationPass",
     "Interval",
-    "KeyDomainPass",
     "PassManager",
-    "ReachabilityPass",
     "SatPreVerdicts",
     "TypeDependencyGraph",
     "analysis_cache_clear",
@@ -70,7 +67,12 @@ __all__ = [
 
 
 def default_passes() -> tuple[AnalysisPass, ...]:
-    """The standard pipeline, in dependency order."""
+    """The standard pipeline, in dependency order (all but the cardinality
+    pass load here: ``pgschema sat`` runs that one alone)."""
+    from .implication import ImplicationPass
+    from .keys import KeyDomainPass
+    from .reachability import ReachabilityPass
+
     return (
         CardinalityPass(),
         ImplicationPass(),
@@ -92,12 +94,18 @@ def analyze_schema(schema: "GraphQLSchema", refresh: bool = False) -> AnalysisRe
     built), so the lint rules, the CLI and the satisfiability pre-verdict
     feed share one run.
     """
-    if not refresh:
-        with _lock:
-            cached = _results.get(schema)
-        if cached is not None:
-            return cached
-    result = PassManager(default_passes()).run(schema)
+    return _memoized(schema, default_passes(), refresh)
+
+
+def _memoized(
+    schema: "GraphQLSchema", passes: tuple[AnalysisPass, ...], refresh: bool = False
+) -> AnalysisResult:
+    """The memo for *schema* once *passes* ran; memoized facts are reused."""
+    with _lock:
+        prior = None if refresh else _results.get(schema)
+    if prior is not None and all(p.name in prior.facts for p in passes):
+        return prior
+    result = PassManager(passes).run(schema, prior)
     with _lock:
         _results[schema] = result
     return result
@@ -116,12 +124,14 @@ class SatPreVerdicts(Record):
     maps ``(declaring type, field name)`` relationship declarations to the
     proven verdict of the §6.2 concept ``t ⊓ ∃f.base``.  Absence means the
     fixpoints could not decide and the tableau/bounded engines must run.
-    ``@key`` findings never contribute here -- the translation drops keys,
-    so key reasoning is not sound for tableau semantics.
+    ``diagnostics`` maps each type proved UNSAT to the PG011 finding that
+    proves it.  ``@key`` findings never contribute here -- the translation
+    drops keys, so key reasoning is not sound for tableau semantics.
     """
 
     types: dict[str, bool] = {}
     fields: dict[tuple[str, str], bool] = {}
+    diagnostics: dict[str, Diagnostic] = {}
 
     @property
     def decided(self) -> int:
@@ -129,8 +139,10 @@ class SatPreVerdicts(Record):
 
 
 def sat_preverdicts(schema: "GraphQLSchema") -> SatPreVerdicts:
-    """The pre-verdict feed for one schema (memoized via the analysis)."""
-    cardinality: CardinalityFacts = analyze_schema(schema).fact("cardinality")
+    """The pre-verdict feed for one schema: the cardinality pass alone,
+    memoized with the rest of the analysis."""
+    result = _memoized(schema, (CardinalityPass(),))
+    cardinality: CardinalityFacts = result.fact("cardinality")
     types: dict[str, bool] = {}
     for type_name in schema.object_types:
         verdict = cardinality.type_verdict(type_name)
@@ -141,4 +153,9 @@ def sat_preverdicts(schema: "GraphQLSchema") -> SatPreVerdicts:
         for key, verdict in cardinality.field_verdicts.items()
         if verdict is not None
     }
-    return SatPreVerdicts(types=types, fields=fields)
+    diagnostics = {
+        diagnostic.unsat_type: diagnostic
+        for diagnostic in result.diagnostics
+        if diagnostic.code == "PG011" and diagnostic.unsat_type is not None
+    }
+    return SatPreVerdicts(types=types, fields=fields, diagnostics=diagnostics)

@@ -152,12 +152,25 @@ class PassManager:
             names.add(analysis_pass.name)
         self.passes: tuple[AnalysisPass, ...] = tuple(passes)
 
-    def run(self, schema: "GraphQLSchema") -> AnalysisResult:
-        graph = TypeDependencyGraph(schema)
+    def run(
+        self, schema: "GraphQLSchema", prior: AnalysisResult | None = None
+    ) -> AnalysisResult:
+        """Run the pipeline over *schema*.
+
+        *prior*, an earlier result over the same schema, is resumed: its
+        graph, facts, findings and timings carry over, and a pass whose
+        fact it already holds does not run again.
+        """
+        graph = TypeDependencyGraph(schema) if prior is None else prior.graph
         context = AnalysisContext(schema=schema, graph=graph)
         timings: dict[str, float] = {}
-        with obs.span("analysis.run", passes=len(self.passes)):
-            for analysis_pass in self.passes:
+        if prior is not None:
+            context.facts.update(prior.facts)
+            context.diagnostics.extend(prior.diagnostics)
+            timings.update(prior.timings)
+        pending = [p for p in self.passes if p.name not in context.facts]
+        with obs.span("analysis.run", passes=len(pending)):
+            for analysis_pass in pending:
                 with obs.span("analysis.pass", pass_name=analysis_pass.name):
                     started = time.perf_counter()
                     context.facts[analysis_pass.name] = analysis_pass.run(context)

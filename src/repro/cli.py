@@ -219,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sat.add_argument(
         "--no-analysis", action="store_true",
-        help="disable the dataflow-analysis pre-verdict feed (every element "
-        "is decided by the lint pre-pass or a tableau/bounded search)",
+        help="disable the static rung (the dataflow-analysis verdicts): the "
+        "tableau then decides every element",
     )
     _add_budget_arguments(sat)
     _add_obs_arguments(sat)

@@ -46,6 +46,12 @@ def load_graph(path: str, records: bool = False):
     return graph
 
 
+def escaped(text: str) -> str:
+    """*text* with lone surrogates (JSON ids may carry them, UTF-8 cannot
+    encode them) printed as ``\\ud800`` escapes."""
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 def budget_from_args(args):
     """The ``--timeout``/``--max-nodes`` budget, or None (and no import)."""
     if args.timeout is None and args.max_nodes is None:

@@ -1,7 +1,7 @@
 """``pgschema cdc``: consume a mutation journal, keeping the violation set current."""
 
 from ..validation import CDCConsumer
-from . import budget_from_args, load_graph, load_schema
+from . import budget_from_args, escaped, load_graph, load_schema
 
 
 def run(args) -> int:
@@ -27,7 +27,7 @@ def run(args) -> int:
         + (f", {result.retries} retried apply(s)" if result.retries else "")
     )
     for event in result.events:
-        print(f"  {event}")
+        print(escaped(f"  {event}"))
     print(result.report.summary())
     if result.report.violations:
         return 1

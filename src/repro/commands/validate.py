@@ -4,7 +4,7 @@ import sys
 
 from .. import obs
 from ..errors import GraphLoadError
-from . import budget_from_args, load_graph, load_schema
+from . import budget_from_args, escaped, load_graph, load_schema
 
 
 def run(args) -> int:
@@ -101,7 +101,7 @@ def finish(report) -> int:
     with obs.span("validation.report", violations=len(report.violations)):
         print(report.summary())
         for violation in sorted(report.violations, key=str):
-            print(f"  {violation}")
+            print(escaped(f"  {violation}"))
     if report.violations:
         return 1
     return 0 if report.complete else 3

@@ -2,9 +2,6 @@
 
 :func:`lint_schema` is the front door: it resolves a rule selection, runs
 every selected rule, and returns the findings in stable report order.
-:func:`unsat_diagnostics` is the narrow view the satisfiability engine uses
-as its polynomial pre-pass: only the ``unsat``-class rules, keyed by the
-object type each finding proves unsatisfiable.
 """
 
 from __future__ import annotations
@@ -85,25 +82,6 @@ def lint_schema(
         for finding in findings:
             observation.registry.count(f"lint.findings.{finding.code}")
     return tuple(sorted(findings, key=sort_key))
-
-
-def unsat_diagnostics(schema: "GraphQLSchema") -> dict[str, Diagnostic]:
-    """Object types the unsat-class rules prove unsatisfiable.
-
-    Every key is the name of an object type no consistent property graph can
-    populate; the value is the (error-severity) finding that proves it.
-    This is the polynomial pre-pass
-    :class:`~repro.satisfiability.engine.SatisfiabilityChecker` consults
-    before falling back to the tableau.
-    """
-    verdicts: dict[str, Diagnostic] = {}
-    for rule in all_rules():
-        if not rule.unsat:
-            continue
-        for diagnostic in rule.check(schema):
-            if diagnostic.unsat_type is not None:
-                verdicts.setdefault(diagnostic.unsat_type, diagnostic)
-    return verdicts
 
 
 def has_errors(findings: Iterable[Diagnostic]) -> bool:

@@ -2,15 +2,17 @@
 
 Each rule is a function over a built :class:`~repro.schema.model.GraphQLSchema`
 that yields :class:`~repro.lint.diagnostics.Diagnostic` objects.  Rules are
-registered with a stable code (``PG001``...), a slug name, and an ``unsat``
-flag marking the rules whose *error* findings constitute a proof that an
-object type is unsatisfiable.  Those findings are sound with respect to the
-Theorem-3 ALCQI translation -- every axiom the reasoning below appeals to is
-one the translation emits -- so the satisfiability engine can return UNSAT
-from them without running the PSPACE tableau (see
+registered with a stable code (``PG001``...) and a slug name.  The *error*
+findings of PG001 and PG003 constitute a proof that an object type is
+unsatisfiable (they carry ``unsat_type``).  Those findings are sound with
+respect to the Theorem-3 ALCQI translation -- every axiom the reasoning
+below appeals to is one the translation emits.  The satisfiability engine
+does not consult them: the cardinality interval analysis
+(:mod:`repro.analysis.cardinality`, PG011) proves every such type UNSAT
+too, and it is the static rung of the decision ladder (see
 :mod:`repro.satisfiability.engine`).
 
-The two unsat-class rules:
+The two unsat-proving rules:
 
 * **PG001** (conflicting cardinality, Example 6.1's class).  For a target
   object type ``x`` and field ``f``, ``@requiredForTarget`` on disjoint
@@ -28,6 +30,7 @@ The two unsat-class rules:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..record import Record
@@ -54,7 +57,6 @@ class LintRule(Record):
     code: str
     name: str
     description: str
-    unsat: bool
     check: CheckFunction
 
 
@@ -63,14 +65,14 @@ RULES: dict[str, LintRule] = {}
 
 
 def rule(
-    code: str, name: str, description: str, unsat: bool = False
+    code: str, name: str, description: str
 ) -> Callable[[CheckFunction], CheckFunction]:
     """Class decorator registering a check function under a stable code."""
 
     def decorate(fn: CheckFunction) -> CheckFunction:
         if code in RULES:  # pragma: no cover - authoring error
             raise ValueError(f"duplicate lint rule code {code}")
-        RULES[code] = LintRule(code, name, description, unsat, fn)
+        RULES[code] = LintRule(code, name, description, fn)
         return fn
 
     return decorate
@@ -304,7 +306,6 @@ def _unpopulatable_types(schema: "GraphQLSchema") -> dict[str, Diagnostic | None
     "conflicting-cardinality",
     "@requiredForTarget lower bounds exceed a @uniqueForTarget cap "
     "(Example 6.1's class); the affected type is unsatisfiable",
-    unsat=True,
 )
 def check_conflicting_cardinality(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
     yield from _conflicting_unsat_types(schema).values()
@@ -348,7 +349,6 @@ def check_noloops_forced_cycle(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
     "a @required edge into a provably unpopulatable target family (or a "
     "@requiredForTarget obligation from one), propagated to a fixpoint; "
     "the affected type is unsatisfiable",
-    unsat=True,
 )
 def check_dead_required_target(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
     for diagnostic in _unpopulatable_types(schema).values():
@@ -713,13 +713,12 @@ def check_interface_field_shadowing(schema: "GraphQLSchema") -> Iterator[Diagnos
 #
 # Thin surfaces over :mod:`repro.analysis`: the fixpoint passes run once per
 # schema (memoized there) and each rule below republishes one diagnostic
-# code.  All of them register ``unsat=False`` even where the underlying
-# finding is a soundness proof -- the satisfiability engines consume the
-# analysis feed directly (:func:`repro.analysis.sat_preverdicts`), so the
-# lint pre-pass, its reports, and the ``decided_by`` accounting stay exactly
-# as they were.  PG011/PG012 additionally suppress findings the polynomial
-# rules above already report (PG001/PG003/PG004), so a schema gains new
-# findings only where the fixpoints see strictly further.
+# code.  The satisfiability engine reads the same analysis directly
+# (:func:`repro.analysis.sat_preverdicts`): a type it decides reports
+# ``decided_by="analysis"`` and, when UNSAT, carries the PG011 finding.
+# Here PG011/PG012 suppress findings the polynomial rules above already
+# report (PG001/PG003/PG004), so a schema gains new lint findings only where
+# the fixpoints see strictly further.
 
 
 def _analysis_findings(schema: "GraphQLSchema", code: str) -> Iterator[Diagnostic]:
@@ -764,61 +763,19 @@ def check_interval_dead_edge(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
         yield diagnostic
 
 
-@rule(
-    "PG013",
-    "implied-directive",
-    "a directive whose translated axiom is entailed by another declaration "
-    "of the same field across interface inheritance",
-)
-def check_implied_directive(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
-    yield from _analysis_findings(schema, "PG013")
-
-
-@rule(
-    "PG014",
-    "contradictory-inheritance",
-    "an own relationship declaration whose target family is disjoint from "
-    "the applicable interface declarations' families",
-)
-def check_contradictory_inheritance(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
-    yield from _analysis_findings(schema, "PG014")
-
-
-@rule(
-    "PG015",
-    "key-domain-collision",
-    "a @key built entirely from finite value domains (Boolean/enum) bounds "
-    "the keyed family's instance count",
-)
-def check_key_domain_collision(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
-    yield from _analysis_findings(schema, "PG015")
-
-
-@rule(
-    "PG016",
-    "vacuous-key",
-    "a @key made redundant by another key over a subset of its fields (or "
-    "a reordered duplicate)",
-)
-def check_vacuous_key(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
-    yield from _analysis_findings(schema, "PG016")
-
-
-@rule(
-    "PG017",
-    "dead-abstract-type",
-    "an interface or union whose entire object-type family is provably "
-    "unpopulatable denotes the empty type",
-)
-def check_dead_abstract_type(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
-    yield from _analysis_findings(schema, "PG017")
-
-
-@rule(
-    "PG018",
-    "isolated-type",
-    "an object type disconnected from the relationship structure: no edges "
-    "in or out, no interface or union membership",
-)
-def check_isolated_type(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
-    yield from _analysis_findings(schema, "PG018")
+# PG013-PG018 republish one analysis code each, unfiltered.
+for _code, _name, _description in (
+    ("PG013", "implied-directive", "a directive whose translated axiom is entailed by "
+     "another declaration of the same field across interface inheritance"),
+    ("PG014", "contradictory-inheritance", "an own relationship declaration whose target "
+     "family is disjoint from the applicable interface declarations' families"),
+    ("PG015", "key-domain-collision", "a @key built entirely from finite value domains "
+     "(Boolean/enum) bounds the keyed family's instance count"),
+    ("PG016", "vacuous-key", "a @key made redundant by another key over a subset of its "
+     "fields (or a reordered duplicate)"),
+    ("PG017", "dead-abstract-type", "an interface or union whose entire object-type family "
+     "is provably unpopulatable denotes the empty type"),
+    ("PG018", "isolated-type", "an object type disconnected from the relationship "
+     "structure: no edges in or out, no interface or union membership"),
+):
+    rule(_code, _name, _description)(partial(_analysis_findings, code=_code))

@@ -25,6 +25,12 @@ median ratio past the threshold *and* rank-test significance;
 the fast side.  Degradations carry a severity derived from the ratio
 (``minor`` < 1.5x <= ``major`` < 2.5x <= ``severe``).
 
+Two guards hold the false-alarm rate down.  The reported p-value is a
+mid-p; when the plain exact null cannot go below ``alpha`` at all
+(``1 / C(n1 + n2, n2) >= alpha``: 3-vs-3 repeats give 1/20) nothing is
+confirmed.  And ``perf check`` tests its scenarios as one family:
+:func:`holm` applies Holm's step-down across them.
+
 Everything here is a pure function of its inputs: the same two sample
 batches always produce byte-identical comparisons, which the soundness
 tests assert.
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Any, Sequence
 
@@ -43,6 +49,7 @@ __all__ = [
     "Thresholds",
     "Verdict",
     "compare_samples",
+    "holm",
     "rank_sum_p_value",
     "severity_for_ratio",
 ]
@@ -244,15 +251,44 @@ def compare_samples(
 
     if abs(target_median - baseline_median) < thresholds.min_delta_s:
         return result(Verdict.NO_CHANGE, None, None)
+    # the plain exact null's smallest p-value must be able to beat alpha
+    powered = 1 / math.comb(len(baseline) + len(target), len(target)) < thresholds.alpha
     if ratio >= thresholds.degradation_ratio:
         p_value = rank_sum_p_value(baseline, target, "greater")
         severity = severity_for_ratio(ratio, thresholds)
-        if p_value <= thresholds.alpha:
+        if powered and p_value <= thresholds.alpha:
             return result(Verdict.DEGRADATION, severity, p_value)
         return result(Verdict.MAYBE_DEGRADATION, severity, p_value)
     if ratio <= thresholds.optimization_ratio:
         p_value = rank_sum_p_value(baseline, target, "less")
-        if p_value <= thresholds.alpha:
+        if powered and p_value <= thresholds.alpha:
             return result(Verdict.OPTIMIZATION, None, p_value)
         return result(Verdict.NO_CHANGE, None, p_value)
     return result(Verdict.NO_CHANGE, None, None)
+
+
+def holm(
+    comparisons: Sequence[Comparison], thresholds: Thresholds | None = None
+) -> list[Comparison]:
+    """Holm's step-down over one family of comparisons (one ``perf check``).
+
+    The p-value at rank ``i`` (0-based, ascending; none counts as 1) passes
+    while it and every smaller one are at most ``alpha / (m - i)``; a
+    confirmation that does not pass is demoted to ``MaybeDegradation`` /
+    ``NoChange``, as an unconfirmed screen reports.
+    """
+    alpha = (thresholds or Thresholds()).alpha
+    m = len(comparisons)
+    p = [1.0 if c.p_value is None else c.p_value for c in comparisons]
+    demoted = {
+        Verdict.DEGRADATION: Verdict.MAYBE_DEGRADATION,
+        Verdict.OPTIMIZATION: Verdict.NO_CHANGE,
+    }
+    adjusted = list(comparisons)
+    passing = True
+    for rank, index in enumerate(sorted(range(m), key=p.__getitem__)):
+        passing = passing and p[index] <= alpha / (m - rank)
+        verdict = comparisons[index].verdict
+        if not passing and verdict in demoted:
+            adjusted[index] = replace(comparisons[index], verdict=demoted[verdict])
+    return adjusted

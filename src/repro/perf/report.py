@@ -14,10 +14,10 @@ and target were measured under different fingerprints is reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
-from .detect import Comparison, Thresholds, Verdict, compare_samples
+from .detect import Comparison, Thresholds, Verdict, compare_samples, holm
 from .store import Profile, ProfileStore
 
 __all__ = [
@@ -120,6 +120,8 @@ def diff_runs(
 
     Defaults to the last two recorded runs -- the ``perf check`` CI shape,
     where run N-1 is the baseline artifact and run N is the fresh record.
+    The compared scenarios are one family: :func:`~repro.perf.detect.holm`
+    corrects their confirmations for multiplicity.
     """
     runs = store.runs()
     if target_run is None:
@@ -174,6 +176,9 @@ def diff_runs(
                     target=target,
                 )
             )
+    compared = {i: e.comparison for i, e in enumerate(entries) if e.comparison is not None}
+    for index, comparison in zip(compared, holm(list(compared.values()), thresholds)):
+        entries[index] = replace(entries[index], comparison=comparison)
     return DiffReport(
         baseline_run=baseline_run, target_run=target_run, entries=tuple(entries)
     )

@@ -3,15 +3,14 @@
 :class:`SatisfiabilityChecker` offers:
 
 * ``check_type`` -- the decision ladder (:meth:`~SatisfiabilityChecker.decision_ladder`:
-  verdict cache, the ``unsat``-class lint rules of :mod:`repro.lint`, the
-  dataflow-analysis pre-verdicts), then, for a type the ladder leaves open,
-  the paper's procedure (Theorem 3): translate the schema to an ALCQI TBox
-  and run the tableau.  A lint hit (Example 6.1's conflicting-cardinality
-  class and its dead-required-target closure) returns UNSAT carrying the
-  diagnostic, and the tableau is never even constructed.  The tableau
-  decides satisfiability over *unrestricted* (possibly infinite) models;
-  every ladder rung is sound for exactly that semantics, so they never
-  disagree.
+  verdict cache, then the one static rung, the dataflow analysis of
+  :func:`repro.analysis.sat_preverdicts`), then, for a type the ladder
+  leaves open, the paper's procedure (Theorem 3): translate the schema to
+  an ALCQI TBox and run the tableau.  An analysis verdict (e.g. Example
+  6.1's conflicting-cardinality class) reports ``decided_by="analysis"``,
+  an UNSAT one with the PG011 finding, and no tableau is ever built.  The
+  tableau decides satisfiability over *unrestricted* (possibly infinite)
+  models; the analysis is sound for exactly that semantics.
 * ``check_type_finite`` -- bounded search for an actual witness Property
   Graph.  Property Graphs are finite, so this is the semantics the paper's
   Definition of satisfiability literally asks for; ALCQI lacks the finite
@@ -32,8 +31,8 @@
 
 Checker instances are cheap: the tableau and the bounded finder are built
 lazily *per thread* (a tableau's completion-tree state is not shareable
-across concurrent checks), all threads share one TBox, one lint pre-pass
-and one :class:`~repro.satisfiability.cache.SatCache`.
+across concurrent checks), all threads share one TBox, one analysis
+pre-verdict feed and one :class:`~repro.satisfiability.cache.SatCache`.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .. import obs
 from ..dl.concepts import And, Concept, Exists, Name, Role
 from ..errors import BudgetExhaustedError, BudgetReason
 from ..lint.diagnostics import Diagnostic
-from ..lint.engine import unsat_diagnostics
 from ..record import Record
 from .bounded import BoundedModelFinder, BoundedSearchResult
 from .cache import SatCache, sat_cache_for
@@ -113,9 +111,9 @@ class TypeSatisfiability(Record, frozen=False):
     SAT/UNSAT, None when an execution budget ran out first -- the
     structured cause is then in ``reason`` and ``decided_by`` is
     ``"budget"``.  ``decided_by`` otherwise records which engine produced
-    the verdict: ``"lint"`` when a polynomial unsat pre-check proved the
-    type unsatisfiable (in which case ``diagnostic`` holds the finding and
-    no tableau ran), or ``"tableau"`` for the Theorem-3 decision.
+    the verdict: ``"analysis"`` when the dataflow analysis proved it (no
+    tableau ran; for an UNSAT type ``diagnostic`` holds the PG011 finding),
+    or ``"tableau"`` for the Theorem-3 decision.
     """
 
     type_name: str
@@ -262,7 +260,6 @@ class SatisfiabilityChecker:
         schema: "GraphQLSchema",
         max_nodes: int = 5000,
         bounded_max_nodes: int = 4,
-        lint_precheck: bool = True,
         budget: "Budget | None" = None,
         on_budget: str = "unknown",
         cache: "bool | SatCache" = True,
@@ -281,22 +278,15 @@ class SatisfiabilityChecker:
         cache (verdicts replay across calls and checker instances), False
         disables caching entirely, and an explicit
         :class:`~repro.satisfiability.cache.SatCache` uses that instance.
-        A checker given a custom ``budget`` template gets a *private* cache
-        under ``cache=True``: the caller is studying how answers degrade
-        under that budget, and a registry hit decided under somebody else's
-        budget would bypass exactly the limit being imposed.
+        A checker given a custom ``budget`` template, or with the analysis
+        off, gets a *private* cache under ``cache=True``: a registry hit
+        decided under somebody else's budget, or by the analysis, would
+        bypass exactly the limit being studied or the tableau asked for.
 
-        ``analysis_precheck`` enables the dataflow-analysis pre-verdict feed
-        (:func:`repro.analysis.sat_preverdicts`): sound SAT *and* UNSAT
-        verdicts proved by the cardinality-interval fixpoints, consulted
-        after the cache and the lint pre-pass but before any tableau is
-        built.  Verdicts decided this way are reported exactly as the
-        tableau would report them (``decided_by="tableau"``, no
-        diagnostic), so reports stay byte-identical with the feed on or
-        off; only the profile/obs accounting records the skip.  The feed
-        is automatically disabled for budgeted checkers -- budget studies
-        measure how the engines degrade, and an instant fixpoint answer
-        would bypass the limit being imposed.
+        ``analysis_precheck`` enables the static rung
+        (:func:`repro.analysis.sat_preverdicts`), consulted after the cache
+        and before any tableau, budgeted or not; turning it off is the one
+        way to make the tableau decide every element.
         """
         if on_budget not in _ON_BUDGET:
             raise ValueError(
@@ -304,20 +294,17 @@ class SatisfiabilityChecker:
             )
         self.schema = schema
         self.bounded_max_nodes = bounded_max_nodes
-        self.lint_precheck = lint_precheck
         self.analysis_precheck = analysis_precheck
         self.budget = budget
         self.on_budget = on_budget
         self._max_nodes = max_nodes
         self._tbox: "TBox | None" = None
         self._tbox_lock = threading.Lock()
-        self._lint_verdicts: dict[str, Diagnostic] | None = None
         self._analysis_verdicts: "SatPreVerdicts | None" = None
-        self._analysis_ready = False
-        self._analysis_lock = threading.Lock()
         if cache is True:
+            private = budget is not None or not analysis_precheck
             self.cache: "SatCache | None" = (
-                SatCache(schema) if budget is not None else sat_cache_for(schema)
+                SatCache(schema) if private else sat_cache_for(schema)
             )
         elif cache is False:
             self.cache = None
@@ -335,7 +322,7 @@ class SatisfiabilityChecker:
     # lazy components: the decision ladder can decide without either.
     # The tableau and the bounded finder hold per-search mutable state, so
     # they are built per *thread* (thread fan-out runs concurrent checks);
-    # the TBox, lint verdicts and SatCache are shared.
+    # the TBox, analysis verdicts and SatCache are shared.
     # ------------------------------------------------------------------ #
 
     @property
@@ -373,32 +360,18 @@ class SatisfiabilityChecker:
             self._local.finder = finder
         return finder
 
-    def lint_verdict(self, object_type: str) -> Diagnostic | None:
-        """The pre-pass verdict: a diagnostic proving unsatisfiability, or None.
-
-        Always available (regardless of ``lint_precheck``) so callers can ask
-        *why* a type is unsatisfiable even when they want tableau decisions.
-        """
-        if self._lint_verdicts is None:
-            self._lint_verdicts = unsat_diagnostics(self.schema)
-        return self._lint_verdicts.get(object_type)
-
     def analysis_verdicts(self) -> "SatPreVerdicts | None":
         """The dataflow-analysis pre-verdict feed, or None when disabled.
 
-        Computed lazily once per checker; None when ``analysis_precheck``
-        is off or the checker carries a budget template (budget studies
-        must exercise the real engines).
+        Computed lazily once per checker (a racing thread computes an equal
+        feed); None when ``analysis_precheck`` is off.
         """
-        if not self.analysis_precheck or self.budget is not None:
+        if not self.analysis_precheck:
             return None
-        if not self._analysis_ready:
+        if self._analysis_verdicts is None:
             from ..analysis import sat_preverdicts
 
-            with self._analysis_lock:
-                if not self._analysis_ready:
-                    self._analysis_verdicts = sat_preverdicts(self.schema)
-                    self._analysis_ready = True
+            self._analysis_verdicts = sat_preverdicts(self.schema)
         return self._analysis_verdicts
 
     def _fresh_budget(self, override: "Budget | None") -> "Budget | None":
@@ -418,24 +391,20 @@ class SatisfiabilityChecker:
         find_witness: bool = False,
         budget: "Budget | None" = None,
     ) -> "tuple[TypeSatisfiability | bool | None, str | None]":
-        """Decide one element without a search: cache → lint → analysis.
+        """Decide one element without a search: cache → analysis.
 
         The element is the object type *type_name*, or the edge definition
         (*type_name*, *field_name*).  Returns ``(verdict, rung)``: a
         :class:`TypeSatisfiability` (type) or a bool (edge definition) and
-        the rung that decided it -- ``"cache"``, ``"lint"`` or
-        ``"analysis"`` -- or ``(None, None)`` when the element is still
-        open and needs the tableau.  Verdicts decided below the cache are
-        stored in it; a satisfiable type gets its bounded witness
-        re-attached or computed when *find_witness* asks for one.
+        the rung that decided it -- ``"cache"`` or ``"analysis"`` -- or
+        ``(None, None)`` when the element is still open and needs the
+        tableau.  Verdicts decided below the cache are stored in it; a
+        satisfiable type gets its bounded witness re-attached or computed
+        when *find_witness* asks for one.
 
-        Lint proves a declaring type dead, which kills every one of its
-        edge definitions too.  Analysis verdicts are reported exactly as
-        the tableau would report them (``decided_by="tableau"``, no
-        diagnostic), so reports stay byte-identical with the feed on or
-        off; only the win/obs accounting records the skipped search.  A
-        per-call *budget* skips analysis, as a budgeted checker does: such
-        calls study how the engines degrade under that budget.
+        The analysis is polynomial and runs under any budget after a
+        deadline check: a per-call *budget* already past its deadline leaves
+        the element to the tableau, which reports the expiry.
         """
         cache = self.cache
         key = (type_name, field_name)
@@ -445,18 +414,15 @@ class SatisfiabilityChecker:
                 cache.get_type(type_name) if field_name is None else cache.get_field(key)
             )
         rung = None if verdict is None else "cache"
-        if rung is None and self.lint_precheck:
-            diagnostic = self.lint_verdict(type_name)
-            if diagnostic is not None:
-                rung = "lint"
-                verdict = False if field_name is not None else TypeSatisfiability(
-                    type_name, False, decided_by="lint", diagnostic=diagnostic
-                )
-        verdicts = self.analysis_verdicts() if rung is None and budget is None else None
+        expired = budget is not None and budget.remaining_seconds() == 0.0
+        verdicts = self.analysis_verdicts() if rung is None and not expired else None
         if verdicts is not None:
             if field_name is None and type_name in verdicts.types:
                 rung = "analysis"
-                verdict = TypeSatisfiability(type_name, verdicts.types[type_name])
+                diagnostic = verdicts.diagnostics.get(type_name)
+                verdict = TypeSatisfiability(
+                    type_name, verdicts.types[type_name], None, "analysis", diagnostic
+                )
                 obs.count("sat.analysis.type_hits")
             elif field_name is not None and key in verdicts.fields:
                 rung = "analysis"
@@ -501,13 +467,12 @@ class SatisfiabilityChecker:
     ) -> TypeSatisfiability:
         """The full verdict for one object type.
 
-        Runs the :meth:`decision_ladder` first; a lint hit yields an
-        immediate UNSAT verdict with ``decided_by="lint"`` and the proving
-        diagnostic attached.  Otherwise falls back to the tableau (plus the
-        bounded witness search when requested).  Under an exhausted budget
-        the result is a typed UNKNOWN (``verdict == "unknown"``, structured
-        ``reason``) -- never a wrong SAT/UNSAT -- unless
-        ``on_budget="error"`` asked for the exception.
+        Runs the :meth:`decision_ladder` first; an analysis verdict returns
+        at once (``decided_by="analysis"``).  Otherwise falls back to the
+        tableau (plus the bounded witness search when requested).  Under an
+        exhausted budget the result is a typed UNKNOWN (``verdict ==
+        "unknown"``, structured ``reason``) -- never a wrong SAT/UNSAT --
+        unless ``on_budget="error"`` asked for the exception.
 
         Decided verdicts are memoized in the attached
         :class:`~repro.satisfiability.cache.SatCache`; a later call (from

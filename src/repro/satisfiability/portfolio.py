@@ -6,7 +6,7 @@ at a time.  This module turns the sweep into a portfolio:
 
 * **The decision ladder first, in the calling process.**  Every element
   goes through :meth:`~repro.satisfiability.engine.SatisfiabilityChecker.decision_ladder`
-  (verdict cache → lint → dataflow analysis) before any fan-out, so the
+  (verdict cache → dataflow analysis) before any fan-out, so the
   parent's :class:`~repro.satisfiability.cache.SatCache` is what a repeat
   sweep replays, and elements the ladder decides never cost a worker.
 * **Batched work units.**  The schema is partitioned into per-declaring-type
@@ -327,7 +327,6 @@ def run_portfolio(
                     checker.schema,
                     checker._max_nodes,
                     checker.bounded_max_nodes,
-                    checker.lint_precheck,
                     checker.budget,
                     checker.on_budget,
                     True,

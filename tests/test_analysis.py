@@ -218,9 +218,13 @@ class TestCardinality:
         )
         facts = self.facts(schema)
         assert "T" in facts.dead
-        from repro.lint.engine import unsat_diagnostics
+        from repro.lint import lint_schema
 
-        assert "T" not in unsat_diagnostics(schema)
+        lint_dead = {
+            finding.unsat_type
+            for finding in lint_schema(schema, select=["PG001", "PG003"])
+        }
+        assert "T" not in lint_dead
 
     def test_near_unsat_blocks_flip_with_the_second_obligation(self):
         alive = self.facts(near_unsat_schema(2, collide=False))
@@ -306,11 +310,17 @@ class TestFrontDoor:
         assert analyze_schema(schema) is not None
 
     def test_new_rules_never_join_the_unsat_class(self):
-        # byte-identity of sat reports rests on the lint pre-pass surface
-        # staying exactly {PG001, PG003}
-        from repro.lint.rules import all_rules
+        # of the analysis rules only PG011 proves a type dead, and each
+        # type it names is one the sat ladder's static rung decides UNSAT
+        from repro.lint import lint_schema
 
-        assert {r.code for r in all_rules() if r.unsat} == {"PG001", "PG003"}
+        for _name, schema in _all_schemas():
+            static = sat_preverdicts(schema).types
+            for finding in lint_schema(schema, select=[f"PG{i:03d}" for i in range(11, 19)]):
+                if finding.code == "PG011":
+                    assert static[finding.unsat_type] is False
+                else:
+                    assert finding.unsat_type is None, finding
 
     def test_lint_suppresses_findings_already_reported(self):
         from repro.lint import lint_schema
@@ -363,14 +373,11 @@ def _all_schemas():
 )
 def test_preverdicts_agree_with_the_tableau(name, schema):
     pre = sat_preverdicts(schema)
-    oracle = SatisfiabilityChecker(
-        schema, cache=False, lint_precheck=False, analysis_precheck=False
-    )
+    oracle = SatisfiabilityChecker(schema, cache=False, analysis_precheck=False)
     for type_name, claimed in sorted(pre.types.items()):
-        actual = oracle.check_type(
-            type_name, find_witness=False
-        ).tableau_satisfiable
-        assert actual == claimed, f"{name}: type {type_name}"
+        verdict = oracle.check_type(type_name, find_witness=False)
+        assert verdict.tableau_satisfiable == claimed, f"{name}: type {type_name}"
+        assert verdict.decided_by == "tableau"
     for (type_name, field_name), claimed in sorted(pre.fields.items()):
         assert (
             oracle.check_field(type_name, field_name) == claimed
@@ -386,9 +393,22 @@ def test_reports_are_byte_identical_with_analysis_on_or_off(name, engine):
     schema = load(name)
     with_feed = SatisfiabilityChecker(schema, cache=False)
     without = SatisfiabilityChecker(schema, cache=False, analysis_precheck=False)
-    report_on = with_feed.check_schema(engine=engine, find_witnesses=True)
-    report_off = without.check_schema(engine=engine, find_witnesses=True)
-    dump = lambda report: json.dumps(report.to_json(), sort_keys=True)  # noqa: E731
+    report_on = with_feed.check_schema(engine=engine, find_witnesses=True).to_json()
+    report_off = without.check_schema(engine=engine, find_witnesses=True).to_json()
+    # the analysis names itself where it decided, with PG011 on an UNSAT type
+    static = sat_preverdicts(schema).types
+    for type_name, entry in report_on["types"].items():
+        off = report_off["types"][type_name]
+        assert off["decided_by"] == "tableau" and "diagnostic" not in off
+        if type_name in static:
+            assert entry.pop("decided_by") == "analysis"
+            if static[type_name] is False:
+                assert entry.pop("diagnostic") == "PG011"
+        else:
+            assert entry.pop("decided_by") == "tableau"
+        assert "diagnostic" not in entry
+        del off["decided_by"]
+    dump = lambda report: json.dumps(report, sort_keys=True)  # noqa: E731
     assert dump(report_on) == dump(report_off)
 
 
@@ -426,13 +446,35 @@ def test_cache_hits_still_win_over_analysis():
     assert second.last_profile["wins"].get("cache", 0) > 0
 
 
-def test_budgeted_checkers_bypass_the_feed():
+def test_budgeted_checkers_use_the_feed():
     from repro.resilience import Budget
 
     checker = SatisfiabilityChecker(load("library"), budget=Budget(max_nodes=10**6))
-    assert checker.analysis_verdicts() is None
+    assert checker.analysis_verdicts() == sat_preverdicts(load("library"))
+    report = checker.check_schema()
+    assert report.sound
+    elements = len(report.types) + len(report.fields)
+    assert checker.last_profile["wins"] == {"analysis": elements}
     disabled = SatisfiabilityChecker(load("library"), analysis_precheck=False)
     assert disabled.analysis_verdicts() is None
+
+
+def test_dead_chain_is_unsat_under_a_tight_node_budget():
+    # the static rung decides under a budget the tableau cannot finish in
+    from repro.resilience import Budget
+
+    lines = ["interface Dead { x: Int }", "type T0 { next: Dead @required }"]
+    lines += [f"type T{i} {{ next: T{i - 1} @required }}" for i in range(1, 64)]
+    schema = parse_schema("\n".join(lines))
+    budgeted = SatisfiabilityChecker(schema, budget=Budget(max_nodes=50))
+    verdict = budgeted.check_type("T63", find_witness=False)
+    assert verdict.verdict == "unsat"
+    assert verdict.decided_by == "analysis"
+    assert verdict.diagnostic.code == "PG011"
+    tableau_only = SatisfiabilityChecker(
+        schema, budget=Budget(max_nodes=50), analysis_precheck=False
+    )
+    assert tableau_only.check_type("T63", find_witness=False).verdict == "unknown"
 
 
 # --------------------------------------------------------------------------- #

@@ -271,7 +271,7 @@ def test_slowed_dpll_hits_deadline_instead_of_answering():
 
 def test_slowed_bounded_search_reports_exhaustion():
     schema = parse_schema(CYCLIC_SDL)
-    checker = SatisfiabilityChecker(schema, lint_precheck=False)
+    checker = SatisfiabilityChecker(schema, analysis_precheck=False)
     # the witness for A is only 3 assignments away, so the injected delay
     # must exceed the deadline to deterministically interrupt the search
     faults.install("delay@bounded.assignment:seconds=0.01")
@@ -289,17 +289,18 @@ def test_slowed_bounded_search_reports_exhaustion():
 def test_slowed_tableau_degrades_only_to_unknown():
     """Under injected per-expansion delays and shrinking deadlines, every
     verdict is either UNKNOWN or exactly the undisturbed one."""
-    truth = {
-        name: SatisfiabilityChecker(SCHEMA, lint_precheck=False)
-        .check_type(name, find_witness=False)
-        .verdict
+    oracle = SatisfiabilityChecker(SCHEMA, analysis_precheck=False)
+    verdicts = [
+        oracle.check_type(name, find_witness=False)
         for name in sorted(SCHEMA.object_types)
-    }
+    ]
+    assert {verdict.decided_by for verdict in verdicts} == {"tableau"}
+    truth = {verdict.type_name: verdict.verdict for verdict in verdicts}
     faults.install("delay@dl.tableau:seconds=0.002")
     try:
         for deadline in (0.001, 0.01, 0.1):
             checker = SatisfiabilityChecker(
-                SCHEMA, lint_precheck=False, budget=Budget(deadline=deadline)
+                SCHEMA, analysis_precheck=False, budget=Budget(deadline=deadline)
             )
             for name, expected in truth.items():
                 verdict = checker.check_type(name, find_witness=False).verdict

@@ -184,6 +184,59 @@ class TestValidate:
         assert {"validation.run", "validation.shard", "validation.merge"} <= names
 
 
+class TestLoneSurrogateIds:
+    """JSON ids may carry lone surrogates (``"a\\ud800"``): every engine
+    accepts them, and the printers escape them instead of crashing."""
+
+    SDL = "type A { b: B }\ntype B { x: Int }\n"
+    # two b-edges out of one A node break WS4 (non-list field type B)
+    NODES = [("a\ud800", "A"), ("b1\udfff", "B"), ("b2", "B")]
+    EDGES = [("e1\ud800", "a\ud800", "b1\udfff"), ("e2", "a\ud800", "b2")]
+
+    @pytest.fixture
+    def schema_path(self, tmp_path):
+        path = tmp_path / "s.graphql"
+        path.write_text(self.SDL)
+        return str(path)
+
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["inline", "jobs2"])
+    def test_validate_prints_escaped_ids(self, schema_path, tmp_path, capsys, jobs):
+        graph = {
+            "nodes": [{"id": n, "label": label} for n, label in self.NODES],
+            "edges": [
+                {"id": e, "source": s, "target": t, "label": "b"}
+                for e, s, t in self.EDGES
+            ],
+        }
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps(graph))
+        assert main(["validate", schema_path, str(graph_path), *jobs]) == 1
+        out = capsys.readouterr().out
+        assert "  WS4 [A.b] (e1\\ud800, e2)" in out
+
+    def test_cdc_prints_escaped_ids_and_writes_json_events(
+        self, schema_path, tmp_path, capsys
+    ):
+        from repro.validation import MutationJournal
+
+        journal = tmp_path / "j.jsonl"
+        MutationJournal(str(journal)).write_events(
+            [{"op": "add_node", "id": n, "label": label} for n, label in self.NODES]
+            + [
+                {"op": "add_edge", "id": e, "source": s, "target": t, "label": "b"}
+                for e, s, t in self.EDGES
+            ]
+            + [{"op": "commit"}]
+        )
+        events = tmp_path / "events.jsonl"
+        argv = ["cdc", schema_path, str(journal), "--events-json", str(events)]
+        assert main(argv) == 1
+        assert "e1\\ud800" in capsys.readouterr().out
+        # the events file is ASCII JSON: the surrogate round-trips as \ud800
+        (event,) = [json.loads(line) for line in events.read_text().splitlines()]
+        assert "e1\ud800" in event["elements"]
+
+
 class TestSat:
     def test_satisfiable_schema(self, schema_file, capsys):
         assert main(["sat", schema_file]) == 0

@@ -253,11 +253,12 @@ def test_analyzer_preverdicts_sound_on_random_schemas(seed):
     )
     pre = sat_preverdicts(schema)
     oracle = SatisfiabilityChecker(
-        schema, cache=False, lint_precheck=False, analysis_precheck=False
+        schema, cache=False, analysis_precheck=False
     )
     for type_name, claimed in sorted(pre.types.items()):
         verdict = oracle.check_type(type_name, find_witness=False)
         assert verdict.tableau_satisfiable == claimed, type_name
+        assert verdict.decided_by == "tableau"
     for (type_name, field_name), claimed in sorted(pre.fields.items()):
         assert oracle.check_field(type_name, field_name) == claimed, (
             type_name,

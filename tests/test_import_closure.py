@@ -242,8 +242,9 @@ _PRINTERS = ("repro.schema.printer", "repro.sdl.printer")
             ["validate", "{schema}", "{graph}"],
             ("repro.pg.model", "repro.dl", "repro.obs.metrics", "repro.obs.trace", *_PRINTERS),
         ),
-        # lint, analysis and the bounded search decide every hub element:
-        # the TBox is never translated and no tableau is built
+        # the analysis and the bounded search decide every hub element: the
+        # TBox is never translated and no tableau is built; the static rung
+        # is the cardinality pass alone, with no lint rule behind it
         (
             ["sat", "{hub}"],
             (
@@ -251,6 +252,11 @@ _PRINTERS = ("repro.schema.printer", "repro.sdl.printer")
                 "repro.dl.normal_form",
                 "repro.dl.translate",
                 "repro.schema.consistency",
+                "repro.lint.engine",
+                "repro.lint.rules",
+                "repro.analysis.implication",
+                "repro.analysis.keys",
+                "repro.analysis.reachability",
                 *_PRINTERS,
             ),
         ),

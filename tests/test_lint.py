@@ -1,4 +1,5 @@
-"""The schema lint engine: diagnostics, rules, and the tableau short-circuit."""
+"""The schema lint engine: diagnostics, rules, and the static sat rung they
+feed into (the analysis subsumes PG001/PG003's unsat proofs)."""
 
 import json
 import pathlib
@@ -15,10 +16,18 @@ from repro.lint import (
     has_errors,
     lint_schema,
     resolve_rules,
-    unsat_diagnostics,
 )
+from repro.analysis import sat_preverdicts
 from repro.satisfiability import SatisfiabilityChecker
 from repro.schema import parse_schema
+from repro.workloads import (
+    cardinality_web_schema,
+    deep_lattice_schema,
+    hub_chain_schema,
+    key_collision_schema,
+    near_unsat_schema,
+    union_fanout_schema,
+)
 from repro.workloads.paper_schemas import CORPUS
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -30,6 +39,11 @@ def lint_sdl(sdl, **kwargs):
 
 def codes(findings):
     return sorted({f.code for f in findings})
+
+
+def unsat_findings(schema, rules=("PG001", "PG003")):
+    """The lint findings of *rules* that prove a type unsatisfiable."""
+    return [f for f in lint_schema(schema, select=rules) if f.unsat_type is not None]
 
 
 class TestDiagnosticModel:
@@ -79,7 +93,16 @@ class TestRegistry:
         assert sorted(RULES) == [f"PG{i:03d}" for i in range(1, 19)]
 
     def test_unsat_rules(self):
-        assert {r.code for r in all_rules() if r.unsat} == {"PG001", "PG003"}
+        # findings that prove a type unsatisfiable come from PG001/PG003 and
+        # the analysis's PG011 only
+        flagged = {
+            f.code
+            for entry in CORPUS.values()
+            for f in lint_schema(parse_schema(entry.sdl, check=False))
+            if f.unsat_type is not None
+        }
+        assert "PG001" in flagged
+        assert flagged <= {"PG001", "PG003", "PG011"}
 
     def test_every_rule_documented(self):
         for rule in all_rules():
@@ -325,7 +348,7 @@ class TestCorpus:
         schema = parse_schema(CORPUS[name].sdl, check=False)
         if name == "diagram_c":
             return  # consistent but deliberately unsatisfiable (OT2)
-        assert unsat_diagnostics(schema) == {}
+        assert unsat_findings(schema) == []
 
     @pytest.mark.parametrize(
         "name,expect_errors",
@@ -353,12 +376,12 @@ class TestCorpus:
 
 
 class TestTableauShortCircuit:
-    """The unsat pre-pass must decide without ever touching the tableau."""
+    """The static rung must decide without ever touching the tableau."""
 
     @pytest.fixture
     def no_tableau(self, monkeypatch):
         def forbidden(self):  # pragma: no cover - failure path
-            raise AssertionError("tableau was constructed for a lint-decided type")
+            raise AssertionError("tableau was constructed for a statically decided type")
 
         monkeypatch.setattr(SatisfiabilityChecker, "tableau", property(forbidden))
         monkeypatch.setattr(SatisfiabilityChecker, "tbox", property(forbidden))
@@ -367,21 +390,22 @@ class TestTableauShortCircuit:
         checker = SatisfiabilityChecker(CORPUS["example_6_1_a"].load())
         verdict = checker.check_type("OT1")
         assert not verdict.tableau_satisfiable
-        assert verdict.decided_by == "lint"
+        assert verdict.decided_by == "analysis"
         assert verdict.diagnostic is not None
-        assert verdict.diagnostic.code == "PG001"
+        assert verdict.diagnostic.code == "PG011"
         assert verdict.diagnostic.span.line > 0
         assert not checker.is_satisfiable("OT1")
 
     def test_diagram_c_decided_statically(self, no_tableau):
         checker = SatisfiabilityChecker(CORPUS["diagram_c"].load())
         verdict = checker.check_type("OT2")
-        assert verdict.decided_by == "lint"
-        assert verdict.diagnostic.code == "PG001"
+        assert verdict.decided_by == "analysis"
+        assert verdict.diagnostic.code == "PG011"
+        assert verdict.diagnostic.span.line > 0
 
     def test_precheck_can_be_disabled(self):
         checker = SatisfiabilityChecker(
-            CORPUS["example_6_1_a"].load(), lint_precheck=False
+            CORPUS["example_6_1_a"].load(), analysis_precheck=False
         )
         verdict = checker.check_type("OT1", find_witness=False)
         assert not verdict.tableau_satisfiable
@@ -392,18 +416,58 @@ class TestTableauShortCircuit:
         "name", ["example_6_1_a", "diagram_b", "diagram_c", "library", "vehicles"]
     )
     def test_precheck_agrees_with_tableau(self, name):
-        """The pre-pass never changes a verdict, only how it is reached."""
+        """The static rung never changes a verdict, only how it is reached."""
         schema = CORPUS[name].load()
         fast = SatisfiabilityChecker(schema)
-        slow = SatisfiabilityChecker(schema, lint_precheck=False)
+        slow = SatisfiabilityChecker(schema, analysis_precheck=False)
         for type_name in sorted(schema.object_types):
             assert fast.is_satisfiable(type_name) == slow.is_satisfiable(
                 type_name
             ), type_name
 
-    def test_lint_verdict_available_even_when_precheck_off(self):
-        checker = SatisfiabilityChecker(
-            CORPUS["diagram_c"].load(), lint_precheck=False
-        )
-        assert checker.lint_verdict("OT2") is not None
-        assert checker.lint_verdict("OT1") is None
+    def test_lint_explains_unsat_while_the_tableau_decides(self):
+        # lint still says *why* a type is dead while the tableau decides it
+        schema = CORPUS["diagram_c"].load()
+        assert {f.unsat_type for f in unsat_findings(schema)} == {"OT2"}
+        checker = SatisfiabilityChecker(schema, analysis_precheck=False)
+        verdict = checker.check_type("OT2", find_witness=False)
+        assert not verdict.tableau_satisfiable
+        assert verdict.decided_by == "tableau"
+
+
+def _dead_chain_sdl(depth):
+    """A @required chain into an unimplemented interface: every link dead."""
+    lines = ["interface Dead { x: Int }", "type T0 { next: Dead @required }"]
+    lines += [f"type T{i} {{ next: T{i - 1} @required }}" for i in range(1, depth)]
+    return "\n".join(lines)
+
+
+def _unsat_proving_schemas():
+    for name, entry in sorted(CORPUS.items()):
+        yield name, parse_schema(entry.sdl, check=False)
+    yield "dead_chain", parse_schema(_dead_chain_sdl(8))
+    yield "hub_chain", hub_chain_schema(depth=3, leaves=2)
+    yield "deep_lattice", deep_lattice_schema(3, 2)
+    for collide in (False, True):
+        yield f"near_unsat_{collide}", near_unsat_schema(2, collide=collide)
+        yield f"cardinality_web_{collide}", cardinality_web_schema(2, collide=collide)
+    yield "union_fanout", union_fanout_schema(members=3, fields=3)
+    yield "key_collision", key_collision_schema(blocks=2, enum_values=2)
+
+
+@pytest.mark.parametrize(
+    "name,schema",
+    _unsat_proving_schemas(),
+    ids=lambda value: value if isinstance(value, str) else "",
+)
+def test_lint_unsat_findings_are_sound_and_subsumed_by_the_analysis(name, schema):
+    """Every type PG001/PG003 prove dead is UNSAT for the tableau, and the
+    analysis proves it UNSAT too: the sat ladder needs no lint rung."""
+    oracle = SatisfiabilityChecker(schema, cache=False, analysis_precheck=False)
+    static = sat_preverdicts(schema).types
+    for finding in unsat_findings(schema):
+        dead = finding.unsat_type
+        verdict = oracle.check_type(dead, find_witness=False)
+        assert verdict.tableau_satisfiable is False, (name, finding.code, dead)
+        assert verdict.decided_by == "tableau"
+        assert static.get(dead) is False, (name, finding.code, dead)

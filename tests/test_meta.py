@@ -159,6 +159,7 @@ class TestPublicAPI:
             "repro.dl",
             "repro.obs",
             "repro.resilience",
+            "repro.lint",
         ),
     )
     def test_lazy_subpackage_exports_match_the_table(self, package_name):

@@ -261,7 +261,7 @@ class TestFaultPlans:
 class TestBudgetedTableau:
     def test_expansion_budget_yields_typed_unknown(self, cyclic_schema):
         checker = SatisfiabilityChecker(
-            cyclic_schema, lint_precheck=False, budget=Budget(max_expansions=2)
+            cyclic_schema, analysis_precheck=False, budget=Budget(max_expansions=2)
         )
         result = checker.check_type("A", find_witness=False)
         assert result.verdict == "unknown"
@@ -271,14 +271,14 @@ class TestBudgetedTableau:
 
     def test_node_budget_yields_typed_unknown(self, cyclic_schema):
         checker = SatisfiabilityChecker(
-            cyclic_schema, lint_precheck=False, budget=Budget(max_nodes=1)
+            cyclic_schema, analysis_precheck=False, budget=Budget(max_nodes=1)
         )
         assert checker.check_type("A", find_witness=False).verdict == "unknown"
 
     def test_on_budget_error_raises(self, cyclic_schema):
         checker = SatisfiabilityChecker(
             cyclic_schema,
-            lint_precheck=False,
+            analysis_precheck=False,
             budget=Budget(max_expansions=2),
             on_budget="error",
         )
@@ -288,31 +288,33 @@ class TestBudgetedTableau:
     def test_boolean_entry_point_always_raises(self, cyclic_schema):
         # a bool cannot express UNKNOWN, so is_satisfiable never guesses
         checker = SatisfiabilityChecker(
-            cyclic_schema, lint_precheck=False, budget=Budget(max_expansions=2)
+            cyclic_schema, analysis_precheck=False, budget=Budget(max_expansions=2)
         )
         with pytest.raises(BudgetExhaustedError):
             checker.is_satisfiable("A")
 
     def test_budget_template_renewed_per_check(self, cyclic_schema):
         checker = SatisfiabilityChecker(
-            cyclic_schema, lint_precheck=False, budget=Budget(max_expansions=10_000)
+            cyclic_schema, analysis_precheck=False, budget=Budget(max_expansions=10_000)
         )
         # a shared (non-renewed) budget would exhaust across the sweep
         for _ in range(5):
-            assert checker.check_type("A", find_witness=False).verdict == "sat"
+            verdict = checker.check_type("A", find_witness=False)
+            assert (verdict.verdict, verdict.decided_by) == ("sat", "tableau")
 
     def test_unknown_is_never_wrong(self, session_schema):
         """Shrinking budgets may only degrade answers to UNKNOWN."""
-        truth = {
-            name: SatisfiabilityChecker(session_schema, lint_precheck=False)
-            .check_type(name, find_witness=False)
-            .verdict
+        oracle = SatisfiabilityChecker(session_schema, analysis_precheck=False)
+        verdicts = [
+            oracle.check_type(name, find_witness=False)
             for name in sorted(session_schema.object_types)
-        }
+        ]
+        assert {verdict.decided_by for verdict in verdicts} == {"tableau"}
+        truth = {verdict.type_name: verdict.verdict for verdict in verdicts}
         for limit in (1, 2, 4, 8, 16, 64, 256):
             checker = SatisfiabilityChecker(
                 session_schema,
-                lint_precheck=False,
+                analysis_precheck=False,
                 budget=Budget(max_expansions=limit),
             )
             for name, expected in truth.items():
@@ -321,7 +323,7 @@ class TestBudgetedTableau:
 
     def test_check_schema_reports_undecided_types(self, cyclic_schema):
         checker = SatisfiabilityChecker(
-            cyclic_schema, lint_precheck=False, budget=Budget(max_expansions=2)
+            cyclic_schema, analysis_precheck=False, budget=Budget(max_expansions=2)
         )
         report = checker.check_schema()
         assert report.unknown_types == ["A", "B"]
@@ -335,7 +337,7 @@ class TestBudgetedTableau:
 
 class TestBudgetedBoundedSearch:
     def test_exhaustion_is_reported_not_raised(self, cyclic_schema):
-        checker = SatisfiabilityChecker(cyclic_schema, lint_precheck=False)
+        checker = SatisfiabilityChecker(cyclic_schema, analysis_precheck=False)
         result = checker.check_type_finite(
             "A", max_nodes=3, budget=Budget(max_expansions=1)
         )
@@ -344,7 +346,7 @@ class TestBudgetedBoundedSearch:
         assert result.reason.dimension == "expansions"
 
     def test_unbudgeted_search_completes(self, cyclic_schema):
-        checker = SatisfiabilityChecker(cyclic_schema, lint_precheck=False)
+        checker = SatisfiabilityChecker(cyclic_schema, analysis_precheck=False)
         result = checker.check_type_finite("A", max_nodes=3)
         assert not result.exhausted
 

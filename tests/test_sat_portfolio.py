@@ -80,11 +80,11 @@ def test_portfolio_reports_byte_identical_across_jobs(jobs):
 @pytest.mark.parametrize("name", ["example_6_1_a", "diagram_b"])
 def test_portfolio_reports_byte_identical_across_executors(executor, name):
     # analysis off: the ladder would decide every example_6_1_a element in
-    # the parent; this way its lint-dead OT1 stays in the parent while the
-    # units pointing at it take the batch-UNSAT staged fallback on a worker
+    # the parent; this way the tableau decides them on the executor rung,
+    # dead OT1 and the units pointing at it (the batch-UNSAT staged fallback)
     schema = load(name)
     expected = _dump(
-        SatisfiabilityChecker(schema, cache=False).check_schema(
+        SatisfiabilityChecker(schema, cache=False, analysis_precheck=False).check_schema(
             find_witnesses=True, engine="serial"
         )
     )
@@ -245,14 +245,15 @@ def test_unknown_verdicts_are_never_cached():
     schema = parse_schema("type A { b: B @required }\ntype B { a: A @required }")
     cache = SatCache(schema)
     checker = SatisfiabilityChecker(
-        schema, cache=cache, budget=Budget(max_nodes=1), lint_precheck=False
+        schema, cache=cache, budget=Budget(max_nodes=1), analysis_precheck=False
     )
     verdict = checker.check_type("A", find_witness=False)
     assert verdict.verdict == "unknown"
     assert cache.cache_info()["types"] == 0
     # a bigger budget must get a fresh attempt and decide
-    decided = SatisfiabilityChecker(schema, cache=cache, lint_precheck=False)
-    assert decided.check_type("A", find_witness=False).verdict == "sat"
+    decided = SatisfiabilityChecker(schema, cache=cache, analysis_precheck=False)
+    verdict = decided.check_type("A", find_witness=False)
+    assert (verdict.verdict, verdict.decided_by) == ("sat", "tableau")
     assert cache.cache_info()["types"] == 1
 
 
@@ -291,7 +292,9 @@ def test_hard_worker_kill_recovers_byte_identically():
     faults.install(None)
     try:
         expected = _dump(
-            SatisfiabilityChecker(schema, cache=False).check_schema(engine="serial")
+            SatisfiabilityChecker(
+                schema, cache=False, analysis_precheck=False
+            ).check_schema(engine="serial")
         )
     finally:
         faults.uninstall()
@@ -321,7 +324,9 @@ def test_raised_worker_crash_recovers_on_lighter_executors(executor):
     faults.install(None)
     try:
         expected = _dump(
-            SatisfiabilityChecker(schema, cache=False).check_schema(engine="serial")
+            SatisfiabilityChecker(
+                schema, cache=False, analysis_precheck=False
+            ).check_schema(engine="serial")
         )
     finally:
         faults.uninstall()

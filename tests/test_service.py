@@ -559,6 +559,18 @@ class TestHttpService:
         assert status == 400
         assert body["error"] == {"code": code, "message": str(raised.value)}
 
+    def test_lone_surrogate_ids_round_trip(self, service):
+        # JSON escapes a lone surrogate both ways: the response names the id
+        document = graph_to_dict(user_session_graph(3, 1, seed=2))
+        document["nodes"].append({"id": "u\ud800", "label": "User", "properties": {}})
+        expected = naive_canonical(graph_from_dict(copy.deepcopy(document)))
+        client, _thread = service
+        client.register("acme", "users", SDL)
+        status, report = client.validate("acme", "users", document)
+        assert status == 200
+        assert json.dumps(report, sort_keys=True) == expected
+        assert any("u\ud800" in v["elements"] for v in report["violations"])
+
     def test_list_valued_properties_validate_like_graph_from_dict(self, service):
         document = graph_to_dict(user_session_graph(6, 2, seed=2))
         document["nodes"][0]["properties"]["tags"] = ["a", "b"]
