@@ -6,8 +6,9 @@ Three questions, one per benchmark group:
    fixed mutation journal is consumed on top of base graphs of growing
    size.  The consume-only timings (total minus the base-validation
    baseline measured separately) should stay flat across sizes -- the
-   consumer's incremental engine rechecks only the scopes each commit
-   touches.
+   consumer's incremental engine marks the scopes each commit touches
+   dirty, flushes them in one kernel pass per commit, and diffs only the
+   scopes that flush changed to emit the commit's transitions.
 
 2. **Checkpoint overhead.**  Consuming the same journal with checkpoints
    at every commit vs none quantifies the durability tax (serialise graph

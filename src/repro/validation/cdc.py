@@ -3,11 +3,12 @@ violation set current, survive being killed at any point.
 
 :class:`CDCConsumer` drives an :class:`IncrementalValidator` from an
 ordered :class:`~repro.validation.journal.MutationJournal`.  Events are
-applied *transactionally per commit marker*; at each marker the consumer
-diffs the violation set against the previous commit and emits
-deterministic :class:`ViolationEvent` APPEARED/DISAPPEARED deltas -- the
-PG-Schema framing that violation *transitions*, not end states, are the
-operational contract for a living graph.  ``set_schema`` events route
+applied *transactionally per commit marker*: the mutations mark scopes
+dirty, and at each marker the consumer flushes them in one kernel pass,
+diffs the violations that flush removed against the ones it added, and
+emits deterministic :class:`ViolationEvent` APPEARED/DISAPPEARED deltas --
+the PG-Schema framing that violation *transitions*, not end states, are
+the operational contract for a living graph.  ``set_schema`` events route
 through :func:`repro.evolution.diff_schemas`: when the change set is
 scope-local (no subtype/union/interface/enum surgery) the validator is
 *migrated* -- only scopes under the labels the diff names are rechecked
@@ -177,6 +178,18 @@ def _event_sort_key(key: tuple) -> tuple[str, str, list[str]]:
     return (str(rule), str(location), [str(element) for element in elements])
 
 
+def _representatives(violations: list[Violation]) -> dict[tuple, Violation]:
+    """Each violation key with its smallest-detail violation (an
+    order-independent representative when identities collide)."""
+    kept: dict[tuple, Violation] = {}
+    for violation in violations:
+        key = violation.key()
+        held = kept.get(key)
+        if held is None or violation.detail < held.detail:
+            kept[key] = violation
+    return kept
+
+
 def _affected_labels(
     old: "GraphQLSchema", new: "GraphQLSchema", diff: SchemaDiff
 ) -> frozenset[str] | None:
@@ -304,7 +317,9 @@ class CDCConsumer:
         self._commit_index = 0
         self._events_offset = 0
         self._events_fp: IO[bytes] | None = None
-        self._last_violations: dict[tuple, Violation] = {}
+        # the violations at the last commit boundary, kept only while a
+        # set_schema in the current commit has replaced the validator
+        self._boundary: list[Violation] | None = None
         self._budget: "Budget | None" = None
         self._commits_since_checkpoint = 0
         self._checkpoints_written = 0
@@ -346,7 +361,7 @@ class CDCConsumer:
         self._line = 0
         self._commit_index = 0
         self._events_offset = 0
-        self._last_violations = self._current_violations()
+        self._boundary = None
 
     def _start(self, resume: bool) -> str | None:
         self._budget = self.budget.renew() if self.budget is not None else None
@@ -380,7 +395,7 @@ class CDCConsumer:
                 self._line = state["line"]
                 self._commit_index = state["commit"]
                 self._events_offset = state["events_offset"]
-                self._last_violations = self._current_violations()
+                self._boundary = None
                 obs.instant("cdc.recovered", source=os.path.basename(path))
                 return f"checkpoint:{os.path.basename(path)}"
             # recovery ladder bottom: cold replay from offset 0
@@ -670,18 +685,23 @@ class CDCConsumer:
             diff = diff_schemas(self._schema, new_schema)
             obs.count("cdc.schema_changes")
             affected = _affected_labels(self._schema, new_schema, diff)
-            if affected is None:
-                # structural change (subtyping / value domains): rebuild
-                self._validator = IncrementalValidator(
-                    new_schema, self._validator.graph
-                )
-                obs.count("cdc.schema_rebuilds")
-            elif affected or diff.changes:
-                self._validator, rechecked = migrated_validator(
-                    self._validator, new_schema, affected
-                )
-                obs.count("cdc.schema_migrations")
-                obs.count("cdc.schema_rechecked_scopes", rechecked)
+            if affected is None or affected or diff.changes:
+                if self._boundary is None:
+                    # the validator is replaced: this commit's transitions
+                    # diff its whole store against the commit boundary
+                    self._boundary = self._validator.stored_violations()
+                if affected is None:
+                    # structural change (subtyping / value domains): rebuild
+                    self._validator = IncrementalValidator(
+                        new_schema, self._validator.graph
+                    )
+                    obs.count("cdc.schema_rebuilds")
+                else:
+                    self._validator, rechecked = migrated_validator(
+                        self._validator, new_schema, affected
+                    )
+                    obs.count("cdc.schema_migrations")
+                    obs.count("cdc.schema_rechecked_scopes", rechecked)
             # an empty diff with identical structure: keep the validator
             self._schema = new_schema
             self._schema_sdl = print_schema(new_schema)
@@ -690,22 +710,23 @@ class CDCConsumer:
     # violation transitions
     # ------------------------------------------------------------------ #
 
-    def _current_violations(self) -> dict[tuple, Violation]:
-        assert self._validator is not None
-        current: dict[tuple, Violation] = {}
-        for violation in self._validator.report().violations:
-            key = violation.key()
-            kept = current.get(key)
-            # order-independent representative when identities collide
-            if kept is None or violation.detail < kept.detail:
-                current[key] = violation
-        return current
-
     def _emit_transitions(self, commit_index: int) -> list[ViolationEvent]:
-        current = self._current_violations()
-        previous = self._last_violations
+        """The commit's APPEARED/DISAPPEARED events, diffed over the scopes
+        the commit's flush replaced.  A key lives only in scopes a change
+        to it touches, so the rest of the store cannot hide a transition;
+        where a set_schema replaced the validator, the whole store is
+        diffed against the boundary instead."""
+        assert self._validator is not None
+        removed, added = self._validator.flush()
+        if self._boundary is not None:
+            removed, added = self._boundary, self._validator.stored_violations()
+            self._boundary = None
+        if not (removed or added):
+            return []
+        previous = _representatives(removed)
+        current = _representatives(added)
         events: list[ViolationEvent] = []
-        for key in sorted(set(current) - set(previous), key=_event_sort_key):
+        for key in sorted(current.keys() - previous.keys(), key=_event_sort_key):
             rule, location, elements = key
             events.append(
                 ViolationEvent(
@@ -713,7 +734,7 @@ class CDCConsumer:
                     current[key].detail,
                 )
             )
-        for key in sorted(set(previous) - set(current), key=_event_sort_key):
+        for key in sorted(previous.keys() - current.keys(), key=_event_sort_key):
             rule, location, elements = key
             events.append(
                 ViolationEvent(
@@ -721,7 +742,6 @@ class CDCConsumer:
                     previous[key].detail,
                 )
             )
-        self._last_violations = current
         return events
 
     # ------------------------------------------------------------------ #

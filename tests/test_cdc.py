@@ -282,6 +282,152 @@ class TestDifferential:
         assert result.report.keys() == scratch_keys(consumer)
 
 
+def _duplicate_key(sdl):
+    """*sdl* with the User ``@key`` written twice: two key sites sharing one
+    location, so one DS7 violation key lives in two scopes."""
+    single = '@key(fields: ["id"])'
+    assert single in sdl
+    return sdl.replace(single, f"{single} {single}")
+
+
+def _oracle_events(schema_sdl, path):
+    """The violation transitions of *path*, computed without the
+    incremental validator: replay each commit into a plain PropertyGraph
+    (a set_schema replaces the schema), validate it from scratch with the
+    naive engine, and diff the violation keys against the previous commit,
+    each key represented by its smallest-detail violation."""
+    from repro.validation import validate
+
+    def current(schema, graph):
+        kept = {}
+        for violation in validate(schema, graph, engine="naive").violations:
+            key = violation.key()
+            if key not in kept or violation.detail < kept[key].detail:
+                kept[key] = violation
+        return kept
+
+    def sort_key(key):
+        rule, location, elements = key
+        return (rule, location, [str(element) for element in elements])
+
+    schema = parse_schema(schema_sdl)
+    graph = PropertyGraph()
+    previous = current(schema, graph)
+    expected = []
+    commit = 0
+    events = list(MutationJournal(path).read())
+    for index, event in enumerate(events):
+        record = event.record
+        if event.op == "add_node":
+            graph.add_node(record["id"], record["label"], record.get("properties"))
+        elif event.op == "remove_node":
+            graph.remove_node(record["id"])
+        elif event.op == "add_edge":
+            graph.add_edge(record["id"], record["source"], record["target"],
+                           record["label"], record.get("properties"))
+        elif event.op == "remove_edge":
+            graph.remove_edge(record["id"])
+        elif event.op == "set_property":
+            graph.set_property(record["id"], record["name"], record["value"])
+        elif event.op == "remove_property":
+            graph.remove_property(record["id"], record["name"])
+        elif event.op == "set_schema":
+            schema = parse_schema(record["sdl"])
+        if not (event.is_commit or index == len(events) - 1):
+            continue
+        commit += 1
+        now = current(schema, graph)
+        for kind, side, other in (
+            ("appeared", now, previous), ("disappeared", previous, now)
+        ):
+            for key in sorted(side.keys() - other.keys(), key=sort_key):
+                violation = side[key]
+                expected.append((kind, commit, violation.rule, violation.location,
+                                 violation.elements, violation.detail))
+        previous = now
+    return expected
+
+
+class TestEventOracle:
+    """Every commit's events equal a from-scratch naive diff."""
+
+    @pytest.mark.parametrize("duplicate_key", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("changes", [(), (3, 7, 11)])
+    def test_events_match_naive_diff(self, tmp_path, seed, changes, duplicate_key):
+        path = make_journal(
+            tmp_path, commits=14, ops_per_commit=6, seed=seed,
+            violation_probability=0.35, schema_change_commits=changes,
+        )
+        sdl = MUTATION_SCHEMA_SDL
+        if duplicate_key:
+            sdl = _duplicate_key(sdl)
+            lines = open(path, encoding="utf-8").read().splitlines()
+            for i, line in enumerate(lines):
+                record = json.loads(line)
+                if record.get("op") == "set_schema":
+                    record["sdl"] = _duplicate_key(record["sdl"])
+                    lines[i] = json.dumps(record)
+            with open(path, "w", encoding="utf-8") as fp:
+                fp.write("\n".join(lines) + "\n")
+        result = CDCConsumer(parse_schema(sdl), path).run()
+        got = [
+            (e.kind, e.commit, e.rule, e.location, e.elements, e.detail)
+            for e in result.events
+        ]
+        assert got == _oracle_events(sdl, path)
+        if duplicate_key:
+            # both sites report every collision the stream injects
+            assert {e.location for e in result.events if e.rule == "DS7"} == {
+                "User @key(id)"
+            }
+
+    def test_replaced_validator_mid_commit(self, tmp_path):
+        """Mutations on both sides of a structural rebuild (twice in one
+        commit) and of a migration, diffed against the commit boundary."""
+        old = (
+            "interface Named { name: String }\n"
+            'type A implements Named @key(fields: ["name"]) { name: String b: B }\n'
+            "type B { x: Int @required }\n"
+        )
+        structural = old.replace("implements Named ", "").replace("b: B", "b: B @required")
+        local = old.replace("x: Int @required", "x: Int")
+        journal = MutationJournal(str(tmp_path / "j.jsonl"))
+        journal.write_events([
+            {"op": "add_node", "id": "a1", "label": "A", "properties": {"name": "n"}},
+            {"op": "add_node", "id": "a2", "label": "A", "properties": {"name": "n"}},
+            {"op": "add_node", "id": "b1", "label": "B", "properties": {}},
+            {"op": "add_edge", "id": "e1", "source": "a1", "target": "b1", "label": "b"},
+            {"op": "commit"},
+            {"op": "set_property", "id": "a2", "name": "name", "value": "m"},
+            {"op": "set_schema", "sdl": structural},
+            {"op": "add_node", "id": "a3", "label": "A", "properties": {"name": "n"}},
+            {"op": "set_schema", "sdl": old},
+            {"op": "set_property", "id": "b1", "name": "x", "value": 1},
+            {"op": "commit"},
+            {"op": "remove_property", "id": "b1", "name": "x"},
+            {"op": "set_schema", "sdl": local},
+            {"op": "add_node", "id": "b2", "label": "B", "properties": {}},
+            {"op": "commit"},
+            {"op": "set_schema", "sdl": structural},
+            {"op": "commit"},
+        ])
+        observation = obs.install(None, obs.MetricsRegistry())
+        try:
+            result = CDCConsumer(parse_schema(old), journal).run()
+        finally:
+            obs.uninstall()
+        assert observation.registry.counter_value("cdc.schema_rebuilds") == 3
+        assert observation.registry.counter_value("cdc.schema_migrations") == 1
+        got = [
+            (e.kind, e.commit, e.rule, e.location, e.elements, e.detail)
+            for e in result.events
+        ]
+        expected = _oracle_events(old, journal.path)
+        assert got == expected
+        assert {rule for _kind, _commit, rule, *_rest in expected} >= {"DS5", "DS6", "DS7"}
+
+
 # --------------------------------------------------------------------- #
 # crash-resume determinism (the tentpole guarantee)
 # --------------------------------------------------------------------- #
@@ -723,6 +869,25 @@ class TestMigratedValidator:
             "type A { r: B @requiredForTarget }\ntype B { y: Int }",
             mutate, {"A", "B"},
         )
+
+    def test_duplicated_key_site_keeps_both_copies(self):
+        def mutate(graph):
+            graph.add_node("a1", "A", {"x": 1})
+            graph.add_node("a2", "A", {"x": 1})
+
+        key = '@key(fields: ["x"])'
+        source = self.build(f"type A {key} {key} {{ x: Int }}\ntype B {{ y: Int }}", mutate)
+        new_schema = parse_schema(
+            f"type A {key} {key} {{ x: Int }}\ntype B {{ y: Int @required }}"
+        )
+        # A is unaffected: its key scopes carry over as they are
+        migrated, _ = migrated_validator(source, new_schema, frozenset({"B"}))
+        fresh = IncrementalValidator(new_schema, source.graph)
+        # one DS7 violation per site, as a rebuild (and a checkpoint) has it
+        assert sorted(map(str, migrated.report().violations)) == sorted(
+            map(str, fresh.report().violations)
+        )
+        assert len(fresh.report().violations) == 2
 
     def test_edge_directive_change(self):
         def mutate(graph):

@@ -623,6 +623,28 @@ def test_incremental_mutations_count_scope_rechecks():
     with obs.observed(metrics=True) as observation:
         node = next(iter(small.nodes))
         validator.set_property(node, "login", "renamed")
+        validator.report()  # mutations only mark scopes; the read rechecks
     counters = observation.registry.snapshot()["counters"]
     assert counters.get("validation.rechecks.node", 0) >= 1
     assert "validation.runs" not in counters  # O(delta), not a full run
+
+
+def test_incremental_flush_rechecks_a_scope_once():
+    small = user_session_graph(8, sessions_per_user=1, seed=5)
+    validator = IncrementalValidator(SCHEMA, small)
+    node = next(iter(small.nodes))
+    with obs.observed(trace=True, metrics=True) as observation:
+        validator.set_property(node, "login", "a")
+        validator.set_property(node, "login", "b")
+        validator.remove_property(node, "login")
+        assert not validator.conforms  # DS5: login is @required
+        validator.report()  # nothing dirty: no second pass
+    counters = observation.registry.snapshot()["counters"]
+    assert counters["validation.rechecks.node"] == 1
+    assert counters.get("validation.rechecks.edge", 0) == 0
+    flushes = [
+        event
+        for event in observation.tracer.drain()
+        if isinstance(event, SpanEvent) and event.name == "incremental.flush"
+    ]
+    assert [event.attrs["nodes"] for event in flushes] == [1]

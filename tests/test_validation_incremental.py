@@ -88,49 +88,61 @@ class TestBasicMutations:
         assert_matches_scratch(live)
 
 
+def _random_stream(seed: int, read_every: int) -> None:
+    """30 random mutations, compared with a scratch run every *read_every*
+    mutations (the mutations between two reads flush together)."""
+    rng = random.Random(seed)
+    live = IncrementalValidator(SCHEMA, user_session_graph(4, 2, seed=seed))
+    node_pool = list(live.graph.nodes)
+    for step in range(30):
+        action = rng.randrange(6)
+        try:
+            if action == 0:
+                node = f"extra{step}"
+                label = rng.choice(["User", "UserSession", "Mystery"])
+                live.add_node(node, label, {"id": f"x{step}"})
+                node_pool.append(node)
+            elif action == 1 and node_pool:
+                target = rng.choice(node_pool)
+                if target in live.graph:
+                    live.remove_node(target)
+                    node_pool.remove(target)
+            elif action == 2 and len(node_pool) >= 2:
+                source, target = rng.sample(node_pool, 2)
+                if source in live.graph and target in live.graph:
+                    live.add_edge(f"edge{step}", source, target, rng.choice(["user", "odd"]))
+            elif action == 3:
+                edges = list(live.graph.edges)
+                if edges:
+                    live.remove_edge(rng.choice(edges))
+            elif action == 4 and node_pool:
+                node = rng.choice(node_pool)
+                if node in live.graph:
+                    live.set_property(
+                        node,
+                        rng.choice(["id", "login", "startTime", "odd"]),
+                        rng.choice(["v", 3, 1.5, ("a", "b")]),
+                    )
+            else:
+                if node_pool:
+                    node = rng.choice(node_pool)
+                    if node in live.graph:
+                        live.remove_property(node, rng.choice(["id", "login"]))
+        except Exception:
+            continue  # structurally invalid mutation; state unchanged
+        if step % read_every == read_every - 1:
+            assert_matches_scratch(live)
+    assert_matches_scratch(live)
+
+
 class TestRandomisedStreams:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_mutation_stream(self, seed):
-        rng = random.Random(seed)
-        live = IncrementalValidator(SCHEMA, user_session_graph(4, 2, seed=seed))
-        node_pool = list(live.graph.nodes)
-        for step in range(30):
-            action = rng.randrange(6)
-            try:
-                if action == 0:
-                    node = f"extra{step}"
-                    label = rng.choice(["User", "UserSession", "Mystery"])
-                    live.add_node(node, label, {"id": f"x{step}"})
-                    node_pool.append(node)
-                elif action == 1 and node_pool:
-                    target = rng.choice(node_pool)
-                    if target in live.graph:
-                        live.remove_node(target)
-                        node_pool.remove(target)
-                elif action == 2 and len(node_pool) >= 2:
-                    source, target = rng.sample(node_pool, 2)
-                    if source in live.graph and target in live.graph:
-                        live.add_edge(f"edge{step}", source, target, rng.choice(["user", "odd"]))
-                elif action == 3:
-                    edges = list(live.graph.edges)
-                    if edges:
-                        live.remove_edge(rng.choice(edges))
-                elif action == 4 and node_pool:
-                    node = rng.choice(node_pool)
-                    if node in live.graph:
-                        live.set_property(
-                            node,
-                            rng.choice(["id", "login", "startTime", "odd"]),
-                            rng.choice(["v", 3, 1.5, ("a", "b")]),
-                        )
-                else:
-                    if node_pool:
-                        node = rng.choice(node_pool)
-                        if node in live.graph:
-                            live.remove_property(node, rng.choice(["id", "login"]))
-            except Exception:
-                continue  # structurally invalid mutation; state unchanged
-            assert_matches_scratch(live)
+        _random_stream(seed, read_every=1)
+
+    @pytest.mark.parametrize("seed", range(4, 12))
+    def test_random_mutations_read_every_fifth(self, seed):
+        _random_stream(seed, read_every=5)
 
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -225,3 +237,77 @@ class TestExactReportParity:
             source, target = graph.endpoints(edge)
             grown.add_edge(edge, source, target, graph.label(edge), graph.properties(edge))
         assert _exact(grown.report()) == expected
+
+
+def _assert_filed_by_scope(live: IncrementalValidator) -> None:
+    """Every stored violation sits under the scope its rule defines."""
+    graph = live.graph
+    for scope, violations in live._violations.items():
+        assert violations, scope  # an empty scope stores nothing
+        for violation in violations:
+            first = violation.elements[0]
+            if violation.rule in ("WS1", "SS1", "SS2", "DS4", "DS5", "DS6"):
+                assert scope == ("node", first)
+            elif violation.rule in ("WS2", "WS3", "SS3", "SS4", "DS2"):
+                assert scope == ("edge", first)
+            elif violation.rule in ("WS4", "DS1"):
+                for edge in violation.elements:
+                    assert scope == ("out", graph.endpoints(edge)[0], graph.label(edge))
+            elif violation.rule == "DS3":
+                for edge in violation.elements:
+                    assert scope == ("in", graph.endpoints(edge)[1], graph.label(edge))
+            else:
+                assert violation.rule == "DS7"
+                kind, site, signature = scope
+                assert kind == "key"
+                assert live._key_sites[site].location == violation.location
+                assert set(violation.elements) <= live._signatures[site][signature]
+
+
+class TestScopeStore:
+    """The store built by one whole-graph pass equals, scope by scope, the
+    store grown one mutation at a time with a read after each."""
+
+    @pytest.mark.parametrize("schema, graph", _corrupted_cases())
+    def test_whole_build_equals_grown_store(self, schema, graph):
+        built = IncrementalValidator(schema, graph.copy())
+        grown = IncrementalValidator(schema, PropertyGraph())
+        for node in graph.nodes:
+            grown.add_node(node, graph.label(node), graph.properties(node))
+            grown.report()
+        for edge in graph.edges:
+            source, target = graph.endpoints(edge)
+            grown.add_edge(edge, source, target, graph.label(edge), graph.properties(edge))
+            grown.report()
+        assert built._violations.keys() == grown._violations.keys()
+        for scope, violations in built._violations.items():
+            assert violations == grown._violations[scope], scope
+        _assert_filed_by_scope(built)
+        _assert_filed_by_scope(grown)
+
+    def test_a_batched_commit_flushes_once(self):
+        live = IncrementalValidator(SCHEMA, user_session_graph(4, 2, seed=5))
+        before = dict(live._violations)
+        # add, break a key, repair it and remove, all before one read
+        live.add_node("u_new", "User", {"id": "id_new", "login": "new"})
+        live.add_node("s_new", "UserSession", {"id": "sid_new", "startTime": "t"})
+        live.add_edge("e_new", "s_new", "u_new", "user", {"certainty": 1.0})
+        live.set_property("u_new", "id", "user-0")  # DS7 with u0
+        live.set_property("u_new", "id", "id_new")
+        live.remove_node("s_new")
+        live.add_node("s_bad", "UserSession", {"id": "sid_bad"})  # DS5 + DS6
+        live.set_property("u1", "id", "user-0")  # DS7 that stays
+        removed, added = live.flush()
+        assert _exact(live.report()) == _exact(validate(SCHEMA, live.graph, engine="naive"))
+        assert {v.rule for v in added} == {"DS5", "DS6", "DS7"}
+        assert removed == []
+        _assert_filed_by_scope(live)
+        # undo: the store returns to its old entries, scope by scope
+        live.remove_node("s_bad")
+        live.remove_node("u_new")
+        live.set_property("u1", "id", "user-1")
+        removed, added = live.flush()
+        assert added == []
+        assert {v.rule for v in removed} == {"DS5", "DS6", "DS7"}
+        assert live._violations == before
+        assert live.flush() == ([], [])  # nothing dirty: no pass
