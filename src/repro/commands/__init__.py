@@ -27,18 +27,20 @@ def load_graph(path: str, records: bool = False):
     never frees it, so collecting it is pure overhead.  (Library loaders
     leave the collector alone; the service decodes in threads.)
     """
-    from ..pg import io
-
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path) as handle:
-            if path.endswith(".jsonl"):
-                graph = io.load_graph_jsonl(handle, source=path)
-            elif records:
-                graph = io.load_records(handle)
-            else:
-                graph = io.load_graph(handle)
+        if path.endswith(".jsonl"):
+            from ..pg.jsonl import load_graph_jsonl
+
+            # binary: the line reader decodes, and its offsets are bytes
+            with open(path, "rb") as lines:
+                graph = load_graph_jsonl(lines, source=path)
+        else:
+            from ..pg import io
+
+            with open(path) as handle:
+                graph = io.load_records(handle) if records else io.load_graph(handle)
         gc.freeze()
     finally:
         if collecting:

@@ -59,7 +59,8 @@ class GraphLoadError(GraphError):
 
     Raised for malformed/truncated JSON, wrong top-level shapes, and missing
     required keys -- always with enough context (source name, element index,
-    line/column/offset where known) to locate the problem.
+    line/column/offset where known) to locate the problem.  An error placed
+    on a line without a column is at the line's column 1.
     """
 
     code = "E_LOAD"
@@ -73,6 +74,8 @@ class GraphLoadError(GraphError):
         column: int | None = None,
         offset: int | None = None,
     ) -> None:
+        if line is not None and column is None:
+            column = 1
         self.source = source
         self.line = line
         self.column = column

@@ -22,9 +22,9 @@ evolved schemas.  (Some breaking flags may be pessimistic -- e.g. adding
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .record import Record
 from .schema.directives import (
     DISTINCT,
     NO_LOOPS,
@@ -51,8 +51,7 @@ class Impact(enum.Enum):
     BREAKING = "breaking"
 
 
-@dataclass(frozen=True)
-class Change:
+class Change(Record):
     """One classified schema change."""
 
     impact: Impact
@@ -70,11 +69,10 @@ class Change:
         }
 
 
-@dataclass
-class SchemaDiff:
+class SchemaDiff(Record, frozen=False):
     """The classified difference between two schemas."""
 
-    changes: list[Change] = field(default_factory=list)
+    changes: list[Change] = []
 
     @property
     def breaking(self) -> list[Change]:

@@ -14,11 +14,16 @@ Layout under the store root (default ``.perf/``)::
 
 The JSONL file is the source of truth; the index is a cheap derived
 summary and is rebuilt whenever it disagrees with the data file (so a
-crash between the two writes can never corrupt the store).  A final line
-without its newline is torn -- the only state an interrupted append can
-leave -- and every reader ignores it; the next append truncates it away.
-This is not the CDC journal's posture: the journal is strict and raises
-:class:`~repro.errors.GraphLoadError` on a truncated line.
+crash between the two writes can never corrupt the store).  Lines are read
+by :func:`repro.jsonlines.read_json_lines`, the reader graph files and the
+CDC journal share, in binary (offsets count bytes).  A final line without
+its newline is torn -- the only state an interrupted append can leave --
+and the store reads with ``skip_torn_tail=True``, so it is ignored; the
+next append truncates it away.  This is not the CDC journal's posture: the
+journal is strict and raises :class:`~repro.errors.GraphLoadError` on a
+truncated line.  Every other bad line -- invalid UTF-8 or JSON, JSON
+nested too deeply, a record that breaks the schema -- raises
+:class:`PerfStoreError` naming ``profiles.jsonl:<line>``.
 
 Every profile is schema-pinned: :data:`PROFILE_SCHEMA` is validated on
 append *and* on read through the same mini JSON-schema checker the
@@ -38,7 +43,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from ..errors import ReproError
+from ..errors import GraphLoadError, ReproError
+from ..jsonlines import read_json_lines
 from ..resilience.durable import atomic_write
 
 __all__ = [
@@ -256,32 +262,25 @@ class ProfileStore:
     def profiles(self) -> list[Profile]:
         """Every valid record, in append order.
 
-        A torn final line (interrupted append) is silently ignored; a
-        corrupt complete line raises :class:`PerfStoreError` with the line
-        number.
+        A torn final line (interrupted append) is silently ignored; any
+        other bad line raises :class:`PerfStoreError` with the line number.
         """
         if not self.exists():
             return []
-        records: list[Profile] = []
-        for number, line in self._raw_lines():
+        with open(self.data_path, "rb") as fp:
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as bad:
+                lines = list(read_json_lines(fp, None, skip_torn_tail=True))
+            except GraphLoadError as bad:
                 raise PerfStoreError(
-                    f"{self.data_path}:{number}: corrupt profile record: {bad}"
+                    f"{self.data_path}:{bad.line}: corrupt profile record: {bad}"
                 ) from None
-            records.append(Profile.from_json(payload))
+        records: list[Profile] = []
+        for number, _end, payload in lines:
+            try:
+                records.append(Profile.from_json(payload))
+            except PerfStoreError as bad:
+                raise PerfStoreError(f"{self.data_path}:{number}: {bad}") from None
         return records
-
-    def _raw_lines(self) -> list[tuple[int, str]]:
-        """The complete non-blank lines; a final line without its newline
-        is a torn append and is skipped."""
-        with open(self.data_path, "r", encoding="utf-8") as fp:
-            return [
-                (number, line)
-                for number, line in enumerate(fp, start=1)
-                if line.endswith("\n") and line.strip()
-            ]
 
     def runs(self) -> dict[int, list[Profile]]:
         """Profiles grouped by run number, in run order."""
@@ -298,10 +297,7 @@ class ProfileStore:
 
     def commits(self) -> list[str]:
         """Distinct commits in first-recorded order."""
-        seen: dict[str, None] = {}
-        for profile in self.profiles():
-            seen.setdefault(profile.commit, None)
-        return list(seen)
+        return list(dict.fromkeys(p.commit for p in self.profiles()))
 
     def scenarios(self) -> list[str]:
         return sorted({p.scenario for p in self.profiles()})
@@ -334,7 +330,7 @@ class ProfileStore:
                 fp.write(json.dumps(payload, sort_keys=True) + "\n")
             fp.flush()
             os.fsync(fp.fileno())
-        self._write_index()
+        self._write_index(self.profiles())
 
     def _drop_torn_tail(self) -> None:
         """Truncate a torn final line (interrupted append) before writing.
@@ -351,14 +347,13 @@ class ProfileStore:
             if data and not data.endswith(b"\n"):
                 fp.truncate(data.rfind(b"\n") + 1)
 
-    def _write_index(self) -> None:
-        profiles = self.profiles()
-        index = {
+    def _write_index(self, profiles: list[Profile]) -> dict[str, Any]:
+        index: dict[str, Any] = {
             "format": INDEX_FORMAT,
             "version": INDEX_VERSION,
             "profiles": len(profiles),
             "runs": max((p.run for p in profiles), default=0),
-            "commits": self._ordered_commits(profiles),
+            "commits": list(dict.fromkeys(p.commit for p in profiles)),
             "scenarios": sorted({p.scenario for p in profiles}),
             "last_commit": profiles[-1].commit if profiles else None,
             "env_digests": sorted({p.env.get("digest", "") for p in profiles}),
@@ -369,13 +364,7 @@ class ProfileStore:
             "perf.index",
             profiles=len(profiles),
         )
-
-    @staticmethod
-    def _ordered_commits(profiles: list[Profile]) -> list[str]:
-        seen: dict[str, None] = {}
-        for profile in profiles:
-            seen.setdefault(profile.commit, None)
-        return list(seen)
+        return index
 
     def _load_index(self) -> dict[str, Any] | None:
         """The index if it exists and agrees with the data file, else a
@@ -387,16 +376,13 @@ class ProfileStore:
                 index = json.load(fp)
         except (OSError, json.JSONDecodeError):
             index = None
+        profiles = self.profiles()
         if (
             not isinstance(index, dict)
             or index.get("format") != INDEX_FORMAT
-            or index.get("profiles") != len(self._raw_lines())
+            or index.get("profiles") != len(profiles)
         ):
-            self._write_index()
-            with open(self.index_path, "r", encoding="utf-8") as fp:
-                loaded = json.load(fp)
-            assert isinstance(loaded, dict)
-            return loaded
+            return self._write_index(profiles)
         return index
 
     # ------------------------------------------------------------------ #

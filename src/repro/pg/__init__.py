@@ -17,13 +17,12 @@ if TYPE_CHECKING:
         dumps_graph,
         graph_from_dict,
         graph_to_dict,
-        iter_graph_jsonl,
         load_graph,
-        load_graph_jsonl,
         load_records,
         loads_graph,
         records_from_dict,
     )
+    from .jsonl import iter_graph_jsonl, load_graph_jsonl
     from .model import ElementId, PropertyGraph
     from .records import GraphRecords
     from .stats import GraphProfile, profile_graph
@@ -79,12 +78,12 @@ _EXPORTS = {
     "dumps_graph": "io",
     "graph_from_dict": "io",
     "graph_to_dict": "io",
-    "iter_graph_jsonl": "io",
     "load_graph": "io",
-    "load_graph_jsonl": "io",
     "load_records": "io",
     "loads_graph": "io",
     "records_from_dict": "io",
+    "iter_graph_jsonl": "jsonl",
+    "load_graph_jsonl": "jsonl",
     "ElementId": "model",
     "PropertyGraph": "model",
     "GraphRecords": "records",

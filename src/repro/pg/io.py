@@ -25,10 +25,11 @@ suite mutates real documents byte-by-byte to enforce this.
 from __future__ import annotations
 
 import json
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterator
+from typing import IO, TYPE_CHECKING, Any, Callable
 
 from .. import obs
 from ..errors import GraphError, GraphLoadError
+from ..jsonlines import Shape, check_shape
 from .records import GraphRecords
 from .values import normalize_value
 
@@ -63,33 +64,12 @@ def graph_to_dict(graph: PropertyGraph) -> dict[str, Any]:
     }
 
 
-def _element(
-    record: Any,
-    kind: str,
-    index: int,
-    required: tuple[str, ...],
-    source: str | None,
-) -> dict[str, Any]:
-    """Check one node/edge record's shape; raise with element context."""
-    where = f"{kind}[{index}]"
-    if not isinstance(record, dict):
-        raise GraphLoadError(
-            f"{where} must be an object, got {type(record).__name__}",
-            source=source,
-        )
-    for key in required:
-        if key not in record:
-            raise GraphLoadError(
-                f"{where} is missing required key {key!r}", source=source
-            )
-    properties = record.get("properties")
-    if properties is not None and not isinstance(properties, dict):
-        raise GraphLoadError(
-            f"{where}.properties must be an object, "
-            f"got {type(properties).__name__}",
-            source=source,
-        )
-    return record
+#: The element shapes of a graph document; a message names an element by
+#: its place in the document (``nodes[3]``).
+_NODE = Shape({None: ("id", "label")}, "node", properties="{}.properties")
+_EDGE = Shape(
+    {None: ("id", "source", "target", "label")}, "edge", properties="{}.properties"
+)
 
 
 def _sections(data: Any, source: str | None) -> tuple[list, list]:
@@ -126,14 +106,12 @@ def graph_from_dict(data: Any, source: str | None = None) -> PropertyGraph:
     graph = PropertyGraph()
     try:
         for index, node in enumerate(nodes):
-            record = _element(node, "nodes", index, ("id", "label"), source)
+            record = check_shape(node, _NODE, source, noun=f"nodes[{index}]")
             graph.add_node(
                 record["id"], record["label"], record.get("properties") or None
             )
         for index, edge in enumerate(edges):
-            record = _element(
-                edge, "edges", index, ("id", "source", "target", "label"), source
-            )
+            record = check_shape(edge, _EDGE, source, noun=f"edges[{index}]")
             graph.add_edge(
                 record["id"],
                 record["source"],
@@ -181,13 +159,13 @@ def records_from_dict(data: Any, source: str | None = None) -> GraphRecords:
     edge_records = []
     try:
         for index, node in enumerate(nodes):
-            # plain, well-formed elements skip the _element call; anything
+            # plain, well-formed elements skip the check_shape call; anything
             # else goes through it, which raises or accepts as it always has
             if node.__class__ is not dict or "id" not in node or "label" not in node:
-                _element(node, "nodes", index, ("id", "label"), source)
+                check_shape(node, _NODE, source, noun=f"nodes[{index}]")
             props = node.get("properties")
             if props is not None and props.__class__ is not dict:
-                _element(node, "nodes", index, ("id", "label"), source)
+                check_shape(node, _NODE, source, noun=f"nodes[{index}]")
             node_id = node["id"]
             label = node["label"]
             if node_id in node_labels:
@@ -198,7 +176,6 @@ def records_from_dict(data: Any, source: str | None = None) -> GraphRecords:
             node_records.append((node_id, label))
             if props:
                 properties[node_id] = _plain_properties(props)
-        edge_keys = ("id", "source", "target", "label")
         for index, edge in enumerate(edges):
             if (
                 edge.__class__ is not dict
@@ -207,10 +184,10 @@ def records_from_dict(data: Any, source: str | None = None) -> GraphRecords:
                 or "target" not in edge
                 or "label" not in edge
             ):
-                _element(edge, "edges", index, edge_keys, source)
+                check_shape(edge, _EDGE, source, noun=f"edges[{index}]")
             props = edge.get("properties")
             if props is not None and props.__class__ is not dict:
-                _element(edge, "edges", index, edge_keys, source)
+                check_shape(edge, _EDGE, source, noun=f"edges[{index}]")
             edge_id = edge["id"]
             edge_source = edge["source"]
             edge_target = edge["target"]
@@ -311,185 +288,14 @@ def loads_graph(text: str, source: str | None = None) -> PropertyGraph:
     return graph_from_dict(_decode(text, source), source)
 
 
-# --------------------------------------------------------------------------- #
-# JSON Lines: the streamable on-disk format
-# --------------------------------------------------------------------------- #
-#
-# One JSON object per line, nodes before the edges that reference them::
-#
-#     {"type": "node", "id": "u1", "label": "User", "properties": {...}}
-#     {"type": "edge", "id": "e1", "source": "s1", "target": "u1",
-#      "label": "user", "properties": {...}}
-#
-# Unlike the single-document format above, a JSONL graph never has to be
-# parsed whole: :func:`iter_graph_jsonl` yields one checked record at a
-# time, which is what the out-of-core validator
-# (:mod:`repro.validation.stream`) chunks over.  Every malformed line
-# raises :class:`~repro.errors.GraphLoadError` carrying the 1-based line,
-# the column within that line, and the absolute character offset.
-
-_JSONL_TYPES = ("node", "edge")
-_JSONL_REQUIRED: dict[str, tuple[str, ...]] = {
-    "node": ("id", "label"),
-    "edge": ("id", "source", "target", "label"),
-}
-
-
 def dump_graph_jsonl(graph: PropertyGraph, fp: IO[str]) -> None:
-    """Write *graph* in JSON Lines form (nodes first, then edges)."""
-
-    def encode_props(element: Any) -> dict[str, Any]:
-        return {
-            name: list(value) if isinstance(value, tuple) else value
-            for name, value in graph.properties(element).items()
-        }
-
-    for node in graph.nodes:
-        record: dict[str, Any] = {"type": "node", "id": node, "label": graph.label(node)}
-        props = encode_props(node)
-        if props:
-            record["properties"] = props
-        fp.write(json.dumps(record, separators=(",", ":")) + "\n")
-    for edge in graph.edges:
-        source, target = graph.endpoints(edge)
-        record = {
-            "type": "edge",
-            "id": edge,
-            "source": source,
-            "target": target,
-            "label": graph.label(edge),
-        }
-        props = encode_props(edge)
-        if props:
-            record["properties"] = props
-        fp.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-
-def check_jsonl_record(
-    record: Any, line: int, source: str | None
-) -> dict[str, Any]:
-    """Check the shape of one decoded JSONL record (see the format note)."""
-    if not isinstance(record, dict):
-        raise GraphLoadError(
-            f"record must be an object, got {type(record).__name__}",
-            source=source,
-            line=line,
-            column=1,
-        )
-    kind = record.get("type")
-    if kind not in _JSONL_TYPES:
-        if "type" in record:
-            problem = f'record "type" must be "node" or "edge", got {kind!r}'
-        else:
-            problem = "record is missing required key 'type'"
-        raise GraphLoadError(problem, source=source, line=line, column=1)
-    for key in _JSONL_REQUIRED[kind]:
-        if key not in record:
-            raise GraphLoadError(
-                f"{kind} record is missing required key {key!r}",
-                source=source,
-                line=line,
-                column=1,
-            )
-    properties = record.get("properties")
-    if properties is not None and not isinstance(properties, dict):
-        raise GraphLoadError(
-            f"{kind} record properties must be an object, "
-            f"got {type(properties).__name__}",
-            source=source,
-            line=line,
-            column=1,
-        )
-    return record
-
-
-def iter_graph_jsonl(
-    fp: IO[str], source: str | None = None
-) -> "Iterator[tuple[int, dict[str, Any]]]":
-    """Yield ``(line_number, record)`` pairs from a JSONL graph stream.
-
-    Lines are decoded and shape-checked one at a time -- the whole point of
-    the format: memory stays bounded by one line.  Blank lines are skipped.
-    Malformed lines raise :class:`~repro.errors.GraphLoadError` pinpointing
-    the line, column and absolute character offset of the problem.
-    """
-    if source is None:
-        source = getattr(fp, "name", None)
-    offset = 0
-    line_number = 0
-    while True:
-        try:
-            text = fp.readline()
-        except UnicodeDecodeError as bad:
-            raise GraphLoadError(
-                f"graph document is not valid text: {bad.reason}",
-                source=source,
-                offset=bad.start,
-            ) from None
-        if not text:
-            return
-        line_number += 1
-        if text.strip():
-            try:
-                record = json.loads(text)
-            except json.JSONDecodeError as bad:
-                raise GraphLoadError(
-                    f"invalid JSON: {bad.msg}",
-                    source=source,
-                    line=line_number,
-                    column=bad.colno,
-                    offset=offset + bad.pos,
-                ) from None
-            except RecursionError:
-                raise GraphLoadError(
-                    "JSON record is nested too deeply",
-                    source=source,
-                    line=line_number,
-                    column=1,
-                    offset=offset,
-                ) from None
-            yield line_number, check_jsonl_record(record, line_number, source)
-        offset += len(text)
-
-
-def load_graph_jsonl(fp: IO[str], source: str | None = None) -> PropertyGraph:
-    """Read a JSONL graph stream into a :class:`PropertyGraph`.
-
-    Structural errors (duplicate ids, dangling endpoints, illegal values)
-    are re-raised as :class:`~repro.errors.GraphLoadError` tagged with the
-    offending line.
-    """
-    from .model import PropertyGraph
-
-    if source is None:
-        source = getattr(fp, "name", None)
-    graph = PropertyGraph()
-    span = obs.span("pg.load_jsonl")
-    with span:
-        records = 0
-        for line_number, record in iter_graph_jsonl(fp, source):
-            records += 1
-            try:
-                if record["type"] == "node":
-                    graph.add_node(
-                        record["id"], record["label"], record.get("properties") or None
-                    )
-                else:
-                    graph.add_edge(
-                        record["id"],
-                        record["source"],
-                        record["target"],
-                        record["label"],
-                        record.get("properties") or None,
-                    )
-            except GraphLoadError:
-                raise
-            except (GraphError, TypeError, ValueError) as bad:
-                raise GraphLoadError(
-                    f"malformed graph element: {bad}",
-                    source=source,
-                    line=line_number,
-                    column=1,
-                ) from bad
-        span.set(records=records)
-    return graph
+    """Write *graph* in JSON Lines form: nodes first, then edges, each a
+    :func:`graph_to_dict` element tagged with its ``type`` and without an
+    empty ``properties`` (the format and its reader: :mod:`repro.pg.jsonl`)."""
+    data = graph_to_dict(graph)
+    for kind, elements in (("node", data["nodes"]), ("edge", data["edges"])):
+        for element in elements:
+            record = {"type": kind, **element}
+            if not record["properties"]:
+                del record["properties"]
+            fp.write(json.dumps(record, separators=(",", ":")) + "\n")

@@ -44,7 +44,6 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Any
 
 from .. import obs
@@ -52,6 +51,7 @@ from ..errors import BudgetExhaustedError, GraphLoadError, ReproError
 from ..evolution import SchemaDiff, diff_schemas
 from ..pg.io import graph_from_dict, graph_to_dict
 from ..pg.model import PropertyGraph
+from ..record import Record
 from ..resilience import faults
 from ..resilience.durable import atomic_write
 from ..schema.build import parse_schema
@@ -83,8 +83,7 @@ APPEARED = "appeared"
 DISAPPEARED = "disappeared"
 
 
-@dataclass(frozen=True)
-class ViolationEvent:
+class ViolationEvent(Record):
     """One violation transition observed at a commit boundary.
 
     Attributes:
@@ -121,8 +120,7 @@ class ViolationEvent:
         return f"{sign}{self.rule}{where} ({subject}) @commit {self.commit}"
 
 
-@dataclass
-class CDCResult:
+class CDCResult(Record, frozen=False):
     """The outcome of one :meth:`CDCConsumer.run`."""
 
     report: ValidationReport
@@ -657,21 +655,12 @@ class CDCConsumer:
                 self._validator.remove_property(record["id"], record["name"])
             elif op == "set_schema":
                 self._apply_schema_change(record["sdl"])
-            else:  # pragma: no cover - the journal shape-check forbids this
-                raise GraphLoadError(
-                    f"unknown journal op {op!r}",
-                    source=self._journal.path,
-                    line=event.line,
-                    column=1,
-                )
-        except GraphLoadError:
-            raise
+            # the journal's shape check admits no other op
         except (ReproError, TypeError, ValueError) as bad:
             raise GraphLoadError(
                 f"cannot apply {op} event: {bad}",
                 source=self._journal.path,
                 line=event.line,
-                column=1,
             ) from bad
 
     # ------------------------------------------------------------------ #

@@ -24,10 +24,12 @@ only at marker boundaries -- which is what makes byte-offset resume exact.
 Bonifati-et-al. framing: graph mutations and schema changes are one
 history.
 
-Reading is hardened exactly like :mod:`repro.pg.io`: the journal is read
-in *binary* so byte offsets are seekable, and every way a line can be
-malformed -- invalid UTF-8, truncated JSON, a non-object record, an
-unknown ``op``, missing required keys, wrongly-typed ``properties`` --
+Reading goes through the one JSON-lines reader,
+:func:`repro.jsonlines.read_json_lines`, which graph files and the perf
+store share.  The journal is read in *binary*, so offsets count bytes and
+are seekable, and strictly: every way a line can be malformed -- invalid
+UTF-8, truncated JSON (a torn final line included), a non-object record,
+an unknown ``op``, missing required keys, wrongly-typed ``properties`` --
 raises a typed :class:`~repro.errors.GraphLoadError` carrying the source
 name and the 1-based line, column and absolute byte offset of the problem.
 A resumed read (``start_offset > 0``) continues mid-file from a checkpoint
@@ -38,11 +40,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from types import TracebackType
 from typing import IO, Any, Iterator, Mapping, Sequence
 
 from ..errors import GraphLoadError
+from ..jsonlines import Shape, check_shape, read_json_lines
+from ..record import Record
 
 __all__ = [
     "JOURNAL_FORMAT",
@@ -68,12 +71,18 @@ _EVENT_KEYS: dict[str, tuple[str, ...]] = {
     "set_schema": ("sdl",),
 }
 
-#: ops that may carry a "properties" object.
-_PROPERTY_OPS = frozenset({"add_node", "add_edge"})
+#: The record shape of a journal event.
+_EVENT = Shape(
+    _EVENT_KEYS,
+    "journal record",
+    element="{} event",
+    key="op",
+    choices=f"one of {sorted(_EVENT_KEYS)}",
+    with_properties=frozenset({"add_node", "add_edge"}),
+)
 
 
-@dataclass(frozen=True)
-class MutationEvent:
+class MutationEvent(Record):
     """One decoded, shape-checked journal event.
 
     Attributes:
@@ -92,6 +101,15 @@ class MutationEvent:
     line: int
     end_offset: int
 
+    def __init__(
+        self, op: str, record: Mapping[str, Any], seq: int, line: int, end_offset: int
+    ) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "record", record)
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "end_offset", end_offset)
+
     @property
     def is_commit(self) -> bool:
         return self.op == "commit"
@@ -101,77 +119,32 @@ def check_journal_record(
     record: Any, line: int, source: str | None
 ) -> dict[str, Any]:
     """Shape-check one decoded journal record; raise with line context."""
-    if not isinstance(record, dict):
-        raise GraphLoadError(
-            f"journal record must be an object, got {type(record).__name__}",
-            source=source,
-            line=line,
-            column=1,
-        )
-    op = record.get("op")
-    if op not in _EVENT_KEYS:
-        if "op" in record:
-            problem = (
-                f'journal record "op" must be one of '
-                f"{sorted(_EVENT_KEYS)}, got {op!r}"
-            )
-        else:
-            problem = "journal record is missing required key 'op'"
-        raise GraphLoadError(problem, source=source, line=line, column=1)
-    for key in _EVENT_KEYS[op]:
-        if key not in record:
-            raise GraphLoadError(
-                f"{op} event is missing required key {key!r}",
-                source=source,
-                line=line,
-                column=1,
-            )
-    if op in _PROPERTY_OPS:
-        properties = record.get("properties")
-        if properties is not None and not isinstance(properties, dict):
-            raise GraphLoadError(
-                f"{op} event properties must be an object, "
-                f"got {type(properties).__name__}",
-                source=source,
-                line=line,
-                column=1,
-            )
-    if op == "set_schema" and not isinstance(record["sdl"], str):
+    checked = check_shape(record, _EVENT, source, line)
+    if checked["op"] == "set_schema" and not isinstance(checked["sdl"], str):
         raise GraphLoadError(
             "set_schema event sdl must be a string, "
-            f"got {type(record['sdl']).__name__}",
+            f"got {type(checked['sdl']).__name__}",
             source=source,
             line=line,
-            column=1,
         )
-    return record
+    return checked
 
 
-def _check_header(record: dict[str, Any], line: int, source: str | None) -> None:
-    declared = record.get("format")
-    if declared != JOURNAL_FORMAT:
-        raise GraphLoadError(
-            f"journal header format must be {JOURNAL_FORMAT!r}, got {declared!r}",
-            source=source,
-            line=line,
-            column=1,
-        )
-    version = record.get("version")
-    if not isinstance(version, int) or version < 1:
-        raise GraphLoadError(
-            f"journal header version must be a positive integer, got {version!r}",
-            source=source,
-            line=line,
-            column=1,
-        )
-    if version > JOURNAL_VERSION:
-        raise GraphLoadError(
+def _check_header(record: Any, line: int, source: str | None) -> None:
+    if not isinstance(record, dict):
+        problem = "journal must start with a header object"
+    elif (declared := record.get("format")) != JOURNAL_FORMAT:
+        problem = f"journal header format must be {JOURNAL_FORMAT!r}, got {declared!r}"
+    elif not isinstance(version := record.get("version"), int) or version < 1:
+        problem = f"journal header version must be a positive integer, got {version!r}"
+    elif version > JOURNAL_VERSION:
+        problem = (
             f"journal version {version} is newer than the supported "
-            f"version {JOURNAL_VERSION}",
-            source=source,
-            line=line,
-            column=1,
+            f"version {JOURNAL_VERSION}"
         )
+    else:
+        return
+    raise GraphLoadError(problem, source=source, line=line)
 
 
 class MutationJournal:
@@ -202,63 +175,17 @@ class MutationJournal:
         with open(self.path, "rb") as fp:
             if start_offset:
                 fp.seek(start_offset)
-            offset = start_offset
-            line_number = start_line
             seq = start_seq
             saw_header = start_offset > 0
-            for raw in fp:
-                line_number += 1
-                offset += len(raw)
-                try:
-                    text = raw.decode("utf-8")
-                except UnicodeDecodeError as bad:
-                    raise GraphLoadError(
-                        f"journal is not valid text: {bad.reason}",
-                        source=self.path,
-                        line=line_number,
-                        column=1,
-                        offset=offset - len(raw) + bad.start,
-                    ) from None
-                if not text.strip():
-                    continue
-                try:
-                    record = json.loads(text)
-                except json.JSONDecodeError as bad:
-                    raise GraphLoadError(
-                        f"invalid JSON: {bad.msg}",
-                        source=self.path,
-                        line=line_number,
-                        column=bad.colno,
-                        offset=offset - len(raw) + bad.pos,
-                    ) from None
-                except RecursionError:
-                    raise GraphLoadError(
-                        "journal record is nested too deeply",
-                        source=self.path,
-                        line=line_number,
-                        column=1,
-                        offset=offset - len(raw),
-                    ) from None
+            lines = read_json_lines(fp, self.path, (start_offset, start_line))
+            for line, end_offset, record in lines:
                 if not saw_header:
-                    if not isinstance(record, dict):
-                        raise GraphLoadError(
-                            "journal must start with a header object",
-                            source=self.path,
-                            line=line_number,
-                            column=1,
-                        )
-                    _check_header(record, line_number, self.path)
+                    _check_header(record, line, self.path)
                     saw_header = True
                     continue
-                checked = check_journal_record(record, line_number, self.path)
+                checked = check_journal_record(record, line, self.path)
                 seq += 1
-                yield MutationEvent(
-                    op=str(checked["op"]),
-                    record=checked,
-                    seq=seq,
-                    line=line_number,
-                    end_offset=offset,
-                )
+                yield MutationEvent(checked["op"], checked, seq, line, end_offset)
 
     def size(self) -> int:
         """Current journal size in bytes (for lag gauges)."""
@@ -303,23 +230,9 @@ class JournalWriter:
 
     def event(self, record: Mapping[str, Any]) -> None:
         """Append one event (shape-checked before it hits the disk)."""
-        checked = check_journal_record(dict(record), 0, self.path)
-        encoded = {
-            key: self._encode_value(value) for key, value in checked.items()
-        }
-        self._write_record(encoded)
+        # json encodes tuples as arrays: the record is written as checked
+        self._write_record(check_journal_record(dict(record), 0, self.path))
         self.events_written += 1
-
-    @staticmethod
-    def _encode_value(value: Any) -> Any:
-        if isinstance(value, tuple):
-            return list(value)
-        if isinstance(value, dict):
-            return {
-                key: list(item) if isinstance(item, tuple) else item
-                for key, item in value.items()
-            }
-        return value
 
     def commit(self) -> None:
         """Append a batch-commit marker."""

@@ -2,7 +2,7 @@
 
 The in-memory engines assume the whole Property Graph fits in RAM.  This
 module removes that assumption for graphs stored in the JSON Lines format
-(:mod:`repro.pg.io`): :class:`StreamValidator` validates a JSONL file in
+(:mod:`repro.pg.jsonl`): :class:`StreamValidator` validates a JSONL file in
 bounded memory by cutting it into *chunks* along the same scope boundaries
 the parallel engine's partitioner uses (:mod:`repro.validation.shard`), so
 no satisfaction rule ever has to see two chunks at once.
@@ -61,7 +61,7 @@ from typing import IO, TYPE_CHECKING, Any
 
 from .. import obs
 from ..errors import BudgetExhaustedError, GraphError, GraphLoadError
-from ..pg.io import iter_graph_jsonl
+from ..pg.jsonl import iter_graph_jsonl
 from ..pg.model import PropertyGraph
 from .parallel import ShardResult, merge_shard_results, validate_shard
 from .plan import ValidationPlan, compile_plan
@@ -151,7 +151,9 @@ class StreamValidator:
         self.peak_resident = 0
         span = obs.span("validation.stream", engine="stream", mode=mode)
         with span:
-            with open(path, "r", encoding="utf-8") as fp:
+            # the chunk count must be known before routing; counting lines
+            # needs no decoding (the route pass decodes and checks them)
+            with open(path, "rb") as fp:
                 total = sum(1 for line in fp if line.strip())
             num_chunks = min(
                 _MAX_CHUNKS, max(1, -(-total // self.chunk_elements))
@@ -200,7 +202,7 @@ class StreamValidator:
                     open(os.path.join(tmp, f"chunk{index}.jsonl"), "w")
                     for index in range(num_chunks)
                 ]
-                with open(path, "r", encoding="utf-8") as fp:
+                with open(path, "rb") as fp:
                     for line, record in iter_graph_jsonl(fp, path):
                         if record["type"] == "node":
                             nodes += 1
@@ -294,7 +296,6 @@ class StreamValidator:
                     f"edge {end} is not a node: {endpoint!r}",
                     source=source_name,
                     line=line,
-                    column=1,
                 )
             label = labels[label_id]
             if endpoint not in graph:
@@ -328,7 +329,6 @@ class StreamValidator:
                         f"malformed graph element: {bad}",
                         source=source_name,
                         line=line,
-                        column=1,
                     ) from bad
                 record = (
                     edge_id,

@@ -119,6 +119,7 @@ class TestJournal:
         [
             ('{"id": "x"}', "missing required key 'op'"),
             ('{"op": "explode"}', "must be one of"),
+            ('{"op": []}', "must be one of"),
             ('{"op": "add_node", "id": "x"}', "missing required key 'label'"),
             ('{"op": "add_edge", "id": "e", "source": "a", "target": "b", '
              '"label": "l", "properties": 7}', "properties must be an object"),

@@ -1,5 +1,6 @@
 """The pgschema command-line interface."""
 
+import io
 import json
 from pathlib import Path
 
@@ -527,6 +528,65 @@ class TestCdc:
         ])
         assert code == 1
         assert "incomplete" in capsys.readouterr().out.lower()
+
+
+# A bad final line for any JSON-lines input, with the offset of its error
+# within the line.  Each holds a non-ASCII character before the error, so
+# a character offset would differ from the byte offset asserted.
+_BAD_LINES = {
+    "invalid-utf8": (b'["\xc3\xbc\xff"]\n', 4),
+    "too-deep": (b"[" * 100_000 + b"\n", 0),
+    "torn": (b'["\xc3\xbc", ', 7),
+}
+
+
+class TestMalformedLines:
+    """Graph lines (inline and ``--stream``) and the mutation journal fail
+    one typed way: exit 2 and one ``error[E_LOAD]`` line naming the bad
+    line and the byte offset of its error."""
+
+    @pytest.fixture
+    def graph_lines(self, tmp_path):
+        buffer = io.StringIO()
+        dump_graph_jsonl(user_session_graph(600, 2, seed=0), buffer)
+        lines = buffer.getvalue().splitlines(keepends=True)[:2999]
+        path = tmp_path / "graph.jsonl"
+        path.write_bytes(
+            '{"type": "node", "id": "\u00fc", "label": "User"}\n'.encode()
+            + "".join(lines).encode()
+        )
+        return path
+
+    @pytest.fixture
+    def journal(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        write_mutation_journal(str(path), MutationWorkloadConfig(commits=4, seed=0))
+        return path
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_LINES))
+    @pytest.mark.parametrize("command", ["validate", "validate-stream", "cdc"])
+    def test_bad_final_line(
+        self, command, bad, schema_file, graph_lines, journal, tmp_path, capsys
+    ):
+        if command == "cdc":
+            schema = tmp_path / "mutation.graphql"
+            schema.write_text(MUTATION_SCHEMA_SDL)
+            path, argv = journal, ["cdc", str(schema), str(journal)]
+        else:
+            path, argv = graph_lines, ["validate", schema_file, str(graph_lines)]
+            if command == "validate-stream":
+                argv.append("--stream")
+        good = path.read_bytes()
+        line, error_at = _BAD_LINES[bad]
+        path.write_bytes(good + line)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        number = good.count(b"\n") + 1
+        if command != "cdc":
+            assert number == 3001
+        assert err.startswith("error[E_LOAD]: ")
+        assert f" at line {number}, " in err
+        assert err.rstrip().endswith(f"(char {len(good) + error_at})")
 
 
 _HELP_GOLDEN = Path(__file__).parent / "golden" / "cli_help"

@@ -115,17 +115,18 @@ def test_importing_the_cli_loads_no_subcommand_machinery():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, exits",
     [
-        ["lint", "{library}"],
-        ["validate", "{schema}", "{graph}"],
-        ["sat", "{library}"],
-        ["sat", "{hub}"],
+        (["lint", "{library}"], (0,)),
+        (["validate", "{schema}", "{graph}"], (0,)),
+        (["sat", "{library}"], (0,)),
+        (["sat", "{hub}"], (0,)),
+        (["cdc", "{mutation_schema}", "{journal}"], (1,)),
     ],
-    ids=["lint", "validate", "sat-library", "sat-hub"],
+    ids=["lint", "validate", "sat-library", "sat-hub", "cdc"],
 )
-def test_one_shot_runs_load_no_dataclasses_pools_or_logging(inputs, argv):
-    code = _run_cli([arg.format(**inputs) for arg in argv])
+def test_one_shot_runs_load_no_dataclasses_pools_or_logging(inputs, argv, exits):
+    code = _run_cli([arg.format(**inputs) for arg in argv], exits)
     assert _loaded_after(code, _ONE_SHOT_UNUSED) == []
 
 
@@ -146,6 +147,16 @@ def test_lint_loads_neither_validation_nor_satisfiability(inputs):
 def test_validate_does_not_load_numpy(inputs, argv):
     code = _run_cli([arg.format(**inputs) for arg in argv])
     assert _loaded_after(code, ("numpy",)) == []
+
+
+@pytest.mark.parametrize(
+    "graph, stream, loaded",
+    [("{graph}", [], []), ("{jsonl}", ["--stream"], ["repro.pg.jsonl"])],
+    ids=["json", "jsonl-stream"],
+)
+def test_only_jsonl_runs_load_the_graph_lines_module(inputs, graph, stream, loaded):
+    code = _run_cli(["validate", inputs["schema"], graph.format(**inputs), *stream])
+    assert _loaded_after(code, ("repro.pg.jsonl",)) == loaded
 
 
 def test_sat_does_not_load_numpy(inputs):

@@ -233,6 +233,26 @@ class TestProfileStore:
         with pytest.raises(PerfStoreError, match=":2"):
             store.profiles()
 
+    @pytest.mark.parametrize(
+        "line",
+        [b"\xff\n", b"[" * 100_000 + b"\n", b'{"format": "pgschema-perf-profile"}\n'],
+        ids=["invalid-utf8", "too-deep", "schema-violation"],
+    )
+    def test_bad_line_raises_with_line(self, tmp_path, line):
+        store = ProfileStore(str(tmp_path / ".perf"))
+        store.append([make_profile("a.one")])
+        with open(store.data_path, "ab") as handle:
+            handle.write(line)
+        with pytest.raises(PerfStoreError, match=r"profiles\.jsonl:2: "):
+            store.profiles()
+
+    def test_torn_tail_cut_inside_a_character_is_ignored(self, tmp_path):
+        store = ProfileStore(str(tmp_path / ".perf"))
+        store.append([make_profile("a.one")])
+        with open(store.data_path, "ab") as handle:
+            handle.write('{"format": "pgschema-perf-profile", "commit": "\u00fc'.encode()[:-1])
+        assert [p.scenario for p in store.profiles()] == ["a.one"]
+
     def test_index_rebuilt_when_stale(self, tmp_path):
         store = ProfileStore(str(tmp_path / ".perf"))
         store.append([make_profile("a.one")])
