@@ -396,19 +396,19 @@ def e12_parallel_validation() -> None:
 
 def e12_executor_sweep(schema, plan) -> tuple[int, list[dict]]:
     """The measurement behind the default executor policy: the plan kernel
-    inline on one shard (the default) against thread and process pools at
-    ``jobs=usable_cores()``, on user/session graphs of 5k to 200k
-    elements (five elements per user)."""
+    inline on one shard (the default) against ``jobs=usable_cores()``
+    shards run serially and on a process pool, on user/session graphs of
+    5k to 200k elements (five elements per user)."""
     from repro.validation.parallel import usable_cores
 
     jobs = usable_cores()
     validators = {
         "inline": ParallelValidator(schema, plan=plan),
-        "thread": ParallelValidator(schema, jobs=jobs, executor="thread", plan=plan),
+        "serial": ParallelValidator(schema, jobs=jobs, executor="serial", plan=plan),
         "process": ParallelValidator(schema, jobs=jobs, executor="process", plan=plan),
     }
     print(f"executor sweep at jobs={jobs} (best of 3, ms)")
-    print(f"{'n':>7} | {'inline':>8} | {'thread':>8} | {'process':>8}")
+    print(f"{'n':>7} | {'inline':>8} | {'serial':>8} | {'process':>8}")
     rows = []
     for num_users in (100, 400) if QUICK else (1_000, 4_000, 16_000, 40_000):
         graph = user_session_graph(num_users, 2, seed=42)
@@ -420,7 +420,7 @@ def e12_executor_sweep(schema, plan) -> tuple[int, list[dict]]:
         rows.append(row)
         print(
             f"{row['n']:>7} | {row['inline_s'] * 1000:>8.1f} | "
-            f"{row['thread_s'] * 1000:>8.1f} | {row['process_s'] * 1000:>8.1f}"
+            f"{row['serial_s'] * 1000:>8.1f} | {row['process_s'] * 1000:>8.1f}"
         )
     return jobs, rows
 

@@ -59,7 +59,7 @@ from contextlib import contextmanager
 from importlib import import_module
 
 from . import obs
-from .errors import ReproError, exit_code_for, render_error
+from .errors import ON_BUDGET, ReproError, exit_code_for, render_error
 
 # Everything else is imported by the handler that runs it: each subcommand
 # is a module of repro.commands, imported when it is dispatched, so a cold
@@ -143,8 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     validate_cmd.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="shard --engine parallel over N workers on a thread or process "
-        "pool (default: run the kernel inline, one shard, no pool)",
+        help="shard --engine parallel N ways, on a process pool for large "
+        "graphs (default: run the kernel inline, one shard, no pool)",
     )
     validate_cmd.add_argument(
         "--profile", action="store_true",
@@ -406,7 +406,7 @@ def _add_budget_arguments(subparser: argparse.ArgumentParser) -> None:
         help="cap on elements processed / tableau nodes created",
     )
     group.add_argument(
-        "--on-budget", choices=("unknown", "error"), default="unknown",
+        "--on-budget", choices=ON_BUDGET, default="unknown",
         help='when the budget runs out: report UNKNOWN partial results and '
         'exit 3 (default), or fail with error[E_BUDGET]',
     )

@@ -60,7 +60,9 @@ class GraphLoadError(GraphError):
     Raised for malformed/truncated JSON, wrong top-level shapes, and missing
     required keys -- always with enough context (source name, element index,
     line/column/offset where known) to locate the problem.  An error placed
-    on a line without a column is at the line's column 1.
+    on a line without a column is at the line's column 1.  ``unit`` names
+    what the offset counts: ``"char"`` in decoded text, ``"byte"`` in a
+    file read in binary.
     """
 
     code = "E_LOAD"
@@ -73,6 +75,7 @@ class GraphLoadError(GraphError):
         line: int | None = None,
         column: int | None = None,
         offset: int | None = None,
+        unit: str = "char",
     ) -> None:
         if line is not None and column is None:
             column = 1
@@ -86,7 +89,7 @@ class GraphLoadError(GraphError):
         if line is not None:
             where += f" at line {line}, column {column}"
             if offset is not None:
-                where += f" (char {offset})"
+                where += f" ({unit} {offset})"
         super().__init__(f"{message}{where}")
 
 
@@ -179,6 +182,19 @@ class BudgetExhaustedError(ReproError):
         # keep the structured reason across process-pool pickling (the
         # default args-based reconstruction would collapse it to a string)
         return (self.__class__, (self.reason,))
+
+
+#: What a budgeted engine does on exhaustion: ``"unknown"`` returns a typed
+#: UNKNOWN / partial answer, ``"error"`` raises :class:`BudgetExhaustedError`.
+ON_BUDGET = ("unknown", "error")
+
+
+def check_on_budget(on_budget: str) -> None:
+    """Raise ``ValueError`` unless *on_budget* is one of :data:`ON_BUDGET`."""
+    if on_budget not in ON_BUDGET:
+        raise ValueError(
+            f"unknown on_budget policy {on_budget!r}; expected one of {ON_BUDGET}"
+        )
 
 
 class WorkerFailureError(ReproError):

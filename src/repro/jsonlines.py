@@ -13,8 +13,8 @@ offset.
 Offsets count the stream's own unit: bytes when the lines are ``bytes``
 (a file opened in binary, as every file reader here opens its input, so
 an offset is a ``seek`` target), characters when they are ``str`` (a text
-stream such as ``io.StringIO``).  Columns count characters within the
-line.
+stream such as ``io.StringIO``); the error message names the unit,
+``(byte N)`` or ``(char N)``.  Columns count characters within the line.
 
 A final line without its newline is *torn*.  Graph files and the journal
 are strict: a torn line is decoded like any other, so a truncated record
@@ -60,6 +60,7 @@ def read_json_lines(
         if skip_torn_tail and raw[-1:] not in (b"\n", "\n"):
             return
         if isinstance(raw, bytes):
+            unit = "byte"
             try:
                 text = raw.decode()
             except UnicodeDecodeError as bad:
@@ -69,8 +70,10 @@ def read_json_lines(
                     line=number,
                     column=len(raw[: bad.start].decode()) + 1,
                     offset=start + bad.start,
+                    unit=unit,
                 ) from None
         else:
+            unit = "char"
             text = raw
         if not text.strip():
             continue
@@ -86,6 +89,7 @@ def read_json_lines(
                 line=number,
                 column=bad.colno,
                 offset=start + position,
+                unit=unit,
             ) from None
         except RecursionError:
             raise GraphLoadError(
@@ -93,6 +97,7 @@ def read_json_lines(
                 source=source,
                 line=number,
                 offset=start,
+                unit=unit,
             ) from None
         yield number, offset, value
 

@@ -9,7 +9,7 @@ registries through :func:`repro.obs.export.metrics_payload`.
 Metric names are dotted paths (``validation.checks.WS1``,
 ``sat.cache.hits``); there is no label dimension -- encode variants in the
 name.  All three instrument kinds are thread-safe: a registry may be shared
-by the thread rungs of the executor ladder.  Process workers record into a
+by the service's request and batch threads.  Process workers record into a
 private registry whose :meth:`~MetricsRegistry.snapshot` ships back with the
 task result and is folded into the parent via
 :meth:`~MetricsRegistry.merge_snapshot` at the merge barrier.

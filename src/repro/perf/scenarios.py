@@ -262,7 +262,7 @@ def _validate_indexed(quick: bool) -> Iterator[Callable[[], object]]:
     yield lambda: validator.validate(graph)
 
 
-@scenario("validate.parallel", "validate", "sharded engine, 2 thread workers")
+@scenario("validate.parallel", "validate", "sharded engine, 2 shards")
 def _validate_parallel(quick: bool) -> Iterator[Callable[[], object]]:
     from ..validation import ParallelValidator, compile_plan
     from ..workloads import load, user_session_graph

@@ -1,4 +1,4 @@
-"""The per-commit profile store: append-only JSONL plus an atomic index.
+"""The per-commit profile store: one append-only JSONL file.
 
 A *profile* is one scenario's measurement batch: the commit it was recorded
 at, the run number (one ``pgschema perf record`` invocation == one run),
@@ -10,12 +10,10 @@ tableau expansions, shard sizes), not just wall clock.
 Layout under the store root (default ``.perf/``)::
 
     .perf/profiles.jsonl   append-only, one profile object per line
-    .perf/index.json       atomic summary (resilience.durable.atomic_write)
 
-The JSONL file is the source of truth; the index is a cheap derived
-summary and is rebuilt whenever it disagrees with the data file (so a
-crash between the two writes can never corrupt the store).  Lines are read
-by :func:`repro.jsonlines.read_json_lines`, the reader graph files and the
+Every summary (:meth:`ProfileStore.summary`, :meth:`ProfileStore.last_run`)
+is derived from the records on each read, so there is no second file to
+fall out of step with the data.  Lines are read by :func:`repro.jsonlines.read_json_lines`, the reader graph files and the
 CDC journal share, in binary (offsets count bytes).  A final line without
 its newline is torn -- the only state an interrupted append can leave --
 and the store reads with ``skip_torn_tail=True``, so it is ignored; the
@@ -45,7 +43,6 @@ from typing import Any, Iterator
 
 from ..errors import GraphLoadError, ReproError
 from ..jsonlines import read_json_lines
-from ..resilience.durable import atomic_write
 
 __all__ = [
     "PROFILE_FORMAT",
@@ -59,9 +56,6 @@ __all__ = [
 
 PROFILE_FORMAT = "pgschema-perf-profile"
 PROFILE_VERSION = 1
-
-INDEX_FORMAT = "pgschema-perf-index"
-INDEX_VERSION = 1
 
 
 class PerfStoreError(ReproError):
@@ -239,7 +233,6 @@ class ProfileStore:
     """Append-only, schema-pinned store of :class:`Profile` records."""
 
     DATA_NAME = "profiles.jsonl"
-    INDEX_NAME = "index.json"
 
     def __init__(self, root: str) -> None:
         self.root = root
@@ -247,10 +240,6 @@ class ProfileStore:
     @property
     def data_path(self) -> str:
         return os.path.join(self.root, self.DATA_NAME)
-
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, self.INDEX_NAME)
 
     def exists(self) -> bool:
         return os.path.exists(self.data_path)
@@ -290,9 +279,6 @@ class ProfileStore:
         return dict(sorted(grouped.items()))
 
     def last_run(self) -> int:
-        index = self._load_index()
-        if index is not None:
-            return int(index.get("runs", 0))
         return max((p.run for p in self.profiles()), default=0)
 
     def commits(self) -> list[str]:
@@ -307,7 +293,7 @@ class ProfileStore:
     # ------------------------------------------------------------------ #
 
     def append(self, profiles: list[Profile]) -> None:
-        """Append a batch of profiles and refresh the index atomically.
+        """Append a batch of profiles durably (flushed and fsynced).
 
         Records are validated against :data:`PROFILE_SCHEMA` before any
         byte is written, so a malformed profile can never reach the data
@@ -330,7 +316,6 @@ class ProfileStore:
                 fp.write(json.dumps(payload, sort_keys=True) + "\n")
             fp.flush()
             os.fsync(fp.fileno())
-        self._write_index(self.profiles())
 
     def _drop_torn_tail(self) -> None:
         """Truncate a torn final line (interrupted append) before writing.
@@ -347,69 +332,22 @@ class ProfileStore:
             if data and not data.endswith(b"\n"):
                 fp.truncate(data.rfind(b"\n") + 1)
 
-    def _write_index(self, profiles: list[Profile]) -> dict[str, Any]:
-        index: dict[str, Any] = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "profiles": len(profiles),
-            "runs": max((p.run for p in profiles), default=0),
-            "commits": list(dict.fromkeys(p.commit for p in profiles)),
-            "scenarios": sorted({p.scenario for p in profiles}),
-            "last_commit": profiles[-1].commit if profiles else None,
-            "env_digests": sorted({p.env.get("digest", "") for p in profiles}),
-        }
-        atomic_write(
-            self.index_path,
-            (json.dumps(index, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-            "perf.index",
-            profiles=len(profiles),
-        )
-        return index
-
-    def _load_index(self) -> dict[str, Any] | None:
-        """The index if it exists and agrees with the data file, else a
-        freshly rebuilt one (crash between the two writes heals here)."""
-        if not self.exists():
-            return None
-        try:
-            with open(self.index_path, "r", encoding="utf-8") as fp:
-                index = json.load(fp)
-        except (OSError, json.JSONDecodeError):
-            index = None
-        profiles = self.profiles()
-        if (
-            not isinstance(index, dict)
-            or index.get("format") != INDEX_FORMAT
-            or index.get("profiles") != len(profiles)
-        ):
-            return self._write_index(profiles)
-        return index
-
     # ------------------------------------------------------------------ #
     # summaries
     # ------------------------------------------------------------------ #
 
     def summary(self) -> dict[str, Any]:
-        """The cheap health view surfaced by ``pgschema stats --json`` and
+        """The health view surfaced by ``pgschema stats --json`` and
         the service's ``/v1/stats`` (see :func:`repro.perf.perf_summary`
         for the variant that adds the newest verdicts)."""
-        index = self._load_index()
-        if index is None:
-            return {
-                "store": self.root,
-                "profiles": 0,
-                "runs": 0,
-                "scenarios": 0,
-                "commits": 0,
-                "last_commit": None,
-            }
+        profiles = self.profiles()
         return {
             "store": self.root,
-            "profiles": index["profiles"],
-            "runs": index["runs"],
-            "scenarios": len(index["scenarios"]),
-            "commits": len(index["commits"]),
-            "last_commit": index["last_commit"],
+            "profiles": len(profiles),
+            "runs": max((p.run for p in profiles), default=0),
+            "scenarios": len({p.scenario for p in profiles}),
+            "commits": len({p.commit for p in profiles}),
+            "last_commit": profiles[-1].commit if profiles else None,
         }
 
     def __iter__(self) -> Iterator[Profile]:

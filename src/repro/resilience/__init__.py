@@ -17,7 +17,7 @@ tracebacking the service.  This package holds the shared machinery:
   requests inline on its serial rung);
 * :func:`~repro.resilience.durable.atomic_write` -- the one durable
   writer (tmp + fsync + rename, with a ``phase=rename`` fault point)
-  behind CDC checkpoints, registry versions and the perf index;
+  behind CDC checkpoints and registry versions;
 * :mod:`repro.resilience.faults` -- deterministic fault injection
   (``PGSCHEMA_FAULTS``) used by the chaos tests to prove every recovery
   path: injected worker crashes, delays and allocation spikes at named

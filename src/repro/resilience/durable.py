@@ -1,7 +1,7 @@
 """The one durable writer: tmp + fsync + rename.
 
-Every file the project must never leave half-written -- CDC checkpoints,
-registry schema versions, the perf store's index -- goes through
+Every file the project must never leave half-written -- CDC checkpoints
+and registry schema versions -- goes through
 :func:`atomic_write`.  The bytes land in ``<path>.tmp``, are fsynced, and
 only then renamed over *path*, so a reader sees either the previous file
 or the new one, never a torn mix.  A crash before the rename leaves only

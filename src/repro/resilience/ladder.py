@@ -10,22 +10,22 @@ contract.  An engine supplies only what it knows:
   one payload per task;
 * **the workers** -- a picklable ``(build, args)`` pair; ``build(*args)``
   makes the same state once per worker process (e.g. recompiling a
-  validation plan whose closures cannot be pickled).  Without it the
-  process rung is unavailable and a run asked to start there starts on the
-  thread rung.
+  validation plan whose closures cannot be pickled).  A run that starts on
+  the process rung must pass one.
 
 The ladder does everything else, identically for every engine:
 
 * it fires the engine's fault site before every task attempt, with context
   ``{log_key: index, "attempt": ..., "executor": ...}`` plus the run's
   fixed extra keys (:func:`~repro.resilience.faults.fault_point`);
-* it runs the batch on one rung (``serial`` inline, ``thread`` on a
-  ``ThreadPoolExecutor``, ``process`` on a ``ProcessPoolExecutor`` whose one
-  initializer marks the worker, installs the parent's fault plan and
-  observability config, then builds the state); at most ``jobs`` tasks are
-  in flight, and each task's ``task_timeout`` clock starts when it is
-  submitted, so a task queued behind busy workers is never taken for a
-  stuck one;
+* it runs the batch on one rung (``serial`` inline, ``process`` on a
+  ``ProcessPoolExecutor`` whose one initializer marks the worker, installs
+  the parent's fault plan and observability config, then builds the
+  state); there is no thread rung, because the tasks are pure-Python CPU
+  work that the GIL would serialise.  On the process rung at most ``jobs``
+  tasks are in flight, and each task's ``task_timeout`` clock starts when
+  it is submitted, so a task queued behind busy workers is never taken for
+  a stuck one;
 * results land *positionally* in a caller-provided array -- process-worker
   results packaged with their spans and metrics (:func:`repro.obs.package`)
   are unwrapped as they are stored -- so merging stays deterministic no
@@ -35,8 +35,8 @@ The ladder does everything else, identically for every engine:
   ``task_timeout`` (a stuck worker, whose pool slot stays taken).  Failed
   tasks are retried with exponential backoff
   (``retry_base_delay * 2**attempt``); once ``max_retries`` same-rung
-  retries are spent, the *failing tasks* fall down the ladder process →
-  thread → serial while completed results are kept;
+  retries are spent, the *failing tasks* fall from the process rung to
+  the serial rung while completed results are kept;
 * a task that trips a :class:`~repro.resilience.Budget` re-raises
   :class:`~repro.errors.BudgetExhaustedError` in the caller -- that is an
   answer, not a crash -- and when even the serial rung fails the last cause
@@ -60,13 +60,11 @@ from . import faults
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import Future
 
-__all__ = ["EXECUTORS", "FALLBACK", "ExecutorLadder", "usable_cores"]
+__all__ = ["EXECUTORS", "ExecutorLadder", "usable_cores"]
 
-#: Executor rungs a ladder run may start on.
-EXECUTORS = ("serial", "thread", "process")
-
-#: The fallback ladder for failing tasks.
-FALLBACK = {"process": "thread", "thread": "serial"}
+#: Executor rungs a ladder run may start on; failing tasks fall from
+#: ``process`` to ``serial``.
+EXECUTORS = ("serial", "process")
 
 #: ``task(state, payload, attempt, executor)`` -- one fan-out task.
 Task = Callable[..., object]
@@ -84,15 +82,12 @@ class ExecutorLadder:
     """Retry/backoff/fallback scheduling of indexed tasks over executors.
 
     Args:
-        jobs: Maximum tasks in flight (pool workers) on the thread/process
-            rungs.
+        jobs: Maximum tasks in flight (pool workers) on the process rung.
         max_retries: Same-rung retries per ladder rung before falling back.
         retry_base_delay: Base of the exponential backoff sleep.
         task_timeout: Wall seconds one task attempt may take, counted from
             its submission, before it is treated as a stuck worker and
             recovered.
-        fallback: When False, exhausted retries raise instead of falling
-            down the ladder.
         site: Budget site string used for deadline checks between attempts.
         log_key: Name of the task-index key in ``recovery_log`` entries,
             fault contexts and failure messages (``"shard"`` for validation,
@@ -107,7 +102,6 @@ class ExecutorLadder:
         max_retries: int = 2,
         retry_base_delay: float = 0.05,
         task_timeout: float | None = None,
-        fallback: bool = True,
         site: str = "resilience.ladder",
         log_key: str = "task",
         timeout_label: str = "task_timeout",
@@ -116,7 +110,6 @@ class ExecutorLadder:
         self.max_retries = max(0, max_retries)
         self.retry_base_delay = retry_base_delay
         self.task_timeout = task_timeout
-        self.fallback = fallback
         self.site = site
         self.log_key = log_key
         self.timeout_label = timeout_label
@@ -150,7 +143,7 @@ class ExecutorLadder:
         if mode not in EXECUTORS:
             raise ValueError(f"unknown executor {mode!r}; expected one of {EXECUTORS}")
         if mode == "process" and worker is None:
-            mode = "thread"
+            raise ValueError("the process rung needs a worker (build, args) pair")
         job = (task, state, payloads, (fault_site, self.log_key, context), worker)
         pending = list(payloads)
         attempt = 0
@@ -196,8 +189,8 @@ class ExecutorLadder:
                 retries_left -= 1
                 obs.count("ladder.retries")
                 self._backoff(attempt, budget)
-            elif self.fallback and mode in FALLBACK:
-                mode = FALLBACK[mode]
+            elif mode == "process":
+                mode = "serial"
                 retries_left = self.max_retries
                 obs.count("ladder.fallbacks")
             else:
@@ -245,24 +238,19 @@ class ExecutorLadder:
                     failures.append((index, error))
             return failures, []
         workers = min(self.jobs, len(pending))
-        # imported here: a run that stays on the serial rung never loads them
-        if mode == "thread":
-            from concurrent.futures import ThreadPoolExecutor
+        # imported here: a run that stays on the serial rung never loads it
+        from concurrent.futures import ProcessPoolExecutor
 
-            pool = ThreadPoolExecutor(max_workers=workers)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker_process,
-                initargs=(faults.active_spec(), obs.worker_config(), worker),
-            )
-            state = None  # each worker builds its own; the parent's is not pickled
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker_process,
+            initargs=(faults.active_spec(), obs.worker_config(), worker),
+        )
 
         def submit(index: int) -> "Future":
+            # each worker builds its own state; the parent's is not pickled
             return pool.submit(
-                _run_task, task, state, payloads[index], index, attempt, mode, fault
+                _run_task, task, None, payloads[index], index, attempt, mode, fault
             )
 
         hard_shutdown = False
@@ -363,15 +351,15 @@ class ExecutorLadder:
             pool.shutdown(wait=True)
             return
         # a crashed/stuck attempt: do not wait for wedged workers, and
-        # terminate any process still chewing on a cancelled task
+        # terminate any process still chewing on a cancelled task (listed
+        # first: shutdown() drops the pool's map of its processes)
+        processes = list(pool._processes.values())
         pool.shutdown(wait=False, cancel_futures=True)
-        processes = getattr(pool, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:  # pragma: no cover - already-dead worker
-                    pass
+        for process in processes:
+            try:
+                process.terminate()
+            except Exception:  # pragma: no cover - already-dead worker
+                pass
 
 
 # --------------------------------------------------------------------------- #

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 
 from .. import obs
 from ..dl.concepts import And, Concept, Exists, Name, Role
-from ..errors import BudgetExhaustedError, BudgetReason
+from ..errors import BudgetExhaustedError, BudgetReason, check_on_budget
 from ..lint.diagnostics import Diagnostic
 from ..record import Record
 from .bounded import BoundedModelFinder, BoundedSearchResult
@@ -56,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..resilience import Budget
     from ..schema.model import GraphQLSchema
 
-_ON_BUDGET = ("unknown", "error")
 _ENGINES = ("portfolio", "serial")
 
 
@@ -288,10 +287,7 @@ class SatisfiabilityChecker:
         and before any tableau, budgeted or not; turning it off is the one
         way to make the tableau decide every element.
         """
-        if on_budget not in _ON_BUDGET:
-            raise ValueError(
-                f"unknown on_budget policy {on_budget!r}; expected one of {_ON_BUDGET}"
-            )
+        check_on_budget(on_budget)
         self.schema = schema
         self.bounded_max_nodes = bounded_max_nodes
         self.analysis_precheck = analysis_precheck
@@ -321,7 +317,7 @@ class SatisfiabilityChecker:
     # ------------------------------------------------------------------ #
     # lazy components: the decision ladder can decide without either.
     # The tableau and the bounded finder hold per-search mutable state, so
-    # they are built per *thread* (thread fan-out runs concurrent checks);
+    # they are built per *thread* (service threads may share a checker);
     # the TBox, analysis verdicts and SatCache are shared.
     # ------------------------------------------------------------------ #
 
@@ -597,7 +593,6 @@ class SatisfiabilityChecker:
         max_retries: int = 2,
         retry_base_delay: float = 0.05,
         unit_timeout: float | None = None,
-        fallback: bool = True,
     ) -> SchemaSatisfiabilityReport:
         """Check every object type and every relationship definition.
 
@@ -612,7 +607,7 @@ class SatisfiabilityChecker:
           :meth:`check_type` and :meth:`check_field`.
 
         The remaining keywords mirror the PR 3 validation fan-out (retry
-        with backoff, process→thread→serial fallback, stuck-worker
+        with backoff, process→serial fallback, stuck-worker
         ``unit_timeout``).  After any run, ``self.last_profile`` holds the
         executor used, unit count and per-engine win counts.
         """
@@ -639,7 +634,6 @@ class SatisfiabilityChecker:
             max_retries=max_retries,
             retry_base_delay=retry_base_delay,
             unit_timeout=unit_timeout,
-            fallback=fallback,
         )
 
     def _check_schema_serial(

@@ -24,7 +24,7 @@ at a time.  This module turns the sweep into a portfolio:
   builds its own :class:`~repro.satisfiability.engine.SatisfiabilityChecker`
   once from the schema and the parent's configuration.  The ladder owns
   pools, the ``portfolio.worker`` fault site, retry with backoff and the
-  process→thread→serial recovery; with no open unit no pool is made.
+  process→serial recovery; with no open unit no pool is made.
   Results merge into canonical report order, so reports are
   byte-identical for any ``jobs`` count or executor rung, and
   process-worker verdicts are absorbed into the parent's cache.
@@ -154,7 +154,7 @@ def _ladder_pass(
 
 
 # --------------------------------------------------------------------------- #
-# the per-unit kernel for open units (runs on any rung: inline, thread, or
+# the per-unit kernel for open units (runs on either rung: inline or in a
 # worker process)
 # --------------------------------------------------------------------------- #
 
@@ -257,11 +257,11 @@ def _choose_executor(executor: str, jobs: int, units: int) -> str:
                 f"unknown executor {executor!r}; expected one of {('auto', *EXECUTORS)}"
             )
         return executor
-    if jobs <= 1 or units <= 1 or usable_cores() <= 1:
+    if jobs <= 1 or units < jobs or usable_cores() <= 1:
+        # tableau searches are pure-Python CPU work: fan-out speedup needs
+        # processes, whose startup dominates with fewer units than workers
         return "serial"
-    # tableau searches are pure-Python CPU work: fan-out speedup needs
-    # processes; with fewer units than workers a thread pool is cheaper
-    return "process" if units >= jobs else "thread"
+    return "process"
 
 
 # --------------------------------------------------------------------------- #
@@ -278,7 +278,6 @@ def run_portfolio(
     max_retries: int = 2,
     retry_base_delay: float = 0.05,
     unit_timeout: float | None = None,
-    fallback: bool = True,
 ) -> SchemaSatisfiabilityReport:
     """The portfolio ``check_schema``: ladder, batch, fan out, merge, memoize."""
     units = build_units(checker.schema)
@@ -293,7 +292,6 @@ def run_portfolio(
         max_retries=max_retries,
         retry_base_delay=retry_base_delay,
         task_timeout=unit_timeout,
-        fallback=fallback,
         site="satisfiability.portfolio",
         log_key="unit",
         timeout_label="unit_timeout",

@@ -26,7 +26,7 @@ owns
   batch still gets its reports.  Graphs at or above the parallel
   validator's process threshold route through
   :class:`~repro.validation.parallel.ParallelValidator`, whose process ->
-  thread -> serial ladder is the only real parallelism here.
+  serial ladder is the only real parallelism here.
 
 Each request is one shard: its :class:`~repro.pg.records.GraphRecords`
 view (what ``/v1/validate`` decodes the graph document into, or
@@ -334,7 +334,7 @@ def _validate_request(
             budget.charge_nodes(len(request.graph), site=BATCH_FAULT_SITE)
         if len(request.graph) >= ParallelValidator.SMALL_GRAPH_THRESHOLD:
             # big single graph: the process-pool ladder can use more than
-            # one core, with its own process -> thread -> serial recovery
+            # one core, with its own process -> serial recovery
             validator = ParallelValidator(
                 request.record.schema, jobs=jobs, plan=plan, on_budget="unknown"
             )

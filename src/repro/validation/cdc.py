@@ -47,7 +47,7 @@ import time
 from typing import IO, TYPE_CHECKING, Any
 
 from .. import obs
-from ..errors import BudgetExhaustedError, GraphLoadError, ReproError
+from ..errors import BudgetExhaustedError, GraphLoadError, ReproError, check_on_budget
 from ..evolution import SchemaDiff, diff_schemas
 from ..pg.io import graph_from_dict, graph_to_dict
 from ..pg.model import PropertyGraph
@@ -283,8 +283,7 @@ class CDCConsumer:
         retry_attempts: int = 2,
         retry_base_delay: float = 0.05,
     ) -> None:
-        if on_budget not in ("unknown", "error"):
-            raise ValueError(f"on_budget must be 'unknown' or 'error', got {on_budget!r}")
+        check_on_budget(on_budget)
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         self._initial_schema = schema

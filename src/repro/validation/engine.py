@@ -7,8 +7,8 @@ three satisfaction notions.
 The default engine is ``"parallel"``: the fused plan kernel
 (:func:`repro.validation.parallel.validate_shard`), which checks every rule
 in one pass per element -- the shape Theorem 1's AC0 bound describes.
-Without ``jobs`` it runs inline on one shard; an explicit ``jobs`` fans it
-out over a thread or process pool.  ``"indexed"`` (one pass per rule) stays
+Without ``jobs`` it runs inline on one shard; an explicit ``jobs`` shards
+it, over a process pool on a large graph.  ``"indexed"`` (one pass per rule) stays
 available as a reference engine; the incremental validator and the bounded
 model finder run the plan kernel too.
 
@@ -51,7 +51,7 @@ def make_validator(
             explicit count fans out over a pool.  Ignored by the
             sequential engines.
         executor: Executor policy for the parallel engine (``"auto"``,
-            ``"serial"``, ``"thread"`` or ``"process"``).
+            ``"serial"`` or ``"process"``).
         budget: Template :class:`~repro.resilience.Budget`; each
             ``validate()`` call runs under a fresh renewal of it.
         on_budget: ``"unknown"`` (default) turns budget exhaustion into a

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from .. import obs
-from ..errors import BudgetExhaustedError
+from ..errors import BudgetExhaustedError, check_on_budget
 from ..pg.values import value_signature
 from ..schema.subtype import is_named_subtype
 from .plan import ValidationPlan, compile_plan
@@ -37,8 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _MISSING = ("<missing>",)
 
-_ON_BUDGET = ("unknown", "error")
-
 
 class IndexedValidator:
     """Hash-indexed validator; the sequential production engine."""
@@ -50,10 +48,7 @@ class IndexedValidator:
         budget: "Budget | None" = None,
         on_budget: str = "unknown",
     ) -> None:
-        if on_budget not in _ON_BUDGET:
-            raise ValueError(
-                f"unknown on_budget policy {on_budget!r}; expected one of {_ON_BUDGET}"
-            )
+        check_on_budget(on_budget)
         self.schema = schema
         # all schema analysis (site tables, label closures) lives in the
         # compiled plan, shared across validators via the plan cache

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from .. import obs
-from ..errors import BudgetExhaustedError
+from ..errors import BudgetExhaustedError, check_on_budget
 from ..pg.values import values_equal
 from ..schema.subtype import is_named_subtype
 from . import sites
@@ -36,8 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..resilience import Budget
     from ..schema.model import GraphQLSchema
 
-_ON_BUDGET = ("unknown", "error")
-
 
 class NaiveValidator:
     """Quantifier-faithful validator (the Theorem-1 baseline algorithm)."""
@@ -48,10 +46,7 @@ class NaiveValidator:
         budget: "Budget | None" = None,
         on_budget: str = "unknown",
     ) -> None:
-        if on_budget not in _ON_BUDGET:
-            raise ValueError(
-                f"unknown on_budget policy {on_budget!r}; expected one of {_ON_BUDGET}"
-            )
+        check_on_budget(on_budget)
         self.schema = schema
         self.budget = budget
         self.on_budget = on_budget

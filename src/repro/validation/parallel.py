@@ -5,8 +5,8 @@ schema into a :class:`~repro.validation.plan.ValidationPlan` (cached across
 calls), (2) splitting the graph into scope-respecting shards
 (:mod:`repro.validation.shard`; a one-shard run takes the graph's
 :class:`~repro.pg.records.GraphRecords` view as its shard), (3) running the
-*fused shard kernel* :func:`validate_shard` over every shard -- serially, on
-a thread pool, or on a process pool -- and (4) merging the per-shard
+*fused shard kernel* :func:`validate_shard` over every shard -- inline or
+on a process pool -- and (4) merging the per-shard
 results into one deterministic
 :class:`~repro.validation.violations.ValidationReport`.
 
@@ -22,15 +22,15 @@ Executor selection (``executor="auto"``):
 
 * no ``jobs`` given (the default of :func:`~repro.validation.validate` and
   ``pgschema validate``) -- run the kernel inline on one shard, no pool.
-  Measured on a 2-core host, inline beat both pools at every size from 5k
-  to 200k elements (``BENCH_e12.json``, docs/PERFORMANCE.md);
-* ``jobs == 1`` or a single-core host -- inline as well, over ``jobs``
+  Measured on a 2-core host, inline beat the process pool at every size
+  from 5k to 200k elements (``BENCH_e12.json``, docs/PERFORMANCE.md);
+* ``jobs == 1``, a single-core host, or a small graph
+  (``len(graph) < SMALL_GRAPH_THRESHOLD``) -- inline as well, over ``jobs``
   shards (pool machinery is pure overhead for CPU-bound work without
-  spare cores);
-* an explicit ``jobs > 1`` on a small graph
-  (``len(graph) < SMALL_GRAPH_THRESHOLD``) -- thread pool (cheap to start;
-  process startup would dominate);
+  spare cores, and process startup would dominate a small graph);
 * otherwise -- process pool, sidestepping the GIL for true multi-core runs.
+  There is no thread pool: the kernel is pure Python, so the GIL would
+  serialise its shards.
 
 Two runs over the same graph produce byte-identical reports regardless of
 the executor: shard assignment uses a process-stable hash, shard results are
@@ -43,8 +43,8 @@ in a ``validation.shard`` span, its state is ``(plan, graph)``, and a
 process worker builds that state once as ``(compile_plan(schema), graph)``
 -- the schema and graph are shipped once per worker and the plan's closures
 are never pickled.  The ladder owns the rest: pools, the ``parallel.worker``
-fault site, retries with exponential backoff, the fallback process → thread
-→ serial, stuck-worker timeouts (``shard_timeout``) and the recovery log.
+fault site, retries with exponential backoff, the fallback process →
+serial, stuck-worker timeouts (``shard_timeout``) and the recovery log.
 Because merging is positional (results land in a shard-indexed array) the
 recovered report is byte-identical to an undisturbed run no matter which
 executor finally produced each shard.  When even the serial rung fails,
@@ -72,7 +72,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from .. import obs
-from ..errors import BudgetExhaustedError
+from ..errors import BudgetExhaustedError, check_on_budget
 from ..pg.records import GraphRecords
 from ..pg.values import value_signature
 from ..resilience import faults
@@ -106,16 +106,15 @@ _MISSING = ("<missing>",)
 #: Deadline-check cadence inside the shard kernel (elements per check).
 _DEADLINE_CHECK_EVERY = 2048
 
-_ON_BUDGET = ("unknown", "error")
-
 
 class ParallelValidator:
-    """The fused plan-kernel validator: inline by default, sharded over a
-    thread or process pool when ``jobs`` asks for workers.  Agrees with the
-    naive and indexed engines on every input."""
+    """The fused plan-kernel validator: inline by default, sharded (over a
+    process pool on a large graph) when ``jobs`` asks for workers.  Agrees
+    with the naive and indexed engines on every input."""
 
-    #: Below this graph size (|V| + |E|), "auto" prefers threads to
-    #: processes: worker startup and graph transfer would dominate.
+    #: Below this graph size (|V| + |E|), "auto" runs the shards inline
+    #: rather than on processes: worker startup and graph transfer would
+    #: dominate.
     SMALL_GRAPH_THRESHOLD = 4096
 
     def __init__(
@@ -129,7 +128,6 @@ class ParallelValidator:
         max_retries: int = 2,
         retry_base_delay: float = 0.05,
         shard_timeout: float | None = None,
-        fallback: bool = True,
     ) -> None:
         """``jobs`` is the worker count; left at None it defaults to the
         usable cores for an explicit ``executor``, while ``"auto"`` then runs
@@ -143,21 +141,16 @@ class ParallelValidator:
         * ``on_budget`` -- ``"unknown"`` returns a partial report on
           exhaustion, ``"error"`` raises.
         * ``max_retries`` -- same-executor retries per ladder rung before
-          failing shards fall down process → thread → serial.
+          failing shards fall from the process rung to the serial rung.
         * ``retry_base_delay`` -- base of the exponential backoff sleep.
         * ``shard_timeout`` -- wall seconds one shard attempt may take
           before it is treated as a stuck worker and recovered.
-        * ``fallback`` -- disable the executor ladder (then exhausted
-          retries raise :class:`~repro.errors.WorkerFailureError`).
         """
         if executor != "auto" and executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {('auto', *EXECUTORS)}"
             )
-        if on_budget not in _ON_BUDGET:
-            raise ValueError(
-                f"unknown on_budget policy {on_budget!r}; expected one of {_ON_BUDGET}"
-            )
+        check_on_budget(on_budget)
         self.schema = schema
         self.plan = plan if plan is not None else compile_plan(schema)
         self.jobs = max(1, jobs) if jobs is not None else usable_cores()
@@ -169,7 +162,6 @@ class ParallelValidator:
         self.max_retries = max(0, max_retries)
         self.retry_base_delay = retry_base_delay
         self.shard_timeout = shard_timeout
-        self.fallback = fallback
         #: recovery events of the last run: one dict per failed attempt
         #: (keys: shard, executor, attempt, error).
         self.recovery_log: list[dict] = []
@@ -234,7 +226,6 @@ class ParallelValidator:
             max_retries=self.max_retries,
             retry_base_delay=self.retry_base_delay,
             task_timeout=self.shard_timeout,
-            fallback=self.fallback,
             site="validation.parallel",
             log_key="shard",
             timeout_label="shard_timeout",
@@ -268,14 +259,18 @@ class ParallelValidator:
         """The executor "auto" resolves to for this graph."""
         if self.executor != "auto":
             return self.executor
-        if self.inline or self.jobs <= 1 or usable_cores() <= 1:
-            # No worker count asked for, one worker, or one core: pool
-            # machinery is overhead for this CPU-bound kernel, and on the
-            # measured 2-core host the inline kernel beat both pools at
-            # every size.  Fan-out is opt-in through an explicit jobs.
+        if (
+            self.inline
+            or self.jobs <= 1
+            or usable_cores() <= 1
+            or len(graph) < self.SMALL_GRAPH_THRESHOLD
+        ):
+            # No worker count asked for, one worker, one core or a small
+            # graph: pool machinery is overhead for this CPU-bound kernel,
+            # and on the measured 2-core host the inline kernel beat the
+            # process pool at every size.  Fan-out is opt-in through an
+            # explicit jobs.
             return "serial"
-        if len(graph) < self.SMALL_GRAPH_THRESHOLD:
-            return "thread"
         return "process"
 
     def _merge(

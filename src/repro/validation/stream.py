@@ -60,7 +60,7 @@ import tempfile
 from typing import IO, TYPE_CHECKING, Any
 
 from .. import obs
-from ..errors import BudgetExhaustedError, GraphError, GraphLoadError
+from ..errors import BudgetExhaustedError, GraphError, GraphLoadError, check_on_budget
 from ..pg.jsonl import iter_graph_jsonl
 from ..pg.model import PropertyGraph
 from .parallel import ShardResult, merge_shard_results, validate_shard
@@ -72,8 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..errors import BudgetReason
     from ..resilience import Budget
     from ..schema.model import GraphQLSchema
-
-_ON_BUDGET = ("unknown", "error")
 
 #: Role bits of a spilled edge row: which rule classes its chunk runs on it.
 ROLE_ELEMENT = 1
@@ -125,10 +123,7 @@ class StreamValidator:
     ) -> None:
         if chunk_elements < 1:
             raise ValueError(f"chunk_elements must be positive, got {chunk_elements}")
-        if on_budget not in _ON_BUDGET:
-            raise ValueError(
-                f"unknown on_budget policy {on_budget!r}; expected one of {_ON_BUDGET}"
-            )
+        check_on_budget(on_budget)
         self.schema = schema
         self.plan = plan if plan is not None else compile_plan(schema)
         self.chunk_elements = chunk_elements

@@ -586,7 +586,7 @@ class TestMalformedLines:
             assert number == 3001
         assert err.startswith("error[E_LOAD]: ")
         assert f" at line {number}, " in err
-        assert err.rstrip().endswith(f"(char {len(good) + error_at})")
+        assert err.rstrip().endswith(f"(byte {len(good) + error_at})")
 
 
 _HELP_GOLDEN = Path(__file__).parent / "golden" / "cli_help"

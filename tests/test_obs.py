@@ -6,7 +6,7 @@ Three contracts are pinned here:
    load and a ``None`` check -- asserted as an absolute per-call ceiling,
    mirroring the fault-harness overhead contract of ``bench_e12``;
 2. **span correctness under fan-out**: shard spans nest inside the run span
-   on the thread rung, and spans recorded inside pool *processes* ship back
+   on the serial rung, and spans recorded inside pool *processes* ship back
    with the task result and merge at the same barrier as the report merge
    (which therefore stays byte-identical with tracing on or off);
 3. **frozen artifact shapes**: the exported Chrome-trace and metrics JSON
@@ -270,9 +270,9 @@ def _contains(outer: SpanEvent, inner: SpanEvent) -> bool:
     )
 
 
-def test_thread_fanout_spans_nest_inside_run_span():
+def test_serial_fanout_spans_nest_inside_run_span():
     with obs.observed(trace=True, metrics=True) as observation:
-        validator = ParallelValidator(SCHEMA, jobs=2, executor="thread")
+        validator = ParallelValidator(SCHEMA, jobs=2, executor="serial")
         report = validator.validate(GRAPH)
     assert report.complete
     events = observation.tracer.events()
@@ -283,7 +283,7 @@ def test_thread_fanout_spans_nest_inside_run_span():
     shards = by_name["validation.shard"]
     assert len(shards) == validator.jobs
     for shard in shards:
-        assert shard.attrs["executor"] == "thread"
+        assert shard.attrs["executor"] == "serial"
         assert _contains(run, shard)
     (merge,) = by_name["validation.merge"]
     assert _contains(run, merge)

@@ -25,7 +25,6 @@ from repro.errors import (
     exit_code_for,
     render_error,
 )
-from repro.perf import Profile, ProfileStore
 from repro.resilience import Budget, ExecutorLadder, faults
 from repro.resilience.ladder import EXECUTORS
 from repro.sat import CNF, pigeonhole, solve
@@ -33,9 +32,11 @@ from repro.satisfiability import SatisfiabilityChecker
 from repro.schema import parse_schema
 from repro.service import SchemaRegistry
 from repro.validation import (
+    CDCConsumer,
     IndexedValidator,
     NaiveValidator,
     ParallelValidator,
+    StreamValidator,
     validate,
 )
 from repro.workloads import CORPUS, load, user_session_graph
@@ -368,6 +369,26 @@ class TestBudgetedSolver:
 # --------------------------------------------------------------------------- #
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda schema, policy: NaiveValidator(schema, on_budget=policy),
+        lambda schema, policy: IndexedValidator(schema, on_budget=policy),
+        lambda schema, policy: ParallelValidator(schema, on_budget=policy),
+        lambda schema, policy: StreamValidator(schema, on_budget=policy),
+        lambda schema, policy: SatisfiabilityChecker(schema, on_budget=policy),
+        lambda schema, policy: CDCConsumer(schema, "journal.jsonl", on_budget=policy),
+    ],
+    ids=["naive", "indexed", "parallel", "stream", "sat", "cdc"],
+)
+def test_every_engine_checks_the_on_budget_policy_alike(session_schema, build):
+    with pytest.raises(ValueError) as caught:
+        build(session_schema, "maybe")
+    assert str(caught.value) == (
+        "unknown on_budget policy 'maybe'; expected one of ('unknown', 'error')"
+    )
+
+
 class TestBudgetedValidation:
     def test_indexed_partial_report(self, session_schema, session_graph):
         validator = IndexedValidator(session_schema, budget=Budget(max_nodes=1))
@@ -385,7 +406,7 @@ class TestBudgetedValidation:
         assert report.verdict == "unknown"
         assert report.interruption.dimension == "deadline"
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_parallel_partial_report(self, session_schema, session_graph, executor):
         validator = ParallelValidator(
             session_schema, jobs=2, executor=executor, budget=Budget(max_nodes=1)
@@ -466,25 +487,9 @@ def _registry_case(root):
     )
 
 
-def _perf_index_case(root):
-    """One profile is indexed; the crashed write indexes the second."""
-
-    def profile(scenario):
-        return Profile(commit="c1", run=1, scenario=scenario, family="f", samples=(0.01,))
-
-    store = ProfileStore(root)
-    store.append([profile("a.one")])
-    return (
-        root,
-        store.index_path,
-        lambda: store.append([profile("b.two")]),
-        lambda: store.summary()["profiles"] == 2,  # rebuilt from the JSONL
-    )
-
-
 @pytest.mark.parametrize(
     "site, case",
-    [("registry.persist", _registry_case), ("perf.index", _perf_index_case)],
+    [("registry.persist", _registry_case)],
 )
 def test_crash_before_rename_keeps_previous_file(tmp_path, site, case):
     directory, target, write, recovered = case(str(tmp_path / "root"))
@@ -579,10 +584,28 @@ def test_queued_tasks_are_not_taken_for_stuck_workers():
     faults.install("delay@resilience.toy:seconds=0.3")
     try:
         ladder.run(
-            "thread", _toy_task, (0, os.getpid(), 0), {0: 1, 1: 2, 2: 3}, results,
-            "resilience.toy",
+            "process", _toy_task, None, {0: 1, 1: 2, 2: 3}, results,
+            "resilience.toy", worker=(_toy_state, (0,)),
         )
     finally:
         faults.uninstall()
     assert ladder.recovery_log == []
     assert [r[0] for r in results] == [1, 4, 9]
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        lambda schema: ParallelValidator(schema, jobs=2, executor="thread"),
+        lambda schema: SatisfiabilityChecker(schema, cache=False).check_schema(
+            jobs=2, executor="thread"
+        ),
+        lambda schema: ExecutorLadder(jobs=2).run(
+            "thread", _toy_task, (0, os.getpid(), 0), {0: 1}, [None], "resilience.toy"
+        ),
+    ],
+    ids=["ParallelValidator", "check_schema", "ExecutorLadder.run"],
+)
+def test_thread_executor_is_rejected(session_schema, start):
+    with pytest.raises(ValueError, match="unknown executor 'thread'"):
+        start(session_schema)

@@ -76,7 +76,7 @@ def test_portfolio_reports_byte_identical_across_jobs(jobs):
         assert _dump(warm) == expected, (name, "warm replay must not differ")
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 @pytest.mark.parametrize("name", ["example_6_1_a", "diagram_b"])
 def test_portfolio_reports_byte_identical_across_executors(executor, name):
     # analysis off: the ladder would decide every example_6_1_a element in
@@ -318,7 +318,7 @@ def test_hard_worker_kill_recovers_byte_identically():
     assert all(entry["executor"] == "process" for entry in checker.last_recovery_log)
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("executor", ["serial"])
 def test_raised_worker_crash_recovers_on_lighter_executors(executor):
     schema = load("library")
     faults.install(None)

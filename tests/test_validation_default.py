@@ -79,11 +79,11 @@ def test_cli_default_matches_reference_engine(files, capsys, engine, num_users):
         assert f"\n  {rule} " in default_out, rule
 
 
-def test_default_report_equals_thread_and_process_fan_out():
+def test_default_report_equals_serial_and_process_fan_out():
     graph = _corrupted(300)
     default = validate(SCHEMA, graph)
     assert default.violations
-    for executor in ("thread", "process"):
+    for executor in ("serial", "process"):
         fanned = make_validator(SCHEMA, jobs=2, executor=executor).validate(graph)
         assert _render(fanned) == _render(default), executor
         assert fanned.complete == default.complete
@@ -97,7 +97,7 @@ def test_default_path_creates_no_pool(monkeypatch):
         for name in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    # a many-core host and a graph above the thread threshold: an explicit
+    # a many-core host and a graph above the process threshold: an explicit
     # jobs would pick the process pool here
     monkeypatch.setattr(parallel_module, "usable_cores", lambda: 8)
     graph = _corrupted(1000)

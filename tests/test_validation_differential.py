@@ -175,7 +175,6 @@ class TestParallelDeterminism:
         assert reference  # the corruption must actually produce violations
         for jobs in PARALLEL_JOBS:
             assert render(jobs, "serial") == reference, jobs
-            assert render(jobs, "thread") == reference, jobs
 
 
 class TestExtendedMode:

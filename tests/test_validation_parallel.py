@@ -87,14 +87,15 @@ class TestExecutorSelection:
         validator = ParallelValidator(SCHEMA, jobs=4)
         assert validator.choose_executor(_graph()) == "serial"
 
-    def test_small_graphs_use_threads_on_multicore(self, monkeypatch):
+    def test_small_graphs_stay_serial_on_multicore(self, monkeypatch):
         import repro.validation.parallel as parallel_module
 
         monkeypatch.setattr(parallel_module, "usable_cores", lambda: 8)
         validator = ParallelValidator(SCHEMA, jobs=4)
         small = _graph()
         assert len(small) < ParallelValidator.SMALL_GRAPH_THRESHOLD
-        assert validator.choose_executor(small) == "thread"
+        assert validator.choose_executor(small) == "serial"
+        assert validator.shard_count == 4
 
     def test_large_graphs_use_processes_on_multicore(self, monkeypatch):
         import repro.validation.parallel as parallel_module
@@ -107,8 +108,8 @@ class TestExecutorSelection:
         assert validator.choose_executor(large) == "process"
 
     def test_explicit_executor_wins(self):
-        validator = ParallelValidator(SCHEMA, jobs=4, executor="thread")
-        assert validator.choose_executor(_graph()) == "thread"
+        validator = ParallelValidator(SCHEMA, jobs=4, executor="process")
+        assert validator.choose_executor(_graph()) == "process"
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -123,7 +124,7 @@ class TestWorkerCounts:
         assert ParallelValidator(SCHEMA, jobs=0).jobs == 1
         assert ParallelValidator(SCHEMA, jobs=-3).jobs == 1
 
-    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    @pytest.mark.parametrize("executor", ("serial",))
     def test_every_executor_path_agrees(self, executor):
         graph = _graph()
         expected = IndexedValidator(SCHEMA).validate(graph)
