@@ -4,7 +4,7 @@ The package front door:
 
 * :func:`analyze_schema` -- run the default pass pipeline (cardinality
   intervals, constraint implication, key domains, reachability) over a
-  schema, memoized per schema instance;
+  schema, kept in the schema's memo and freed with it;
 * :func:`sat_preverdicts` -- the sound SAT/UNSAT pre-verdict feed, the one
   static rung of the satisfiability decision ladder; only verdicts the
   fixpoints *prove* are present, everything else falls through to the
@@ -25,12 +25,11 @@ translation (:mod:`repro.dl.translate`) actually emits.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from typing import TYPE_CHECKING
 
 from ..lint.diagnostics import Diagnostic
 from ..record import Record
+from ..schema.model import memo_clear
 from .cardinality import CardinalityFacts, CardinalityPass
 from .framework import (
     AnalysisContext,
@@ -81,18 +80,12 @@ def default_passes() -> tuple[AnalysisPass, ...]:
     )
 
 
-_results: "weakref.WeakKeyDictionary[GraphQLSchema, AnalysisResult]" = (
-    weakref.WeakKeyDictionary()
-)
-_lock = threading.Lock()
-
-
 def analyze_schema(schema: "GraphQLSchema", refresh: bool = False) -> AnalysisResult:
     """Run (or replay) the default pipeline over *schema*.
 
-    Results are memoized per schema instance (schemas are immutable once
+    Results are kept in the schema's memo (schemas are immutable once
     built), so the lint rules, the CLI and the satisfiability pre-verdict
-    feed share one run.
+    feed share one run, and the result is freed with its schema.
     """
     return _memoized(schema, default_passes(), refresh)
 
@@ -101,20 +94,16 @@ def _memoized(
     schema: "GraphQLSchema", passes: tuple[AnalysisPass, ...], refresh: bool = False
 ) -> AnalysisResult:
     """The memo for *schema* once *passes* ran; memoized facts are reused."""
-    with _lock:
-        prior = None if refresh else _results.get(schema)
+    prior = None if refresh else schema.memo_get(AnalysisResult)
     if prior is not None and all(p.name in prior.facts for p in passes):
         return prior
     result = PassManager(passes).run(schema, prior)
-    with _lock:
-        _results[schema] = result
-    return result
+    return schema.memo_put(result, replace=True)
 
 
 def analysis_cache_clear() -> None:
     """Forget every memoized analysis result."""
-    with _lock:
-        _results.clear()
+    memo_clear(AnalysisResult)
 
 
 class SatPreVerdicts(Record):

@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the profile as a metrics-snapshot JSON object "
         "(same shape as --metrics run snapshots), including occupancy/"
-        "hit/miss/eviction gauges for the plan cache, the sat caches and "
+        "hit/miss gauges for the plan cache, the sat caches and "
         "the compiled-scalar registry, plus a perf block summarising the "
         "profile store (scenario count, last commit, newest verdicts)",
     )

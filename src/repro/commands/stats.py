@@ -14,7 +14,7 @@ def run(args) -> int:
         from ..perf import ProfileStore, perf_summary
 
         registry = profile_to_registry(profile)
-        # occupancy/hit/miss/eviction gauges for the plan cache, the sat
+        # occupancy/hit/miss gauges for the plan cache, the sat
         # verdict caches and the compiled-scalar registry -- the same
         # numbers the service's /v1/stats endpoint reports
         attach_cache_stats(registry)

@@ -91,7 +91,7 @@ def _print_profile(engine: str, validator, graph, spans) -> None:
     info = plan_cache_info()
     print(
         f"  plan cache: {info['hits']} hit(s), {info['misses']} miss(es), "
-        f"{info['size']}/{info['maxsize']} plan(s)",
+        f"{info['size']} plan(s)",
         file=sys.stderr,
     )
 

@@ -7,11 +7,10 @@ object type is probed by ``check_type`` and again inside every
 scratch.  This module adds the two classic caching layers of optimised
 description-logic reasoners, adapted to this engine:
 
-* :class:`SatCache` -- a schema-keyed verdict memo (mirroring the PR 2
-  validation plan cache): decided type verdicts, field (edge-definition)
-  verdicts, and bounded witness results, shared across
-  ``check_type`` / ``check_field`` / ``check_schema`` calls and across
-  checker instances over the same schema object.  Budget-exhausted
+* :class:`SatCache` -- a per-schema verdict memo: decided type verdicts,
+  field (edge-definition) verdicts, and bounded witness results, shared
+  across ``check_type`` / ``check_field`` / ``check_schema`` calls and
+  across checker instances over the same schema object.  Budget-exhausted
   (UNKNOWN) verdicts are never cached -- a later call with a larger budget
   must get a chance to decide.
 * :class:`LabelSetCache` -- tableau-level caching of known-satisfiable and
@@ -32,11 +31,10 @@ description-logic reasoners, adapted to this engine:
   on constraints propagated back from its ancestors, so caching interior
   labels is unsound -- the standard caveat in the DL literature.
 
-The module-level registry (:func:`sat_cache_for`) is keyed by schema
-identity with a small LRU, exactly like
-:func:`repro.validation.plan.compile_plan`; :func:`sat_cache_info` /
-:func:`sat_cache_clear` expose observability and test isolation
-(``pgschema sat --profile`` reports these counters).
+:func:`sat_cache_for` keeps each schema's :class:`SatCache` in the
+schema's memo, beside its validation plan, and frees it with the schema;
+:func:`sat_cache_info` / :func:`sat_cache_clear` expose observability and
+test isolation (``pgschema sat --profile`` reports these counters).
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from .. import obs
+from ..schema.model import memo_clear, memo_entries
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..dl.concepts import Concept
@@ -54,16 +53,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import TypeSatisfiability
 
 __all__ = [
-    "SAT_CACHE_MAXSIZE",
     "LabelSetCache",
     "SatCache",
     "sat_cache_clear",
     "sat_cache_for",
     "sat_cache_info",
 ]
-
-#: Distinct schemas the registry keeps caches for (LRU beyond this).
-SAT_CACHE_MAXSIZE = 32
 
 #: Per-layer entry caps: the exact memo, completed-SAT roots and UNSAT
 #: seeds are each bounded so a pathological sweep cannot grow without
@@ -232,47 +227,22 @@ class SatCache:
 
 
 # --------------------------------------------------------------------------- #
-# the schema-keyed registry (mirrors the validation plan cache)
+# one cache per schema, kept in the schema's memo
 # --------------------------------------------------------------------------- #
-
-_registry_lock = threading.Lock()
-_registry: "OrderedDict[int, tuple[GraphQLSchema, SatCache]]" = OrderedDict()
-_evictions = 0
 
 
 def sat_cache_for(schema: "GraphQLSchema") -> SatCache:
-    """The shared :class:`SatCache` for *schema* (identity-keyed LRU).
-
-    The registry holds a strong reference to the schema, so the ``id()``
-    key cannot be recycled while its entry lives.  Long-lived holders (the
-    service's schema registry) pin their own :class:`SatCache` instances
-    instead, so registry eviction cannot cross tenants.
-    """
-    global _evictions
-    key = id(schema)
-    with _registry_lock:
-        entry = _registry.get(key)
-        if entry is not None:
-            _registry.move_to_end(key)
-            return entry[1]
-        cache = SatCache(schema)
-        _registry[key] = (schema, cache)
-        if len(_registry) > SAT_CACHE_MAXSIZE:
-            _registry.popitem(last=False)
-            _evictions += 1
-            obs.count("sat.cache.evictions")
-        return cache
+    """The shared :class:`SatCache` for *schema*, kept in the schema's memo
+    and freed with it (the service's registry records hold this one too)."""
+    cache = schema.memo_get(SatCache)
+    return cache if cache is not None else schema.memo_put(SatCache(schema))
 
 
 def sat_cache_info() -> dict:
-    """Aggregated counters over every live per-schema cache."""
-    with _registry_lock:
-        caches = [cache for _schema, cache in _registry.values()]
-        evictions = _evictions
+    """Aggregated counters over every live schema's cache."""
+    caches = memo_entries(SatCache)
     totals = {
         "schemas": len(caches),
-        "maxsize": SAT_CACHE_MAXSIZE,
-        "evictions": evictions,
         "hits": 0,
         "misses": 0,
         "types": 0,
@@ -290,7 +260,4 @@ def sat_cache_info() -> dict:
 
 def sat_cache_clear() -> None:
     """Drop every cached verdict (test isolation / cold benchmark runs)."""
-    global _evictions
-    with _registry_lock:
-        _registry.clear()
-        _evictions = 0
+    memo_clear(SatCache)

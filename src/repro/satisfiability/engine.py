@@ -273,12 +273,12 @@ class SatisfiabilityChecker:
         :class:`~repro.errors.BudgetExhaustedError`.
 
         ``cache`` controls verdict memoization: True (default) attaches the
-        schema-keyed shared :func:`~repro.satisfiability.cache.sat_cache_for`
+        schema's shared :func:`~repro.satisfiability.cache.sat_cache_for`
         cache (verdicts replay across calls and checker instances), False
         disables caching entirely, and an explicit
         :class:`~repro.satisfiability.cache.SatCache` uses that instance.
         A checker given a custom ``budget`` template, or with the analysis
-        off, gets a *private* cache under ``cache=True``: a registry hit
+        off, gets a *private* cache under ``cache=True``: a shared hit
         decided under somebody else's budget, or by the analysis, would
         bypass exactly the limit being studied or the tableau asked for.
 

@@ -19,6 +19,9 @@ base type -- specifies a node property, §3.2) or a *relationship definition*
 from __future__ import annotations
 
 import enum
+import threading
+import weakref
+from typing import TypeVar, cast
 
 from ..errors import SchemaError
 from ..record import Record, Spanned
@@ -160,6 +163,30 @@ class DirectiveDefinition(Record):
     locations: tuple[str, ...] = ()
 
 
+_T = TypeVar("_T")
+
+# Derived state (the validation plan, the sat verdict cache, the dataflow
+# analysis) is a pure function of a schema, so it lives in the schema's
+# memo, keyed by the entry's class and freed with the schema.  The WeakSet
+# lets the caches' ``*_info``/``*_clear`` functions reach the live memos.
+_memo_lock = threading.Lock()
+_memo_holders: "weakref.WeakSet[GraphQLSchema]" = weakref.WeakSet()
+
+
+def memo_entries(kind: "type[_T]") -> "list[_T]":
+    """The *kind* entry of every live schema memo that holds one."""
+    with _memo_lock:
+        memos = [schema._memo or {} for schema in _memo_holders]
+    return [cast(_T, memo[kind]) for memo in memos if kind in memo]
+
+
+def memo_clear(kind: type) -> None:
+    """Drop the *kind* entry from every live schema memo."""
+    with _memo_lock:
+        for schema in _memo_holders:
+            (schema._memo or {}).pop(kind, None)
+
+
 class GraphQLSchema:
     """A consistent GraphQL schema interpreted as a Property Graph schema.
 
@@ -167,6 +194,9 @@ class GraphQLSchema:
     parsed SDL document) or assembled programmatically; after assembly they
     should be treated as immutable.
     """
+
+    #: Derived state by entry class; made by the first :meth:`memo_put`.
+    _memo: "dict[type, object] | None" = None
 
     def __init__(
         self,
@@ -352,6 +382,26 @@ class GraphQLSchema:
         if type_name in self.union_types:
             return self.union(type_name)
         return frozenset()
+
+    def memo_get(self, kind: "type[_T]") -> "_T | None":
+        """This schema's memoized *kind* entry, or None."""
+        return cast("_T | None", (self._memo or {}).get(kind))
+
+    def memo_put(self, entry: _T, replace: bool = False) -> _T:
+        """Store *entry* under its class; return the stored entry (the first
+        one stored wins, so racing builders agree, unless *replace*)."""
+        with _memo_lock:
+            if self._memo is None:
+                self._memo = {}
+                _memo_holders.add(self)
+            if replace:
+                self._memo[type(entry)] = entry
+            return cast(_T, self._memo.setdefault(type(entry), entry))
+
+    def __getstate__(self) -> dict[str, object]:
+        """Pickled without the memo (its entries hold locks and closures):
+        a process worker rebuilds what it needs."""
+        return {key: value for key, value in self.__dict__.items() if key != "_memo"}
 
     def __repr__(self) -> str:
         return (

@@ -3,20 +3,20 @@
 A *record* is one registered schema version: the SDL text, the parsed
 :class:`~repro.schema.model.GraphQLSchema`, and -- the point of a
 long-lived service -- the process-resident state the one-shot CLI pays to
-rebuild on every invocation:
+rebuild on every invocation, built eagerly at registration:
 
-* the compiled :class:`~repro.validation.plan.ValidationPlan` (pinned, so
-  the global plan LRU evicting it under pressure from other tenants is
-  harmless -- the record's strong reference *is* the cache entry);
-* a private :class:`~repro.satisfiability.cache.SatCache` handed to every
+* the compiled :class:`~repro.validation.plan.ValidationPlan`
+  (``record.plan is compile_plan(record.schema)``);
+* the schema's :class:`~repro.satisfiability.cache.SatCache`
+  (``record.sat_cache is sat_cache_for(record.schema)``), handed to every
   :class:`~repro.satisfiability.SatisfiabilityChecker` built for the
-  record, so one tenant's sat sweeps never evict another tenant's verdicts
-  out of the module-level registry (they never enter it).
+  record.
 
-That pinning is the whole tenancy model: tenants share nothing but the
-process.  Names are scoped ``(tenant, name, version)``; a lookup always
-carries the tenant, so tenant A cannot address -- or warm, or evict --
-tenant B's state.
+Both live in the memo of the record's own schema object, so they are
+never evicted and never shared: every registration parses its own schema,
+and tenants share nothing but the process.  Names are scoped ``(tenant,
+name, version)``; a lookup always carries the tenant, so tenant A cannot
+address -- or warm -- tenant B's state.
 
 Persistence goes through :func:`~repro.resilience.durable.atomic_write`,
 like CDC checkpoints: each version is one
@@ -40,10 +40,10 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..errors import ServiceError
 from ..resilience.durable import atomic_write
-from ..satisfiability.cache import SatCache
+from ..satisfiability.cache import SatCache, sat_cache_for
 from ..schema import parse_schema
 from ..schema.model import GraphQLSchema
-from ..validation.plan import ValidationPlan
+from ..validation.plan import ValidationPlan, compile_plan
 
 __all__ = ["SchemaRecord", "SchemaRegistry"]
 
@@ -63,7 +63,7 @@ def _check_token(kind: str, value: str) -> str:
 
 @dataclass
 class SchemaRecord:
-    """One registered schema version with its pinned warm state."""
+    """One registered schema version with its warm state."""
 
     tenant: str
     name: str
@@ -119,9 +119,9 @@ class SchemaRegistry:
         with obs.span("service.register", tenant=tenant, schema=name):
             schema = parse_schema(sdl, check=True)
             # compile eagerly: registration pays the cold cost once so every
-            # later validate against this version is a warm (pinned) hit
-            plan = ValidationPlan(schema)
-            sat_cache = SatCache(schema)
+            # later validate against this version is a warm hit
+            plan = compile_plan(schema)
+            sat_cache = sat_cache_for(schema)
         with self._lock:
             versions = self._records.get((tenant, name), {})
             version = max(versions, default=0) + 1
@@ -153,7 +153,7 @@ class SchemaRegistry:
 
         Raises :class:`~repro.errors.ServiceError` for unknown coordinates;
         the HTTP layer maps that to 404.  Every hit counts as a warm plan
-        hit for the tenant -- the pinned plan *is* the cache.
+        hit for the tenant -- the record's plan *is* the cache.
         """
         with self._lock:
             versions = self._records.get((tenant, name))
@@ -259,8 +259,8 @@ class SchemaRegistry:
                         version=int(stem),
                         sdl=sdl,
                         schema=schema,
-                        plan=ValidationPlan(schema),
-                        sat_cache=SatCache(schema),
+                        plan=compile_plan(schema),
+                        sat_cache=sat_cache_for(schema),
                     )
                     self._records.setdefault((tenant, name), {})[
                         record.version

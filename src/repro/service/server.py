@@ -161,6 +161,10 @@ class ValidationService:
         )
         self._server: asyncio.Server | None = None
         self.address: tuple[str, int] | None = None
+        #: connection handlers, and the writers of those reading a request
+        self._handlers: set[asyncio.Task[None]] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -194,11 +198,18 @@ class ValidationService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain in-flight batches."""
+        """Graceful shutdown: stop accepting, answer the requests already
+        read, close the connections still reading one (their reads end at
+        EOF, not in a logged ``CancelledError``), drain in-flight batches."""
+        self._closing = True
         if self._server is not None:
             self._server.close()
+            for writer in self._idle:
+                writer.close()
             await self._server.wait_closed()
             self._server = None
+        if self._handlers:
+            await asyncio.wait(self._handlers)
         # the batcher drain blocks on worker threads; keep it off the loop
         await asyncio.get_running_loop().run_in_executor(None, self.batcher.close)
 
@@ -220,8 +231,12 @@ class ValidationService:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers.add(task)
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(writer)
                 request_line = await reader.readline()
                 if not request_line:
                     break
@@ -250,6 +265,9 @@ class ValidationService:
                     )
                     break
                 body = await reader.readexactly(length) if length else b""
+                self._idle.discard(writer)
+                if self._closing:
+                    break  # stop() closed this connection while it was read
                 status, payload = await self._dispatch(method, target, body)
                 await self._respond(writer, status, payload)
                 if headers.get("connection", "").lower() == "close":
@@ -257,6 +275,8 @@ class ValidationService:
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
+            self._handlers.discard(task)
+            self._idle.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -433,8 +453,8 @@ class ValidationService:
         loop = asyncio.get_running_loop()
 
         def check() -> dict[str, Any]:
-            # the record's private SatCache keeps repeat sweeps warm without
-            # touching the module-level registry other tenants share
+            # the record's SatCache (its schema's own) keeps repeat sweeps
+            # warm; no other record's schema shares it
             checker = SatisfiabilityChecker(
                 record.schema, cache=record.sat_cache
             )

@@ -20,20 +20,21 @@ tables) and are shared by :class:`~repro.validation.indexed.IndexedValidator`,
 :class:`~repro.validation.incremental.IncrementalValidator` and
 :class:`~repro.validation.parallel.ParallelValidator`.
 
-:func:`compile_plan` fronts an LRU cache keyed by schema identity, so the
-``validate()`` facade stops repaying schema-analysis cost on every call;
-:func:`plan_cache_info` exposes hit/miss/compile counters for tests and
-benchmarks.
+:func:`compile_plan` keeps each schema's plan in that schema's memo
+(:meth:`~repro.schema.model.GraphQLSchema.memo_get`), so the ``validate()``
+facade stops repaying schema-analysis cost on every call and the plan is
+freed with its schema; :func:`plan_cache_info` exposes hit/miss/compile
+counters for tests and benchmarks.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
 from .. import obs
 from ..record import Record
+from ..schema.model import memo_clear, memo_entries
 from . import sites
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -274,75 +275,45 @@ class ValidationPlan:
 
 
 # --------------------------------------------------------------------------- #
-# the plan cache
+# the plan cache: one plan per schema, kept in the schema's memo
 # --------------------------------------------------------------------------- #
 
-#: Maximum number of schemas with live cached plans.
-PLAN_CACHE_MAXSIZE = 32
-
-_cache_lock = threading.Lock()
-_cache: "OrderedDict[int, tuple[GraphQLSchema, ValidationPlan]]" = OrderedDict()
-_hits = 0
-_misses = 0
-_evictions = 0
+_stats_lock = threading.Lock()
+_stats = {"hits": 0, "misses": 0}
 
 
 def compile_plan(schema: "GraphQLSchema") -> ValidationPlan:
-    """The compiled plan for *schema*, from the LRU cache when possible.
+    """The compiled plan for *schema*, from the schema's memo when possible.
 
-    The cache is keyed by schema *identity* (schemas are treated as immutable
-    after assembly) and holds strong references, so id recycling cannot alias
-    two schemas to one entry; as with ``functools.lru_cache``, the
-    least-recently-used schemas and plans are released once more than
-    ``PLAN_CACHE_MAXSIZE`` schemas have been compiled.
+    Schemas are treated as immutable after assembly, so the plan is kept on
+    the schema itself and freed with it.
     """
-    global _hits, _misses, _evictions
-    key = id(schema)
-    with _cache_lock:
-        entry = _cache.get(key)
-        if entry is not None:
-            _cache.move_to_end(key)
-            _hits += 1
-            obs.count("validation.plan_cache.hits")
-            return entry[1]
-        _misses += 1
-    obs.count("validation.plan_cache.misses")
-    with obs.span("validation.plan.compile"):
-        plan = ValidationPlan(schema)
-    with _cache_lock:
-        # two threads that both missed may both compile; the second write
-        # wins and the loser's plan is discarded -- equal by construction,
-        # so callers never observe the race, only a redundant compile
-        _cache[key] = (schema, plan)
-        _cache.move_to_end(key)
-        while len(_cache) > PLAN_CACHE_MAXSIZE:
-            _cache.popitem(last=False)
-            _evictions += 1
-            obs.count("validation.plan_cache.evictions")
+    plan = schema.memo_get(ValidationPlan)
+    outcome = "misses" if plan is None else "hits"
+    with _stats_lock:
+        _stats[outcome] += 1
+    obs.count(f"validation.plan_cache.{outcome}")
+    if plan is None:
+        with obs.span("validation.plan.compile"):
+            # threads that both missed both compile; the first plan stored
+            # wins and every caller gets it, so the race is only redundant
+            plan = schema.memo_put(ValidationPlan(schema))
     return plan
 
 
 def plan_cache_info() -> dict[str, int]:
-    """Cache statistics: ``hits``, ``misses`` (== compilations), ``size``,
-    ``maxsize``, ``evictions`` (reported by ``pgschema validate --profile``,
-    ``pgschema stats --json`` and the service ``/v1/stats`` endpoint)."""
-    with _cache_lock:
-        return {
-            "hits": _hits,
-            "misses": _misses,
-            "size": len(_cache),
-            "maxsize": PLAN_CACHE_MAXSIZE,
-            "evictions": _evictions,
-        }
+    """Cache statistics: ``hits``, ``misses`` (== compilations) and
+    ``size``, the live schemas holding a plan (reported by ``pgschema
+    validate --profile``, ``pgschema stats --json`` and the service
+    ``/v1/stats`` endpoint)."""
+    with _stats_lock:
+        info = dict(_stats)
+    info["size"] = len(memo_entries(ValidationPlan))
+    return info
 
 
 def plan_cache_clear() -> None:
-    """Drop every cached plan and reset the statistics."""
-    global _hits, _misses, _evictions
-    with _cache_lock:
-        dropped = list(_cache.values())
-        _cache.clear()
-        _hits = 0
-        _misses = 0
-        _evictions = 0
-    del dropped  # release plans outside the lock (reapers may fire)
+    """Drop every memoized plan and reset the statistics."""
+    memo_clear(ValidationPlan)
+    with _stats_lock:
+        _stats.update(hits=0, misses=0)

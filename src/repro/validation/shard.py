@@ -55,8 +55,11 @@ NodeRecord = tuple
 EdgeRecord = tuple
 
 
-def stable_bucket(key: str, num_buckets: int) -> int:
-    """A process-stable bucket index for a string key."""
+def stable_bucket(element: object, num_buckets: int, group: str = "", label: object = "") -> int:
+    """The process-stable bucket of an element id or, with ``group`` "s" or
+    "t", of the edges with that source or target and *label* (the WS4/DS1
+    and DS3 groups): the one spelling of the keys both routers use."""
+    key = f"{group}\x00{element}\x00{label}" if group else str(element)
     return crc32(key.encode("utf-8", "surrogatepass")) % num_buckets
 
 
@@ -111,10 +114,10 @@ def partition_graph(
     edge_records = graph.edge_records()
     node_lists = [shard.nodes for shard in shards]
     for record in graph.node_items():
-        node_lists[stable_bucket(str(record[0]), num_shards)].append(record)
+        node_lists[stable_bucket(record[0], num_shards)].append(record)
     edge_lists = [shard.edges for shard in shards]
     for record in edge_records:
-        edge_lists[stable_bucket(str(record[0]), num_shards)].append(record)
+        edge_lists[stable_bucket(record[0], num_shards)].append(record)
     _collect_groups(edge_records, shards, num_shards)
     return shards
 
@@ -128,10 +131,10 @@ def _collect_groups(
     for (source, label), group in by_source.items():
         if len(group) < 2:
             continue
-        bucket = stable_bucket(f"s\x00{source}\x00{label}", num_shards)
+        bucket = stable_bucket(source, num_shards, "s", label)
         shards[bucket].source_groups.append((source, label, group))
     for (target, label), group in by_target.items():
         if len(group) < 2:
             continue
-        bucket = stable_bucket(f"t\x00{target}\x00{label}", num_shards)
+        bucket = stable_bucket(target, num_shards, "t", label)
         shards[bucket].target_groups.append((target, label, group))

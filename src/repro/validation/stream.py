@@ -205,7 +205,7 @@ class StreamValidator:
                             label_id = labels.intern(record["label"])
                             if node_id not in node_labels:
                                 node_labels[node_id] = label_id
-                            chunk = stable_bucket(str(node_id), num_chunks)
+                            chunk = stable_bucket(node_id, num_chunks)
                             writers[chunk].write(
                                 json.dumps(
                                     [
@@ -228,19 +228,15 @@ class StreamValidator:
                             label_id = labels.intern(label)
                             destinations: dict[int, int] = {}
                             get = destinations.get
-                            chunk = stable_bucket(str(edge_id), num_chunks)
+                            chunk = stable_bucket(edge_id, num_chunks)
                             destinations[chunk] = get(chunk, 0) | ROLE_ELEMENT
-                            chunk = stable_bucket(
-                                f"s\x00{source}\x00{label}", num_chunks
-                            )
+                            chunk = stable_bucket(source, num_chunks, "s", label)
                             destinations[chunk] = get(chunk, 0) | ROLE_SOURCE_GROUP
-                            chunk = stable_bucket(
-                                f"t\x00{target}\x00{label}", num_chunks
-                            )
+                            chunk = stable_bucket(target, num_chunks, "t", label)
                             destinations[chunk] = get(chunk, 0) | ROLE_TARGET_GROUP
-                            chunk = stable_bucket(str(source), num_chunks)
+                            chunk = stable_bucket(source, num_chunks)
                             destinations[chunk] = get(chunk, 0) | ROLE_OUT_DEGREE
-                            chunk = stable_bucket(str(target), num_chunks)
+                            chunk = stable_bucket(target, num_chunks)
                             destinations[chunk] = get(chunk, 0) | ROLE_IN_DEGREE
                             for chunk, roles in destinations.items():
                                 row: list[Any] = [

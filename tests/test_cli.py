@@ -296,7 +296,7 @@ class TestStatsAndExport:
 
     def test_stats_json_includes_cache_gauges(self, graph_file, capsys):
         """stats --json carries the process-wide cache occupancy gauges
-        (plan LRU, sat caches, compiled-scalar registry)."""
+        (plan cache, sat caches, compiled-scalar registry)."""
         assert main(["stats", graph_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["format"] == "pgschema-metrics"
@@ -307,8 +307,8 @@ class TestStatsAndExport:
             "schema.scalar_checkers_info.",
         ):
             assert any(name.startswith(prefix) for name in gauges), prefix
-        assert "validation.plan_cache_info.evictions" in gauges
-        assert "sat.cache_info.evictions" in gauges
+        assert "validation.plan_cache_info.size" in gauges
+        assert "sat.cache_info.schemas" in gauges
         assert "schema.scalar_checkers_info.size" in gauges
 
     def test_export_cypher_schema_only(self, schema_file, capsys):

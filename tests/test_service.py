@@ -21,6 +21,7 @@ The contract under test (ISSUE 9's acceptance criteria):
 
 import copy
 import json
+import logging
 import threading
 import time
 
@@ -31,6 +32,7 @@ from repro.errors import GraphError, OverloadedError, ServiceError, WorkerFailur
 from repro.pg import graph_from_dict, graph_to_dict
 from repro.pg.io import records_from_dict
 from repro.resilience import faults
+from repro.satisfiability import sat_cache_clear
 from repro.schema import parse_schema
 from repro.service import (
     BatchingValidator,
@@ -39,7 +41,7 @@ from repro.service import (
     ServiceThread,
     report_payload,
 )
-from repro.validation import ParallelValidator, validate
+from repro.validation import ParallelValidator, plan_cache_clear, validate
 from repro.workloads import CORPUS, corrupt_graph, user_session_graph
 
 SDL = CORPUS["user_session_edge_props"].sdl
@@ -111,6 +113,14 @@ class TestRegistry:
         assert a.plan is not b.plan
         assert a.sat_cache is not b.sat_cache
         assert a.sat_cache.schema is a.schema
+
+    def test_records_take_their_state_from_the_schema_memo(self, registry):
+        from repro.satisfiability import sat_cache_for
+        from repro.validation import compile_plan
+
+        record = registry.register("alpha", "users", SDL)
+        assert record.plan is compile_plan(record.schema)
+        assert record.sat_cache is sat_cache_for(record.schema)
 
     def test_invalid_tokens_rejected(self, registry):
         for bad in ("", "../etc", "a/b", ".hidden", "x" * 70):
@@ -547,6 +557,23 @@ class TestHttpService:
                           "service.queue_wait_ms"):
             assert stats["histograms"][histogram]["count"] >= 1
 
+    def test_stats_cache_gauges_count_the_registry_caches(self, service, graph):
+        """The process-wide cache gauges include the caches the daemon's
+        own registry records hold."""
+        plan_cache_clear()
+        sat_cache_clear()
+        client, _thread = service
+        client.register("acme", "users", SDL)
+        for _ in range(3):
+            assert client.sat("acme", "users")[0] == 200
+            assert client.validate("acme", "users", graph)[0] == 200
+        status, stats = client.stats()
+        assert status == 200
+        gauges = stats["gauges"]
+        assert gauges["sat.cache_info.hits"] >= 1
+        assert gauges["sat.cache_info.schemas"] >= 1
+        assert gauges["validation.plan_cache_info.size"] >= 1
+
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_malformed_graph_errors_match_graph_from_dict(self, service, name):
         code, document = MALFORMED[name]
@@ -624,6 +651,20 @@ class TestHttpService:
         finally:
             faults.uninstall()
         assert results == [(200, expected)]
+
+    def test_stop_ends_idle_keep_alive_connections_quietly(self, caplog):
+        """Stopping while a keep-alive client sits idle logs nothing: the
+        handler parked in its read ends at EOF instead of being cancelled."""
+        thread = ServiceThread(port=0)
+        host, port = thread.start()
+        client = ServiceClient(host, port)
+        try:
+            assert client.healthz()[0] == 200
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                thread.stop()
+        finally:
+            client.close()
+        assert [record.getMessage() for record in caplog.records] == []
 
     def test_port_collision_raises_service_error(self, service):
         _client, thread = service
