@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 from ..lint.diagnostics import Diagnostic
 from ..record import Record
 from ..schema.model import memo_clear
-from .cardinality import CardinalityFacts, CardinalityPass
+from .cardinality import CardinalityFacts, CardinalityPass, DeadProof
 from .framework import (
     AnalysisContext,
     AnalysisError,
@@ -52,6 +52,7 @@ __all__ = [
     "AnalysisResult",
     "CardinalityFacts",
     "CardinalityPass",
+    "DeadProof",
     "FieldEdge",
     "Interval",
     "PassManager",

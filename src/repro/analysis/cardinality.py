@@ -36,6 +36,13 @@ are dropped by the translation and therefore never consulted):
    under a cap covering both (diagram (c)'s conditional class, generalized
    to interface-declared obligations disjoint from the entering type).
 
+Each dead type keeps a :class:`DeadProof`: the rule that fired, the
+declaration it rests on and the types it names.  Rule 4 reads no other
+verdict, so it is tried first; then rules 1, 2 and 5 per required field;
+then rule 3.  The lint rules PG001/PG003 render these proofs
+(:mod:`repro.lint.rules`), so there is one UNSAT fixpoint, and PG011
+reports the rest.
+
 **The good fixpoint (least-model trivially-SAT side).**  A type is *good*
 when a finite tree-shaped model fragment rooted at a fresh node of the
 type provably exists: every required field can point at a good target that
@@ -54,7 +61,7 @@ tableau work it can reproduce, never guesses.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import AbstractSet
 
 from ..lint.diagnostics import Diagnostic, Severity, Span
 from ..record import Record
@@ -64,11 +71,28 @@ from .graph import FieldEdge, TypeDependencyGraph
 from .lattice import Interval
 
 
+class DeadProof(Record):
+    """Why the dead fixpoint proved one object type dead."""
+
+    #: missing-field, dead-targets, unservable-obligation, incoming-overflow
+    #: or forced-cap-overflow (rules 1, 2, 3, 4 and 5)
+    rule: str
+    #: the declaration the proof rests on: the required field, the
+    #: obligation or the cap
+    edge: FieldEdge
+    #: the forced sources (incoming-overflow), the admissible targets
+    #: (dead-targets) or (cap declarer, clashing source)
+    #: (forced-cap-overflow); empty for the other rules
+    names: tuple[str, ...]
+    #: human-readable proof sketch (the PG011 text)
+    reason: str
+
+
 class CardinalityFacts(Record, frozen=False):
     """The pass's fact object: intervals, verdicts, and their reasons."""
 
-    #: dead object type -> human-readable proof sketch
-    dead: dict[str, str] = {}
+    #: dead object type -> the proof that it is dead
+    dead: dict[str, DeadProof] = {}
     #: object types with a constructed finite model fragment
     good: frozenset[str] = frozenset()
     #: relationship declaration -> SAT (True) / UNSAT (False) / undecided
@@ -126,85 +150,28 @@ class CardinalityPass(AnalysisPass):
 # --------------------------------------------------------------------------- #
 
 
-def _dead_fixpoint(graph: TypeDependencyGraph, dead: dict[str, str]) -> int:
-    schema = graph.schema
-
-    def live_servers(obligation: FieldEdge, target: str) -> list[str]:
-        """Object types that could emit the edge an obligation demands."""
-        servers: list[str] = []
-        for source in sorted(graph.below(obligation.declarer)):
-            if source in dead:
-                continue
-            if (source, obligation.field_name) not in graph.own:
-                continue  # SS4: an undeclared field admits no outgoing edges
-            if target not in graph.allowed(source, obligation.field_name):
-                continue  # the ∀-meet of the source forbids this target
-            servers.append(source)
-        return servers
-
+def _dead_fixpoint(graph: TypeDependencyGraph, dead: dict[str, DeadProof]) -> int:
     def step() -> bool:
         changed = False
-        for object_type in sorted(schema.object_types):
+        for object_type in sorted(graph.schema.object_types):
             if object_type in dead:
                 continue
-            reason = _deadness_reason(graph, dead, live_servers, object_type)
-            if reason is not None:
-                dead[object_type] = reason
+            proof = _dead_proof(graph, dead, object_type)
+            if proof is not None:
+                dead[object_type] = proof
                 changed = True
         return changed
 
     return fixpoint(step, name="cardinality.dead")
 
 
-def _deadness_reason(
-    graph: TypeDependencyGraph,
-    dead: dict[str, str],
-    live_servers: Callable[[FieldEdge, str], list[str]],
-    object_type: str,
-) -> str | None:
-    # rules 1, 2, 5: the type's required fields
-    for field_name, declarations in sorted(graph.required_fields(object_type).items()):
-        if (object_type, field_name) not in graph.own:
-            declarer = next(e.declarer for e in declarations if e.required)
-            return (
-                f"{declarer}.{field_name} is @required and applies to "
-                f"{object_type}, but {object_type} declares no relationship "
-                f"field '{field_name}', so it may emit no '{field_name}' edge "
-                f"at all"
-            )
-        allowed = graph.allowed(object_type, field_name)
-        live = sorted(target for target in allowed if target not in dead)
-        if not live:
-            detail = (
-                "has no admissible target object types"
-                if not allowed
-                else "has only unpopulatable admissible targets ("
-                + ", ".join(sorted(allowed))
-                + ")"
-            )
-            return f"the required edge '{field_name}' {detail}"
-        clashes = [
-            _definite_clash(graph, object_type, target, field_name)
-            for target in live
-        ]
-        if all(clash is not None for clash in clashes):
-            cap, other = clashes[0]  # type: ignore[misc]
-            return (
-                f"the required edge '{field_name}' collides at every live "
-                f"target: e.g. at {live[0]}, @uniqueForTarget on "
-                f"{cap.location} admits one incoming source but "
-                f"@requiredForTarget already forces one from {other}"
-            )
-    # rules 3, 4: obligations and caps at nodes of this type
-    for field_name in graph.obligation_fields_at(object_type):
+def _dead_proof(
+    graph: TypeDependencyGraph, dead: dict[str, DeadProof], object_type: str
+) -> DeadProof | None:
+    obligation_fields = graph.obligation_fields_at(object_type)
+    # rule 4 first: it reads no other verdict
+    for field_name in obligation_fields:
         obligations = _distinct_obligations(graph, object_type, field_name)
-        for obligation in obligations:
-            if not live_servers(obligation, object_type):
-                return (
-                    f"@requiredForTarget on {obligation.location} demands an "
-                    f"incoming '{field_name}' edge at every {object_type} "
-                    f"node, but no live object type can emit it"
-                )
         for cap in _distinct_caps(graph, object_type, field_name):
             forced = sorted(
                 {
@@ -216,14 +183,89 @@ def _deadness_reason(
             )
             incoming = lattice.at_least(len(forced)).meet(lattice.at_most(1))
             if incoming.is_empty:
-                return (
+                return DeadProof(
+                    "incoming-overflow",
+                    cap,
+                    tuple(forced),
                     f"incoming '{field_name}' interval at {object_type} is "
                     f"empty: @requiredForTarget on "
                     f"{' and '.join(f'{t}.{field_name}' for t in forced)} "
                     f"forces {len(forced)} distinct sources, but "
-                    f"@uniqueForTarget on {cap.location} caps them at one"
+                    f"@uniqueForTarget on {cap.location} caps them at one",
+                )
+    # rules 1, 2, 5: the type's required fields
+    for field_name, declarations in sorted(graph.required_fields(object_type).items()):
+        own = graph.own.get((object_type, field_name))
+        if own is None:
+            declarer = next(e for e in declarations if e.required)
+            return DeadProof(
+                "missing-field",
+                declarer,
+                (),
+                f"{declarer.location} is @required and applies to "
+                f"{object_type}, but {object_type} declares no relationship "
+                f"field '{field_name}', so it may emit no '{field_name}' edge "
+                f"at all",
+            )
+        allowed = graph.allowed(object_type, field_name)
+        live = sorted(target for target in allowed if target not in dead)
+        if not live:
+            detail = (
+                "has no admissible target object types"
+                if not allowed
+                else "has only unpopulatable admissible targets ("
+                + ", ".join(sorted(allowed))
+                + ")"
+            )
+            return DeadProof(
+                "dead-targets",
+                own,
+                tuple(sorted(allowed)),
+                f"the required edge '{field_name}' {detail}",
+            )
+        clashes = [
+            _definite_clash(graph, object_type, target, field_name)
+            for target in live
+        ]
+        if all(clash is not None for clash in clashes):
+            cap, other = clashes[0]  # type: ignore[misc]
+            return DeadProof(
+                "forced-cap-overflow",
+                own,
+                (cap.declarer, other),
+                f"the required edge '{field_name}' collides at every live "
+                f"target: e.g. at {live[0]}, @uniqueForTarget on "
+                f"{cap.location} admits one incoming source but "
+                f"@requiredForTarget already forces one from {other}",
+            )
+    # rule 3: obligations at nodes of this type
+    for field_name in obligation_fields:
+        for obligation in _distinct_obligations(graph, object_type, field_name):
+            servers = _servers(graph, obligation, object_type)
+            if all(source in dead for source in servers):
+                return DeadProof(
+                    "unservable-obligation",
+                    obligation,
+                    (),
+                    f"@requiredForTarget on {obligation.location} demands an "
+                    f"incoming '{field_name}' edge at every {object_type} "
+                    f"node, but no live object type can emit it",
                 )
     return None
+
+
+def _servers(
+    graph: TypeDependencyGraph, obligation: FieldEdge, target: str
+) -> list[str]:
+    """Object types that could emit the edge an obligation demands at a
+    *target* node: below the declarer, declaring the field themselves (SS4
+    forbids undeclared edges) and admitting the target (their ∀-meet)."""
+    return [
+        source
+        for source in sorted(graph.below(obligation.declarer))
+        if (source, obligation.field_name) in graph.own
+        and target in graph.allowed(source, obligation.field_name)
+    ]
 
 
 def _distinct_obligations(
@@ -272,65 +314,14 @@ def _definite_clash(
 
 
 def _good_fixpoint(
-    graph: TypeDependencyGraph, dead: dict[str, str], good: set[str]
+    graph: TypeDependencyGraph, dead: dict[str, DeadProof], good: set[str]
 ) -> int:
-    schema = graph.schema
-
-    def servers(obligation: FieldEdge, target: str) -> list[str]:
-        """Good object types whose single f-edge can be pointed at target."""
-        found: list[str] = []
-        for source in sorted(graph.below(obligation.declarer)):
-            if source not in good:
-                continue
-            if (source, obligation.field_name) not in graph.own:
-                continue
-            if target not in graph.allowed(source, obligation.field_name):
-                continue
-            found.append(source)
-        return found
-
-    def incoming_ok(target: str, field_name: str, entering: str | None) -> bool:
-        """Can a fresh *target* node absorb its forced incoming edges (plus
-        the optional *entering* parent edge) without overflowing any cap?
-
-        Each obligation family needs either the parent edge (when the
-        parent's type lies below the obligation declarer) or a good server.
-        Each cap conservatively counts one edge per obligation family with
-        any server inside the cap family, plus the parent edge when the cap
-        covers the parent -- overcounting only ever withholds SAT.
-        """
-        obligations = _distinct_obligations(graph, target, field_name)
-        served_by_parent: set[str] = set()
-        family_servers: dict[str, list[str]] = {}
-        for obligation in obligations:
-            if entering is not None and entering in graph.below(obligation.declarer):
-                served_by_parent.add(obligation.declarer)
-                continue
-            family = servers(obligation, target)
-            if not family:
-                return False
-            family_servers[obligation.declarer] = family
-        for cap in _distinct_caps(graph, target, field_name):
-            cap_family = graph.below(cap.declarer)
-            total = 1 if (entering is not None and entering in cap_family) else 0
-            for obligation in obligations:
-                if obligation.declarer in served_by_parent:
-                    continue
-                if any(
-                    server in cap_family
-                    for server in family_servers[obligation.declarer]
-                ):
-                    total += 1
-            if lattice.at_least(total).meet(lattice.at_most(1)).is_empty:
-                return False
-        return True
-
     def step() -> bool:
         changed = False
-        for object_type in sorted(schema.object_types):
+        for object_type in sorted(graph.schema.object_types):
             if object_type in good or object_type in dead:
                 continue
-            if _fragment_exists(graph, good, incoming_ok, object_type):
+            if _fragment_exists(graph, good, object_type):
                 good.add(object_type)
                 changed = True
         return changed
@@ -339,22 +330,60 @@ def _good_fixpoint(
 
 
 def _fragment_exists(
-    graph: TypeDependencyGraph,
-    good: set[str],
-    incoming_ok: Callable[[str, str, str | None], bool],
-    object_type: str,
+    graph: TypeDependencyGraph, good: AbstractSet[str], object_type: str
 ) -> bool:
     """Does a finite tree-model fragment rooted at the type provably exist?"""
     for field_name in graph.required_fields(object_type):
         if (object_type, field_name) not in graph.own:
             return False  # rule-1 territory; the dead fixpoint handles it
         if not any(
-            target in good and incoming_ok(target, field_name, object_type)
+            target in good
+            and _incoming_ok(graph, good, target, field_name, object_type)
             for target in graph.allowed(object_type, field_name)
         ):
             return False
     for field_name in graph.obligation_fields_at(object_type):
-        if not incoming_ok(object_type, field_name, None):
+        if not _incoming_ok(graph, good, object_type, field_name, None):
+            return False
+    return True
+
+
+def _incoming_ok(
+    graph: TypeDependencyGraph,
+    good: AbstractSet[str],
+    target: str,
+    field_name: str,
+    entering: str | None,
+) -> bool:
+    """Can a fresh *target* node absorb its forced incoming edges (plus
+    the optional *entering* parent edge) without overflowing any cap?
+
+    Each obligation family needs either the parent edge (when the
+    parent's type lies below the obligation declarer) or a good server.
+    Each cap conservatively counts one edge per obligation family with
+    any server inside the cap family, plus the parent edge when the cap
+    covers the parent -- overcounting only ever withholds SAT.
+    """
+    obligations = _distinct_obligations(graph, target, field_name)
+    served_by_parent: set[str] = set()
+    family_servers: dict[str, list[str]] = {}
+    for obligation in obligations:
+        if entering is not None and entering in graph.below(obligation.declarer):
+            served_by_parent.add(obligation.declarer)
+            continue
+        family = [s for s in _servers(graph, obligation, target) if s in good]
+        if not family:
+            return False
+        family_servers[obligation.declarer] = family
+    for cap in _distinct_caps(graph, target, field_name):
+        cap_family = graph.below(cap.declarer)
+        total = 1 if (entering is not None and entering in cap_family) else 0
+        for obligation in obligations:
+            if obligation.declarer in served_by_parent:
+                continue
+            if any(server in cap_family for server in family_servers[obligation.declarer]):
+                total += 1
+        if lattice.at_least(total).meet(lattice.at_most(1)).is_empty:
             return False
     return True
 
@@ -386,7 +415,7 @@ def _object_field_verdict(
 ) -> tuple[bool | None, str]:
     """The verdict of ``ot ⊓ ∃f.base`` for one candidate emitting type."""
     if object_type in facts.dead:
-        return False, f"{object_type} is unpopulatable: {facts.dead[object_type]}"
+        return False, f"{object_type} is unpopulatable: {facts.dead[object_type].reason}"
     if (object_type, edge.field_name) not in graph.own:
         return False, (
             f"{object_type} declares no relationship field '{edge.field_name}' "
@@ -423,50 +452,12 @@ def _object_field_verdict(
     # more edge to an enterable good target respects any ≤1 outdegree cap
     good_landing = any(
         target in facts.good
-        and _enterable(graph, facts, object_type, target, edge.field_name)
+        and _incoming_ok(graph, facts.good, target, edge.field_name, object_type)
         for target in live
     )
     if good_landing:
         return True, f"{object_type} has a model fragment extendable by this edge"
     return None, ""
-
-
-def _enterable(
-    graph: TypeDependencyGraph,
-    facts: CardinalityFacts,
-    entering: str,
-    target: str,
-    field_name: str,
-) -> bool:
-    """Re-run the good-side incoming check for one extra parent edge."""
-    obligations = _distinct_obligations(graph, target, field_name)
-    served_by_parent: set[str] = set()
-    family_servers: dict[str, list[str]] = {}
-    for obligation in obligations:
-        if entering in graph.below(obligation.declarer):
-            served_by_parent.add(obligation.declarer)
-            continue
-        family = [
-            source
-            for source in sorted(graph.below(obligation.declarer))
-            if source in facts.good
-            and (source, obligation.field_name) in graph.own
-            and target in graph.allowed(source, obligation.field_name)
-        ]
-        if not family:
-            return False
-        family_servers[obligation.declarer] = family
-    for cap in _distinct_caps(graph, target, field_name):
-        cap_family = graph.below(cap.declarer)
-        total = 1 if entering in cap_family else 0
-        for obligation in obligations:
-            if obligation.declarer in served_by_parent:
-                continue
-            if any(server in cap_family for server in family_servers[obligation.declarer]):
-                total += 1
-        if lattice.at_least(total).meet(lattice.at_most(1)).is_empty:
-            return False
-    return True
 
 
 def _abstract_field_verdict(
@@ -512,7 +503,7 @@ def _emit_diagnostics(context: AnalysisContext, facts: CardinalityFacts) -> None
                 message=(
                     f"cardinality interval analysis proves {object_type} "
                     f"unsatisfiable (instance interval {lattice.ZERO}): "
-                    f"{facts.dead[object_type]}"
+                    f"{facts.dead[object_type].reason}"
                 ),
                 location=object_type,
                 span=Span.of(composite),

@@ -113,9 +113,9 @@ class AnalysisResult(Record, frozen=False):
                     "interval": str(cardinality.interval(type_name)),
                     "verdict": cardinality.type_verdict_name(type_name),
                 }
-                reason = cardinality.dead.get(type_name)
-                if reason is not None:
-                    types[type_name]["reason"] = reason
+                proof = cardinality.dead.get(type_name)
+                if proof is not None:
+                    types[type_name]["reason"] = proof.reason
             for (declarer, field_name), verdict in sorted(
                 cardinality.field_verdicts.items()
             ):

@@ -3,29 +3,28 @@
 Each rule is a function over a built :class:`~repro.schema.model.GraphQLSchema`
 that yields :class:`~repro.lint.diagnostics.Diagnostic` objects.  Rules are
 registered with a stable code (``PG001``...) and a slug name.  The *error*
-findings of PG001 and PG003 constitute a proof that an object type is
-unsatisfiable (they carry ``unsat_type``).  Those findings are sound with
-respect to the Theorem-3 ALCQI translation -- every axiom the reasoning
-below appeals to is one the translation emits.  The satisfiability engine
-does not consult them: the cardinality interval analysis
-(:mod:`repro.analysis.cardinality`, PG011) proves every such type UNSAT
-too, and it is the static rung of the decision ladder (see
-:mod:`repro.satisfiability.engine`).
+findings of PG001, PG003 and PG011 constitute a proof that an object type is
+unsatisfiable (they carry ``unsat_type``).  All three render one fixpoint:
+the dead side of the cardinality interval analysis
+(:mod:`repro.analysis.cardinality`), which is also the static rung of the
+sat decision ladder (see :mod:`repro.satisfiability.engine`).  Each dead
+type is reported once, under the code its
+:class:`~repro.analysis.DeadProof` maps to:
 
-The two unsat-proving rules:
-
-* **PG001** (conflicting cardinality, Example 6.1's class).  For a target
-  object type ``x`` and field ``f``, ``@requiredForTarget`` on disjoint
-  declaring object types forces distinct incoming ``f``-sources, while
-  ``@uniqueForTarget`` on a common supertype caps them at one.  Both the
-  unconditional form (diagram (a): the target type itself is unsatisfiable)
-  and the conditional form (diagram (c): a type whose own ``@required`` edge
-  would overflow the cap at every admissible target) are detected.
+* **PG001** (conflicting cardinality, Example 6.1's class).
+  ``@requiredForTarget`` on disjoint declaring object types forces distinct
+  incoming ``f``-sources, while ``@uniqueForTarget`` on a common supertype
+  caps them at one.  The unconditional form (diagram (a): the target type
+  itself is unsatisfiable) is reported at the type with the cap's span; the
+  conditional form (diagram (c): a type whose own ``@required`` edge would
+  overflow the cap at every live admissible target) at the field.
 * **PG003** (dead required targets).  A ``@required`` edge whose admissible
-  target object types are all provably unpopulatable -- or an incoming
-  ``@requiredForTarget`` obligation from a provably unpopulatable source --
-  makes the declaring/target type unpopulatable in turn; the set is closed
-  under a fixpoint seeded with the PG001 verdicts.
+  target object types are all dead (reported at the field), or an incoming
+  ``@requiredForTarget`` obligation no live object type can serve
+  (reported at the target type with the obligation's span).
+* **PG011** (interval-unsat) reports the one remaining proof: a
+  ``@required`` field the type inherits but does not declare, so SS4
+  forbids the edge outright.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from ..schema.subtype import is_subtype
 from .diagnostics import Diagnostic, Severity, Span
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..analysis import DeadProof
     from ..schema.model import AppliedDirective, FieldDefinition, GraphQLSchema
 
 CheckFunction = Callable[["GraphQLSchema"], Iterator[Diagnostic]]
@@ -103,197 +103,98 @@ def _below(schema: "GraphQLSchema", type_name: str) -> frozenset[str]:
     return schema.object_types_below(type_name)
 
 
-def _covered(schema: "GraphQLSchema", object_type: str, ancestor: str) -> bool:
-    """Is *object_type* ⊑ *ancestor* (itself / implementor / union member)?"""
-    return object_type in _below(schema, ancestor)
+#: the dead-proof rules that lint reports itself, and their codes; the
+#: remaining rule (missing-field) stays with PG011
+_PROOF_CODES = {
+    "incoming-overflow": "PG001",
+    "forced-cap-overflow": "PG001",
+    "dead-targets": "PG003",
+    "unservable-obligation": "PG003",
+}
 
 
-class _IncomingBound(Record):
-    """One declaration contributing an incoming-edge bound at some target."""
+def _dead_proofs(schema: "GraphQLSchema") -> dict[str, "DeadProof"]:
+    """Dead object type -> its proof, from the memoized analysis."""
+    from ..analysis import analyze_schema  # deferred: keep lint importable alone
 
-    declarer: str
-    field: "FieldDefinition"
-
-
-def _incoming_bounds(
-    schema: "GraphQLSchema", directive_name: str, object_declarers_only: bool
-) -> dict[tuple[str, str], list[_IncomingBound]]:
-    """Map (target object type, field name) -> declarations with *directive*.
-
-    For ``@requiredForTarget`` (lower bounds) only object-type declarers are
-    collected: distinct object types are disjoint, so each contributes a
-    *distinct* required source node -- the soundness of PG001 rests on that.
-    For ``@uniqueForTarget`` (caps) interface declarers count too.
-    """
-    bounds: dict[tuple[str, str], list[_IncomingBound]] = {}
-    for declarer, field_def in _relationship_declarations(schema):
-        if not field_def.has_directive(directive_name):
-            continue
-        if object_declarers_only and declarer not in schema.object_types:
-            continue
-        for target in _below(schema, field_def.type.base):
-            bounds.setdefault((target, field_def.name), []).append(
-                _IncomingBound(declarer, field_def)
-            )
-    return bounds
-
-
-def _conflicting_unsat_types(schema: "GraphQLSchema") -> dict[str, Diagnostic]:
-    """All object types the PG001 reasoning proves unsatisfiable."""
-    verdicts: dict[str, Diagnostic] = {}
-    lower = _incoming_bounds(schema, REQUIRED_FOR_TARGET, object_declarers_only=True)
-    caps = _incoming_bounds(schema, UNIQUE_FOR_TARGET, object_declarers_only=False)
-
-    # Unconditional conflicts: the target type itself cannot be populated.
-    for (target, field_name), cap_list in sorted(caps.items()):
-        sources = lower.get((target, field_name), [])
-        for cap in cap_list:
-            required = sorted(
-                {b.declarer for b in sources if _covered(schema, b.declarer, cap.declarer)}
-            )
-            if len(required) >= 2 and target not in verdicts:
-                verdicts[target] = Diagnostic(
-                    code="PG001",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"conflicting cardinality bounds: @requiredForTarget on "
-                        f"{' and '.join(f'{t}.{field_name}' for t in required)} "
-                        f"forces {len(required)} distinct incoming '{field_name}' "
-                        f"edges at every {target} node, but @uniqueForTarget on "
-                        f"{cap.declarer}.{field_name} admits at most one; no "
-                        f"{target} node can exist"
-                    ),
-                    location=target,
-                    span=Span.of(cap.field),
-                    rule="conflicting-cardinality",
-                    unsat_type=target,
-                )
-
-    # Conditional conflicts: a type whose own @required edge overflows the
-    # cap at *every* admissible target (diagram (c)'s merge-forcing pattern).
-    for type_name in sorted(schema.object_types):
-        if type_name in verdicts:
-            continue
-        object_type = schema.object_types[type_name]
-        for field_def in object_type.fields:
-            if not (field_def.is_relationship and field_def.has_directive(REQUIRED)):
-                continue
-            targets = sorted(_below(schema, field_def.type.base))
-            if not targets:
-                continue  # PG003 reports empty target families
-            witnesses: list[tuple[str, str, str]] = []
-            for target in targets:
-                clash = None
-                for cap in caps.get((target, field_def.name), []):
-                    if not _covered(schema, type_name, cap.declarer):
-                        continue
-                    others = [
-                        b.declarer
-                        for b in lower.get((target, field_def.name), [])
-                        if b.declarer != type_name
-                        and _covered(schema, b.declarer, cap.declarer)
-                    ]
-                    if others:
-                        clash = (target, cap.declarer, sorted(others)[0])
-                        break
-                if clash is None:
-                    witnesses = []
-                    break
-                witnesses.append(clash)
-            if witnesses:
-                target, cap_declarer, other = witnesses[0]
-                verdicts[type_name] = Diagnostic(
-                    code="PG001",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"conflicting cardinality bounds: the @required edge "
-                        f"'{field_def.name}' must reach a target that already "
-                        f"needs an incoming '{field_def.name}' edge from "
-                        f"{other} (@requiredForTarget), while @uniqueForTarget "
-                        f"on {cap_declarer}.{field_def.name} admits only one "
-                        f"incoming source -- the {type_name} node would have to "
-                        f"merge with a disjoint {other} node; no {type_name} "
-                        f"node can exist"
-                    ),
-                    location=f"{type_name}.{field_def.name}",
-                    span=Span.of(field_def),
-                    rule="conflicting-cardinality",
-                    unsat_type=type_name,
-                )
-                break
-    return verdicts
-
-
-def _unpopulatable_types(schema: "GraphQLSchema") -> dict[str, Diagnostic | None]:
-    """Fixpoint of provably unpopulatable object types.
-
-    Seeded with the PG001 verdicts (mapped to ``None`` so PG003 does not
-    re-report them); propagation steps attach a fresh PG003 diagnostic.
-    """
-    dead: dict[str, Diagnostic | None] = {
-        name: None for name in _conflicting_unsat_types(schema)
-    }
-    changed = True
-    while changed:
-        changed = False
-        # a @required edge whose admissible targets are all dead
-        for type_name in sorted(schema.object_types):
-            if type_name in dead:
-                continue
-            object_type = schema.object_types[type_name]
-            for field_def in object_type.fields:
-                if not (
-                    field_def.is_relationship and field_def.has_directive(REQUIRED)
-                ):
-                    continue
-                targets = sorted(_below(schema, field_def.type.base))
-                if all(target in dead for target in targets):
-                    detail = (
-                        f"the target family of type {field_def.type} is empty"
-                        if not targets
-                        else "every admissible target type ("
-                        + ", ".join(targets)
-                        + ") is itself unpopulatable"
-                    )
-                    dead[type_name] = Diagnostic(
-                        code="PG003",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"required edge '{field_def.name}' can never be "
-                            f"populated: {detail}; no {type_name} node can exist"
-                        ),
-                        location=f"{type_name}.{field_def.name}",
-                        span=Span.of(field_def),
-                        rule="dead-required-target",
-                        unsat_type=type_name,
-                    )
-                    changed = True
-                    break
-        # a @requiredForTarget obligation from an unpopulatable source family
-        for declarer, field_def in _relationship_declarations(schema):
-            if not field_def.has_directive(REQUIRED_FOR_TARGET):
-                continue
-            sources = _below(schema, declarer)
-            if not sources or not all(source in dead for source in sources):
-                continue
-            for target in sorted(_below(schema, field_def.type.base)):
-                if target in dead:
-                    continue
-                dead[target] = Diagnostic(
-                    code="PG003",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"@requiredForTarget on {declarer}.{field_def.name} "
-                        f"demands an incoming edge from {declarer}, but no "
-                        f"{declarer} node can exist; no {target} node can exist"
-                    ),
-                    location=target,
-                    span=Span.of(field_def),
-                    rule="dead-required-target",
-                    unsat_type=target,
-                )
-                changed = True
+    dead: dict[str, DeadProof] = analyze_schema(schema).fact("cardinality").dead
     return dead
+
+
+def _proof_findings(schema: "GraphQLSchema", code: str) -> Iterator[Diagnostic]:
+    """The findings of *code* (PG001 or PG003), one per dead type."""
+    dead = _dead_proofs(schema)
+    for type_name, proof in dead.items():
+        if _PROOF_CODES.get(proof.rule) == code:
+            yield _render_proof(schema, type_name, proof, dead)
+
+
+def _render_proof(
+    schema: "GraphQLSchema",
+    type_name: str,
+    proof: "DeadProof",
+    dead: dict[str, "DeadProof"],
+) -> Diagnostic:
+    """One PG001/PG003 finding, located and worded by the proof's rule."""
+    edge = proof.edge
+    field_name = edge.field_name
+    location = f"{type_name}.{field_name}"
+    doom = f"no {type_name} node can exist"
+    if proof.rule == "incoming-overflow":
+        location = type_name
+        message = (
+            f"conflicting cardinality bounds: @requiredForTarget on "
+            f"{' and '.join(f'{t}.{field_name}' for t in proof.names)} "
+            f"forces {len(proof.names)} distinct incoming '{field_name}' "
+            f"edges at every {type_name} node, but @uniqueForTarget on "
+            f"{edge.location} admits at most one; {doom}"
+        )
+    elif proof.rule == "forced-cap-overflow":
+        cap_declarer, other = proof.names
+        message = (
+            f"conflicting cardinality bounds: the @required edge "
+            f"'{field_name}' must reach a target that already needs an "
+            f"incoming '{field_name}' edge from {other} (@requiredForTarget), "
+            f"while @uniqueForTarget on {cap_declarer}.{field_name} admits "
+            f"only one incoming source -- the {type_name} node would have to "
+            f"merge with a disjoint {other} node; {doom}"
+        )
+    elif proof.rule == "dead-targets":
+        if proof.names:
+            detail = (
+                "every admissible target type ("
+                + ", ".join(proof.names)
+                + ") is itself unpopulatable"
+            )
+        elif edge.targets:
+            detail = f"the declarations of '{field_name}' admit no common target type"
+        else:
+            own = schema.object_types[type_name].field(field_name)
+            assert own is not None  # the proof rests on the type's own field
+            detail = f"the target family of type {own.type} is empty"
+        message = f"required edge '{field_name}' can never be populated: {detail}; {doom}"
+    else:  # unservable-obligation
+        location = type_name
+        declarer = edge.declarer
+        cause = (
+            f"no {declarer} node can exist"
+            if all(source in dead for source in _below(schema, declarer))
+            else f"no {declarer} node can emit one to a {type_name} node"
+        )
+        message = (
+            f"@requiredForTarget on {edge.location} demands an incoming edge "
+            f"from {declarer}, but {cause}; {doom}"
+        )
+    code = _PROOF_CODES[proof.rule]
+    return Diagnostic(
+        code=code,
+        severity=Severity.ERROR,
+        message=message,
+        location=location,
+        span=Span(edge.line, edge.column),
+        rule=RULES[code].name,
+        unsat_type=type_name,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -308,7 +209,7 @@ def _unpopulatable_types(schema: "GraphQLSchema") -> dict[str, Diagnostic | None
     "(Example 6.1's class); the affected type is unsatisfiable",
 )
 def check_conflicting_cardinality(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
-    yield from _conflicting_unsat_types(schema).values()
+    yield from _proof_findings(schema, "PG001")
 
 
 @rule(
@@ -347,13 +248,11 @@ def check_noloops_forced_cycle(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
     "PG003",
     "dead-required-target",
     "a @required edge into a provably unpopulatable target family (or a "
-    "@requiredForTarget obligation from one), propagated to a fixpoint; "
-    "the affected type is unsatisfiable",
+    "@requiredForTarget obligation no live type can serve), propagated to a "
+    "fixpoint; the affected type is unsatisfiable",
 )
 def check_dead_required_target(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
-    for diagnostic in _unpopulatable_types(schema).values():
-        if diagnostic is not None:
-            yield diagnostic
+    yield from _proof_findings(schema, "PG003")
 
 
 @rule(
@@ -362,7 +261,7 @@ def check_dead_required_target(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
     "a non-required edge definition that no graph can ever populate",
 )
 def check_unpopulatable_edge(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
-    dead = _unpopulatable_types(schema)
+    dead = _dead_proofs(schema)
     for declarer, field_def in _relationship_declarations(schema):
         if field_def.has_directive(REQUIRED):
             continue  # PG003 owns the required case
@@ -716,9 +615,9 @@ def check_interface_field_shadowing(schema: "GraphQLSchema") -> Iterator[Diagnos
 # code.  The satisfiability engine reads the same analysis directly
 # (:func:`repro.analysis.sat_preverdicts`): a type it decides reports
 # ``decided_by="analysis"`` and, when UNSAT, carries the PG011 finding.
-# Here PG011/PG012 suppress findings the polynomial rules above already
-# report (PG001/PG003/PG004), so a schema gains new lint findings only where
-# the fixpoints see strictly further.
+# PG001/PG003 above render the cardinality pass's dead proofs, and PG011
+# reports only the proofs they do not render; PG012 skips the edge
+# definitions PG004 already reports, so each finding appears once.
 
 
 def _analysis_findings(schema: "GraphQLSchema", code: str) -> Iterator[Diagnostic]:
@@ -732,35 +631,31 @@ def _analysis_findings(schema: "GraphQLSchema", code: str) -> Iterator[Diagnosti
 @rule(
     "PG011",
     "interval-unsat",
-    "cardinality interval analysis proves an object type unsatisfiable "
-    "beyond what PG001/PG003 detect (fixpoint over required-edge intervals)",
+    "cardinality interval analysis proves an object type unsatisfiable by a "
+    "proof PG001/PG003 do not render: a @required field the type inherits "
+    "but does not declare",
 )
 def check_interval_unsat(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
-    already = _unpopulatable_types(schema)
+    dead = _dead_proofs(schema)
     for diagnostic in _analysis_findings(schema, "PG011"):
-        if diagnostic.unsat_type in already:
-            continue  # PG001/PG003 already prove and report this type
-        yield diagnostic
+        if dead[str(diagnostic.unsat_type)].rule not in _PROOF_CODES:
+            yield diagnostic
 
 
 @rule(
     "PG012",
     "interval-dead-edge",
-    "interval analysis proves an edge definition unpopulatable beyond what "
-    "PG004 detects (the SS4 / ∀-meet / forced-cap-overflow generalizations)",
+    "interval analysis proves an edge definition of a live declarer "
+    "unpopulatable beyond what PG004 detects (the SS4 / ∀-meet / "
+    "forced-cap-overflow generalizations)",
 )
 def check_interval_dead_edge(schema: "GraphQLSchema") -> Iterator[Diagnostic]:
     already = {
         diagnostic.location for diagnostic in check_unpopulatable_edge(schema)
     }
-    lint_dead = _unpopulatable_types(schema)
     for diagnostic in _analysis_findings(schema, "PG012"):
-        if diagnostic.location in already:
-            continue  # PG004 already reports this edge definition
-        declarer = diagnostic.location.split(".", 1)[0]
-        if declarer in lint_dead:
-            continue  # PG001/PG003 already report the declaring type
-        yield diagnostic
+        if diagnostic.location not in already:
+            yield diagnostic
 
 
 # PG013-PG018 republish one analysis code each, unfiltered.

@@ -256,7 +256,17 @@ class ValidationService:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
+                try:
+                    length = int(headers.get("content-length", "0") or "0")
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    await self._respond(
+                        writer,
+                        400,
+                        {"error": {"code": "E_SERVICE", "message": "malformed Content-Length"}},
+                    )
+                    break
                 if length > _MAX_BODY:
                     await self._respond(
                         writer,

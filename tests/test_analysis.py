@@ -210,21 +210,26 @@ class TestCardinality:
         assert all(v is True for v in facts.field_verdicts.values())
 
     def test_unservable_obligation_beyond_lint(self):
-        # the polynomial PG003 fixpoint skips empty source families; the
-        # analyzer's rule 3 proves the target dead anyway
+        # rule 3 proves T dead though the obligation's source family is
+        # empty; lint renders that proof as PG003 at T with the
+        # obligation's span, and PG011 does not repeat it
         schema = parse_schema(
             "interface Emitter { to: [T] @requiredForTarget }\n"
             "type T { name: String }"
         )
         facts = self.facts(schema)
-        assert "T" in facts.dead
+        assert facts.dead["T"].rule == "unservable-obligation"
         from repro.lint import lint_schema
 
-        lint_dead = {
-            finding.unsat_type
-            for finding in lint_schema(schema, select=["PG001", "PG003"])
-        }
-        assert "T" not in lint_dead
+        findings = [
+            finding
+            for finding in lint_schema(schema)
+            if finding.unsat_type == "T"
+        ]
+        assert [(f.code, f.location, str(f.span)) for f in findings] == [
+            ("PG003", "T", "1:21")
+        ]
+        assert "no Emitter node can exist" in findings[0].message
 
     def test_near_unsat_blocks_flip_with_the_second_obligation(self):
         alive = self.facts(near_unsat_schema(2, collide=False))

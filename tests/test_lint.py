@@ -462,7 +462,9 @@ def _unsat_proving_schemas():
 )
 def test_lint_unsat_findings_are_sound_and_subsumed_by_the_analysis(name, schema):
     """Every type PG001/PG003 prove dead is UNSAT for the tableau, and the
-    analysis proves it UNSAT too: the sat ladder needs no lint rung."""
+    analysis proves it UNSAT too: the sat ladder needs no lint rung.
+    PG001/PG003/PG011 partition the analysis's dead types: each is
+    reported exactly once."""
     oracle = SatisfiabilityChecker(schema, cache=False, analysis_precheck=False)
     static = sat_preverdicts(schema).types
     for finding in unsat_findings(schema):
@@ -471,3 +473,41 @@ def test_lint_unsat_findings_are_sound_and_subsumed_by_the_analysis(name, schema
         assert verdict.tableau_satisfiable is False, (name, finding.code, dead)
         assert verdict.decided_by == "tableau"
         assert static.get(dead) is False, (name, finding.code, dead)
+    reported = [
+        finding.unsat_type
+        for finding in unsat_findings(schema, rules=("PG001", "PG003", "PG011"))
+    ]
+    analysis_dead = {t for t, verdict in static.items() if verdict is False}
+    assert sorted(reported) == sorted(analysis_dead), name
+
+
+def test_analysis_only_proofs_are_worded_by_what_they_prove():
+    # T's obligation has a live source type, A, which cannot point at T
+    unserved = lint_sdl(
+        "interface I { to: X @requiredForTarget }\n"
+        "union X = T | U\n"
+        "type A implements I { to: U }\n"
+        "type T { name: String }\n"
+        "type U { name: String }",
+        select=["PG003", "PG011"],
+    )
+    assert [(f.code, f.location) for f in unserved] == [("PG003", "T")]
+    assert "no I node can emit one to a T node" in unserved[0].message
+    # T.r's own family is not empty, but no type meets both declarations
+    disjoint = lint_sdl(
+        "interface I { r: A @required }\n"
+        "type A { x: Int }\n"
+        "type B { x: Int }\n"
+        "type T implements I { r: B @required }",
+        select=["PG003", "PG011"],
+    )
+    assert [(f.code, f.location) for f in disjoint] == [("PG003", "T.r")]
+    assert "the declarations of 'r' admit no common target type" in disjoint[0].message
+
+
+def test_incoming_overflow_takes_precedence_over_dead_targets():
+    # Sink1 is dead twice over: its own incoming 'feed' interval is empty,
+    # and its required 'next' edge reaches only the dead Sink0.  The proof
+    # that reads no other verdict wins, so lint reports PG001 at Sink1.
+    findings = lint_schema(cardinality_web_schema(2, collide=True), select=["PG001"])
+    assert [f.location for f in findings] == ["Sink0", "Sink1"]

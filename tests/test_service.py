@@ -22,6 +22,7 @@ The contract under test (ISSUE 9's acceptance criteria):
 import copy
 import json
 import logging
+import socket
 import threading
 import time
 
@@ -664,6 +665,30 @@ class TestHttpService:
                 thread.stop()
         finally:
             client.close()
+        assert [record.getMessage() for record in caplog.records] == []
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_typed_400(self, caplog, length):
+        thread = ServiceThread(port=0)
+        host, port = thread.start()
+        reply = b""
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                with socket.create_connection((host, port), timeout=10) as sock:
+                    sock.sendall(
+                        f"POST /v1/lint HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+                        .encode("latin-1")
+                    )
+                    while chunk := sock.recv(4096):
+                        reply += chunk
+        finally:
+            thread.stop()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply
+        assert json.loads(body)["error"] == {
+            "code": "E_SERVICE",
+            "message": "malformed Content-Length",
+        }
         assert [record.getMessage() for record in caplog.records] == []
 
     def test_port_collision_raises_service_error(self, service):
