@@ -17,9 +17,9 @@ Subcommands:
   via the Theorem-3 tableau, with a bounded finite-witness search.  The
   whole-schema sweep runs the portfolio engine (``--engine
   portfolio|serial``): the decision ladder (cache, lint, analysis) decides
-  what it can in-process and only open units fan out over ``--jobs``
-  workers; ``--profile`` reports per-engine win counts and verdict-cache
-  statistics.
+  what it can in-process, and the open units run inline unless ``--jobs
+  N`` fans them out over N workers; ``--profile`` reports per-engine win
+  counts and verdict-cache statistics.
 * ``pgschema translate SCHEMA.graphql`` -- show the ALCQI TBox of the
   Theorem-3 translation.
 * ``pgschema api SCHEMA.graphql`` -- print the §3.6 GraphQL API schema.
@@ -211,7 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sat.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker count for the portfolio fan-out (default: all usable cores)",
+        help="fan the open units out over N worker processes (default: "
+        "inline, no pool)",
     )
     sat.add_argument(
         "--profile", action="store_true",
@@ -301,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="shard workers for batched validation (default: all usable cores)",
+        help="worker processes for graphs of 4096 or more elements "
+        "(default: inline, no pool)",
     )
     serve.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",

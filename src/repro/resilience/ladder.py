@@ -2,7 +2,10 @@
 
 :class:`ExecutorLadder` runs every fan-out in the project -- sharded
 validation, portfolio satisfiability, the service batcher -- on one
-contract.  An engine supplies only what it knows:
+contract, and :func:`choose_rung` is the one policy that picks the rung
+each starts on: no worker count means inline, and the process rung is
+opt-in through an explicit ``jobs``.  An engine supplies only what it
+knows:
 
 * **the task** -- a module-level function ``task(state, payload, attempt,
   executor)``; module level, so the process rung pickles it by reference;
@@ -60,7 +63,7 @@ from . import faults
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import Future
 
-__all__ = ["EXECUTORS", "ExecutorLadder", "usable_cores"]
+__all__ = ["EXECUTORS", "ExecutorLadder", "choose_rung", "usable_cores"]
 
 #: Executor rungs a ladder run may start on; failing tasks fall from
 #: ``process`` to ``serial``.
@@ -76,6 +79,36 @@ def usable_cores() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def choose_rung(executor: str, jobs: int | None, big_enough: bool = False) -> tuple[str, int]:
+    """The rung and the width of one fan-out: the one jobs policy of every
+    engine.
+
+    No worker count means inline: with ``jobs=None`` the width is 1 under
+    ``"auto"`` and ``"serial"``, and the usable cores only under an
+    explicit ``"process"``.  ``"auto"`` picks the process rung only when
+    the caller asked for ``jobs > 1``, the host has more than one usable
+    core, and *big_enough* -- the engine's one size test (validation: a
+    graph of at least ``SMALL_GRAPH_THRESHOLD`` elements; satisfiability:
+    at least ``jobs`` open units) -- holds.  Everything else runs inline:
+    the tasks are pure-Python CPU work, and on the measured hosts process
+    start-up outweighed what the pool saved (docs/PERFORMANCE.md).  An
+    explicit executor is kept as given.
+    """
+    if executor != "auto" and executor not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {executor!r}; expected one of {('auto', *EXECUTORS)}"
+        )
+    if jobs is None:
+        width = usable_cores() if executor == "process" else 1
+    else:
+        width = max(1, jobs)
+    if executor != "auto":
+        return executor, width
+    if width > 1 and big_enough and usable_cores() > 1:
+        return "process", width
+    return "serial", width
 
 
 class ExecutorLadder:

@@ -600,9 +600,10 @@ class SatisfiabilityChecker:
 
         * ``"portfolio"`` (default) -- the :meth:`decision_ladder` over
           every element in this process, then per-type batched work units
-          holding the still-open elements fanned over the executor ladder
-          (``jobs`` workers); deterministic, so reports are byte-identical
-          to ``"serial"`` for any ``jobs``.
+          holding the still-open elements, run inline unless ``jobs`` asks
+          for workers (then over the executor ladder's process rung, when
+          at least ``jobs`` units stay open); deterministic, so reports are
+          byte-identical to ``"serial"`` for any ``jobs``.
         * ``"serial"`` -- the element-by-element loop over
           :meth:`check_type` and :meth:`check_field`.
 

@@ -24,7 +24,10 @@ at a time.  This module turns the sweep into a portfolio:
   builds its own :class:`~repro.satisfiability.engine.SatisfiabilityChecker`
   once from the schema and the parent's configuration.  The ladder owns
   pools, the ``portfolio.worker`` fault site, retry with backoff and the
-  process→serial recovery; with no open unit no pool is made.
+  process→serial recovery.  The open units run inline unless ``jobs``
+  asks for workers (:func:`~repro.resilience.ladder.choose_rung`): each
+  decides in milliseconds, and a pool's start-up cost more than it saved
+  on every committed measurement (docs/PERFORMANCE.md).
   Results merge into canonical report order, so reports are
   byte-identical for any ``jobs`` count or executor rung, and
   process-worker verdicts are absorbed into the parent's cache.
@@ -45,7 +48,7 @@ from .. import obs
 from ..dl.concepts import And, Exists, Name, Role
 from ..errors import BudgetExhaustedError
 from ..record import Record
-from ..resilience.ladder import EXECUTORS, ExecutorLadder, usable_cores
+from ..resilience.ladder import ExecutorLadder, choose_rung
 from .engine import (
     SatisfiabilityChecker,
     SchemaSatisfiabilityReport,
@@ -249,21 +252,6 @@ def _decide_batch(
     return type_verdict
 
 
-def _choose_executor(executor: str, jobs: int, units: int) -> str:
-    """The rung for *units* open units (auto: a pool only when it can help)."""
-    if executor != "auto":
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {('auto', *EXECUTORS)}"
-            )
-        return executor
-    if jobs <= 1 or units < jobs or usable_cores() <= 1:
-        # tableau searches are pure-Python CPU work: fan-out speedup needs
-        # processes, whose startup dominates with fewer units than workers
-        return "serial"
-    return "process"
-
-
 # --------------------------------------------------------------------------- #
 # the driver
 # --------------------------------------------------------------------------- #
@@ -279,25 +267,17 @@ def run_portfolio(
     retry_base_delay: float = 0.05,
     unit_timeout: float | None = None,
 ) -> SchemaSatisfiabilityReport:
-    """The portfolio ``check_schema``: ladder, batch, fan out, merge, memoize."""
+    """The portfolio ``check_schema``: ladder, batch, fan out, merge, memoize.
+
+    The open units run inline unless ``jobs`` asks for workers: the rung is
+    :func:`~repro.resilience.ladder.choose_rung`'s, whose size test here is
+    "at least ``jobs`` units left open by the decision ladder"."""
     units = build_units(checker.schema)
-    if jobs is None:
-        jobs = usable_cores()
-    jobs = max(1, jobs)
     decided: list[UnitResult] = []
     open_units: dict[int, SatUnit] = {}
     worked: "list[UnitResult | None]" = [None] * len(units)
-    ladder = ExecutorLadder(
-        jobs=jobs,
-        max_retries=max_retries,
-        retry_base_delay=retry_base_delay,
-        task_timeout=unit_timeout,
-        site="satisfiability.portfolio",
-        log_key="unit",
-        timeout_label="unit_timeout",
-    )
 
-    with obs.span("sat.run", engine="portfolio", jobs=jobs, units=len(units)) as span:
+    with obs.span("sat.run", engine="portfolio", units=len(units)) as span:
         for unit in units:
             with obs.span(
                 "sat.unit",
@@ -309,8 +289,17 @@ def run_portfolio(
             decided.append(result)
             if remainder is not None:
                 open_units[unit.index] = remainder
-        mode = _choose_executor(executor, jobs, len(open_units))
-        span.set(executor=mode, open=len(open_units))
+        mode, width = choose_rung(executor, jobs, len(open_units) >= (jobs or 1))
+        span.set(executor=mode, jobs=width, open=len(open_units))
+        ladder = ExecutorLadder(
+            jobs=width,
+            max_retries=max_retries,
+            retry_base_delay=retry_base_delay,
+            task_timeout=unit_timeout,
+            site="satisfiability.portfolio",
+            log_key="unit",
+            timeout_label="unit_timeout",
+        )
         ladder.run(
             mode,
             check_unit,
@@ -343,7 +332,7 @@ def run_portfolio(
     run_registry.count("sat.units.open", len(open_units))
     for engine_name, win_count in wins.items():
         run_registry.count(f"sat.wins.{engine_name}", win_count)
-    checker.last_profile = profile_from_registry(run_registry, "portfolio", mode, jobs)
+    checker.last_profile = profile_from_registry(run_registry, "portfolio", mode, width)
     observation = obs.active()
     if observation is not None and observation.registry is not None:
         observation.registry.merge_snapshot(run_registry.drain())

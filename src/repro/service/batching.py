@@ -25,8 +25,10 @@ owns
   gets :class:`~repro.errors.WorkerFailureError` while the rest of its
   batch still gets its reports.  Graphs at or above the parallel
   validator's process threshold route through
-  :class:`~repro.validation.parallel.ParallelValidator`, whose process ->
-  serial ladder is the only real parallelism here.
+  :class:`~repro.validation.parallel.ParallelValidator` with ``jobs``
+  workers, whose process -> serial ladder is the only real parallelism
+  here.  With no ``jobs`` (the ``pgschema serve`` default) that is one
+  worker, so every request runs inline and no pool is ever made.
 
 Each request is one shard: its :class:`~repro.pg.records.GraphRecords`
 view (what ``/v1/validate`` decodes the graph document into, or
@@ -62,13 +64,9 @@ from ..errors import (
 )
 from ..pg.model import PropertyGraph
 from ..pg.records import GraphRecords
-from ..resilience import Budget, ExecutorLadder
-from ..validation.parallel import (
-    ParallelValidator,
-    merge_shard_results,
-    usable_cores,
-    validate_shard,
-)
+from ..resilience import Budget
+from ..resilience.ladder import ExecutorLadder, choose_rung
+from ..validation.parallel import ParallelValidator, merge_shard_results, validate_shard
 from ..validation.violations import ValidationReport, rules_for_mode
 from .registry import SchemaRecord
 
@@ -128,8 +126,10 @@ class BatchingValidator:
         """``deadline`` is the default per-request seconds (``submit`` may
         override per call); ``max_retries`` bounds the retries of a failing
         request before it gets :class:`~repro.errors.WorkerFailureError`;
-        ``jobs`` sizes the process pool of big-graph requests."""
-        self.jobs = max(1, jobs) if jobs is not None else usable_cores()
+        ``jobs`` sizes the process pool of big-graph requests.  Left at
+        None it is 1: every request is validated inline and no pool is
+        made (:func:`~repro.resilience.ladder.choose_rung`)."""
+        _rung, self.jobs = choose_rung("auto", jobs)
         self.max_queue = max_queue
         self.max_batch = max(1, max_batch)
         self.deadline = deadline

@@ -464,7 +464,8 @@ class ValidationService:
 
         def check() -> dict[str, Any]:
             # the record's SatCache (its schema's own) keeps repeat sweeps
-            # warm; no other record's schema shares it
+            # warm; no other record's schema shares it.  No jobs: open units
+            # run inline in this thread, and the daemon never forks for sat
             checker = SatisfiabilityChecker(
                 record.schema, cache=record.sat_cache
             )

@@ -19,11 +19,13 @@ Durability is the headline.  Every ``checkpoint_every`` commits the
 consumer writes an atomic checkpoint into ``checkpoint_dir`` (through
 :func:`~repro.resilience.durable.atomic_write`) holding the journal byte
 offset / sequence / line, the commit counter, the serialized graph, the
-current schema SDL, the violation store, the emitted-events byte offset,
-and a SHA-256 digest over the whole payload.  Recovery walks a ladder:
+current schema SDL, the emitted-events byte offset, and a SHA-256 digest
+over the whole payload.  The violation store is not stored: it is derived
+state, rebuilt by an :class:`IncrementalValidator` over the checkpointed
+graph.  Recovery walks a ladder:
 
-1. newest checkpoint whose digest verifies *and* whose violation store
-   matches a validator rebuilt from its own graph (scope-state check);
+1. newest checkpoint of this :data:`CHECKPOINT_VERSION` whose digest
+   verifies;
 2. the previous checkpoint, on corruption/truncation;
 3. cold replay from offset 0.
 
@@ -74,7 +76,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "pgschema-cdc-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: How many committed checkpoints to keep (newest + its fallback).
 _KEEP_CHECKPOINTS = 2
@@ -136,20 +138,9 @@ class CDCResult(Record, frozen=False):
         return self.report.conforms
 
 
-# One encoder each for the checkpoint/events bytes and the violation-state
-# sort key (``json.dumps`` with any option builds a new one per call).
+# One encoder for the checkpoint and events bytes (``json.dumps`` with any
+# option builds a new one per call).
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_SORT_KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
-
-
-def _violation_state(report: ValidationReport) -> list[list[Any]]:
-    """Canonical JSON-friendly form of a report's violation multiset."""
-    entries = [
-        [violation.rule, violation.location, list(violation.elements), violation.detail]
-        for violation in report.violations
-    ]
-    entries.sort(key=_SORT_KEY_ENCODER.encode)
-    return entries
 
 
 def _digest(payload: dict[str, Any]) -> str:
@@ -435,13 +426,6 @@ class CDCConsumer:
             schema = parse_schema(payload["schema_sdl"])
             validator = IncrementalValidator(schema, graph)
         except (ReproError, KeyError, TypeError, ValueError):
-            return None
-        # scope-state digest: the stored violation store must match a
-        # validator rebuilt from the checkpointed graph, or the checkpoint
-        # is internally inconsistent (e.g. torn by a partial write that
-        # still hashed correctly -- impossible for sha256, but cheap to
-        # guard; mostly this catches hand-edited checkpoints)
-        if _violation_state(validator.report()) != payload.get("violations"):
             return None
         offset = payload.get("offset")
         seq = payload.get("seq")
@@ -758,7 +742,6 @@ class CDCConsumer:
                 "events_offset": self._events_offset,
                 "schema_sdl": self._schema_sdl,
                 "graph": graph_to_dict(self._validator.graph),
-                "violations": _violation_state(self._validator.report()),
             }
             blob = _checkpoint_blob(payload)
             final = os.path.join(

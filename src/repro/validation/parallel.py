@@ -18,7 +18,9 @@ through the plan's per-label records: one dict hit per element resolves
 every rule that can apply to it.  This is where the engine's single-core
 speedup comes from; the shard fan-out adds multi-core scaling on top.
 
-Executor selection (``executor="auto"``):
+Executor selection is the project's one jobs policy,
+:func:`~repro.resilience.ladder.choose_rung`, with the graph size as the
+engine's size test:
 
 * no ``jobs`` given (the default of :func:`~repro.validation.validate` and
   ``pgschema validate``) -- run the kernel inline on one shard, no pool.
@@ -26,8 +28,7 @@ Executor selection (``executor="auto"``):
   from 5k to 200k elements (``BENCH_e12.json``, docs/PERFORMANCE.md);
 * ``jobs == 1``, a single-core host, or a small graph
   (``len(graph) < SMALL_GRAPH_THRESHOLD``) -- inline as well, over ``jobs``
-  shards (pool machinery is pure overhead for CPU-bound work without
-  spare cores, and process startup would dominate a small graph);
+  shards (process startup would dominate a small graph);
 * otherwise -- process pool, sidestepping the GIL for true multi-core runs.
   There is no thread pool: the kernel is pure Python, so the GIL would
   serialise its shards.
@@ -76,9 +77,10 @@ from ..errors import BudgetExhaustedError, check_on_budget
 from ..pg.records import GraphRecords
 from ..pg.values import value_signature
 from ..resilience import faults
-# usable_cores lives in the ladder (sat's portfolio needs it without this
-# module); callers and tests still import and patch it here
-from ..resilience.ladder import EXECUTORS, ExecutorLadder, usable_cores
+from ..resilience.ladder import ExecutorLadder, choose_rung
+# re-exported for callers that import it from here; only the ladder's
+# choose_rung reads it
+from ..resilience.ladder import usable_cores as usable_cores
 from .plan import ValidationPlan, compile_plan
 from .shard import GraphShard, partition_graph
 from .violations import (
@@ -129,9 +131,10 @@ class ParallelValidator:
         retry_base_delay: float = 0.05,
         shard_timeout: float | None = None,
     ) -> None:
-        """``jobs`` is the worker count; left at None it defaults to the
-        usable cores for an explicit ``executor``, while ``"auto"`` then runs
-        the kernel inline on one shard.
+        """``jobs`` is the worker count and the shard count; left at None it
+        is 1 -- the kernel runs inline on one shard -- except under an
+        explicit ``executor="process"``, which takes the usable cores
+        (:func:`~repro.resilience.ladder.choose_rung`).
 
         Resilience knobs (all optional; the defaults leave healthy runs
         untouched):
@@ -146,17 +149,11 @@ class ParallelValidator:
         * ``shard_timeout`` -- wall seconds one shard attempt may take
           before it is treated as a stuck worker and recovered.
         """
-        if executor != "auto" and executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {('auto', *EXECUTORS)}"
-            )
+        _rung, self.jobs = choose_rung(executor, jobs)
         check_on_budget(on_budget)
         self.schema = schema
         self.plan = plan if plan is not None else compile_plan(schema)
-        self.jobs = max(1, jobs) if jobs is not None else usable_cores()
         self.executor = executor
-        #: "auto" without a worker count runs the kernel inline on one shard.
-        self.inline = jobs is None and executor == "auto"
         self.budget = budget
         self.on_budget = on_budget
         self.max_retries = max(0, max_retries)
@@ -253,25 +250,14 @@ class ParallelValidator:
     @property
     def shard_count(self) -> int:
         """How many shards :meth:`validate` partitions the graph into."""
-        return 1 if self.inline else self.jobs
+        return self.jobs
 
     def choose_executor(self, graph: "PropertyGraph | GraphRecords") -> str:
-        """The executor "auto" resolves to for this graph."""
-        if self.executor != "auto":
-            return self.executor
-        if (
-            self.inline
-            or self.jobs <= 1
-            or usable_cores() <= 1
-            or len(graph) < self.SMALL_GRAPH_THRESHOLD
-        ):
-            # No worker count asked for, one worker, one core or a small
-            # graph: pool machinery is overhead for this CPU-bound kernel,
-            # and on the measured 2-core host the inline kernel beat the
-            # process pool at every size.  Fan-out is opt-in through an
-            # explicit jobs.
-            return "serial"
-        return "process"
+        """The rung :func:`~repro.resilience.ladder.choose_rung` picks for
+        this graph."""
+        return choose_rung(
+            self.executor, self.jobs, len(graph) >= self.SMALL_GRAPH_THRESHOLD
+        )[0]
 
     def _merge(
         self,

@@ -359,6 +359,27 @@ class TestFrontDoor:
 # --------------------------------------------------------------------------- #
 
 
+#: The two dead-proof rules no generator reaches, one input each:
+#: (name, SDL, the type proved dead, the rule that proves it).  The second
+#: fails Definition 4.5 (``A`` lacks ``I.f``), so it is parsed unchecked.
+_RULE_INPUTS = (
+    (
+        "unservable_obligation",
+        "interface Emitter { to: [T] @requiredForTarget }\ntype T { name: String }",
+        "T",
+        "unservable-obligation",
+    ),
+    (
+        "missing_field",
+        "interface I { f: T @required }\n"
+        "type A implements I { name: String }\n"
+        "type T { x: Int }",
+        "A",
+        "missing-field",
+    ),
+)
+
+
 def _generated_schemas():
     yield "hub_chain", hub_chain_schema(depth=5, leaves=3)
     yield "deep_lattice", deep_lattice_schema(4, 2)
@@ -366,6 +387,31 @@ def _generated_schemas():
     yield "near_unsat_unsat", near_unsat_schema(3, collide=True)
     for seed in range(6):
         yield f"random{seed}", random_schema(seed=seed)
+    for name, sdl, _dead, _rule in _RULE_INPUTS:
+        yield name, parse_schema(sdl, check=False)
+
+
+@pytest.mark.parametrize(
+    "sdl, dead, rule", [entry[1:] for entry in _RULE_INPUTS], ids=[e[0] for e in _RULE_INPUTS]
+)
+def test_rule_inputs_are_proved_dead_by_their_rule(sdl, dead, rule):
+    facts = analyze_schema(parse_schema(sdl, check=False)).fact("cardinality")
+    assert facts.dead[dead].rule == rule
+
+
+def test_differential_inputs_cover_every_dead_rule():
+    rules = {
+        proof.rule
+        for _name, schema in _all_schemas()
+        for proof in analyze_schema(schema).fact("cardinality").dead.values()
+    }
+    assert rules == {
+        "missing-field",
+        "dead-targets",
+        "unservable-obligation",
+        "incoming-overflow",
+        "forced-cap-overflow",
+    }
 
 
 def _all_schemas():

@@ -598,6 +598,35 @@ class TestCrashResume:
         assert result.recovered_from == f"checkpoint:{checkpoints[-2]}"
         assert result.report.keys() == keys
 
+    def test_older_checkpoint_version_refused(self, tmp_path, schema):
+        """A well-formed, correctly digested checkpoint of another version
+        is skipped: recovery takes the previous one."""
+        from repro.validation.cdc import _checkpoint_blob
+
+        journal_path, events, keys, _ = baseline(tmp_path, schema, seed=10)
+        work = tmp_path / "older"
+        work.mkdir()
+        kwargs = dict(
+            checkpoint_dir=str(work / "ckpt"), checkpoint_every=2,
+            events_path=str(work / "events.jsonl"), retry_attempts=0,
+        )
+        faults.install("crash@cdc.apply:commit=9")
+        with pytest.raises(InjectedCrashError):
+            CDCConsumer(schema, journal_path, **kwargs).run()
+        faults.uninstall()
+        checkpoints = sorted(os.listdir(kwargs["checkpoint_dir"]))
+        newest = os.path.join(kwargs["checkpoint_dir"], checkpoints[-1])
+        payload = json.loads(open(newest, encoding="utf-8").read())
+        del payload["digest"]
+        payload["version"] = 1
+        with open(newest, "wb") as fp:
+            fp.write(_checkpoint_blob(payload))
+        result = CDCConsumer(schema, journal_path, **kwargs).run(resume=True)
+        assert result.recovered_from == f"checkpoint:{checkpoints[-2]}"
+        assert result.report.keys() == keys
+        with open(kwargs["events_path"], "rb") as fp:
+            assert fp.read() == events
+
     def test_crash_with_schema_changes_in_stream(self, tmp_path, schema):
         journal_path, events, keys, summary = baseline(
             tmp_path, schema, seed=11, schema_change_commits=(4, 8),
@@ -943,7 +972,9 @@ class TestCheckpoints:
         name = sorted(os.listdir(checkpoint_dir))[-1]
         payload = json.loads((checkpoint_dir / name).read_text())
         assert payload["format"] == "pgschema-cdc-checkpoint"
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         for key in ("offset", "seq", "line", "commit", "events_offset",
-                    "schema_sdl", "graph", "violations", "digest"):
+                    "schema_sdl", "graph", "digest"):
             assert key in payload
+        # the violation store is derived from the graph on recovery
+        assert "violations" not in payload

@@ -79,6 +79,9 @@ def inputs(tmp_path_factory):
     # needs more nodes than the default bound
     hub = root / "hub.graphql"
     hub.write_text(print_schema(hub_chain_schema(depth=3, leaves=2)))
+    # the one corpus schema whose sat sweep leaves units open (4)
+    diagram_b = root / "diagram_b.graphql"
+    diagram_b.write_text(CORPUS["diagram_b"].sdl)
     mutation_schema = root / "mutations.graphql"
     mutation_schema.write_text(MUTATION_SCHEMA_SDL)
     journal = root / "journal.jsonl"
@@ -89,6 +92,7 @@ def inputs(tmp_path_factory):
         "graph": str(graph),
         "jsonl": str(jsonl),
         "hub": str(hub),
+        "diagram_b": str(diagram_b),
         "mutation_schema": str(mutation_schema),
         "journal": str(journal),
     }
@@ -217,10 +221,17 @@ def test_cdc_rechecks_scopes_with_the_plan_kernel(inputs):
 
 def test_fully_decided_sat_loads_no_process_pool_machinery(inputs):
     # the decision ladder decides every element of both schemas in the
-    # parent, so the default --jobs (all usable cores) makes no pool
+    # parent, so no unit is left to run on any rung
     watched = ("concurrent.futures.process", "multiprocessing")
     for schema in (inputs["library"], inputs["hub"]):
         assert _loaded_after(_run_cli(["sat", schema]), watched) == []
+
+
+def test_sat_with_open_units_loads_no_process_pool_machinery(inputs):
+    # diagram (b)'s open units go to the tableau; without --jobs they run
+    # inline, so the process-pool machinery is never imported
+    watched = ("concurrent.futures.process", "multiprocessing")
+    assert _loaded_after(_run_cli(["sat", inputs["diagram_b"]]), watched) == []
 
 
 # Printers run only where a schema is printed (api, CDC checkpoints, ...),

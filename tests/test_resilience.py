@@ -609,3 +609,38 @@ def test_queued_tasks_are_not_taken_for_stuck_workers():
 def test_thread_executor_is_rejected(session_schema, start):
     with pytest.raises(ValueError, match="unknown executor 'thread'"):
         start(session_schema)
+
+
+@pytest.mark.parametrize(
+    "executor, jobs, big_enough, cores, expected",
+    [
+        # no worker count means inline, on any host and any size
+        ("auto", None, True, 8, ("serial", 1)),
+        ("serial", None, True, 8, ("serial", 1)),
+        # an explicit process rung without jobs takes the usable cores
+        ("process", None, False, 8, ("process", 8)),
+        # auto forks only for jobs > 1, more than one core and a big input
+        ("auto", 4, True, 8, ("process", 4)),
+        ("auto", 4, False, 8, ("serial", 4)),
+        ("auto", 4, True, 1, ("serial", 4)),
+        ("auto", 1, True, 8, ("serial", 1)),
+        ("auto", 0, True, 8, ("serial", 1)),
+        # an explicit executor is kept as given
+        ("serial", 4, True, 8, ("serial", 4)),
+        ("process", 2, False, 1, ("process", 2)),
+    ],
+)
+def test_choose_rung_is_the_one_jobs_policy(
+    monkeypatch, executor, jobs, big_enough, cores, expected
+):
+    from repro.resilience import ladder
+
+    monkeypatch.setattr(ladder, "usable_cores", lambda: cores)
+    assert ladder.choose_rung(executor, jobs, big_enough) == expected
+
+
+def test_choose_rung_rejects_unknown_executors():
+    from repro.resilience.ladder import choose_rung
+
+    with pytest.raises(ValueError, match=r"unknown executor 'gpu'; expected one of"):
+        choose_rung("gpu", None)

@@ -158,6 +158,33 @@ def test_warm_shared_cache_decides_everything_without_a_pool(monkeypatch):
     assert report.sound
 
 
+def test_no_jobs_runs_open_units_inline_on_a_many_core_host(monkeypatch):
+    """Diagram (b) leaves 4 units open.  Without ``jobs`` they run in the
+    calling process, whatever the core count; ``jobs=2`` still picks the
+    process rung."""
+    import repro.resilience.ladder as ladder_module
+
+    schema = load("diagram_b")
+    expected = _dump(
+        SatisfiabilityChecker(schema, cache=False).check_schema(
+            find_witnesses=True, engine="serial"
+        )
+    )
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a sweep without jobs must not build a pool")
+
+    monkeypatch.setattr(ladder_module, "usable_cores", lambda: 8)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    checker = SatisfiabilityChecker(schema, cache=False)
+    report, open_units = _observed_sweep(checker, find_witnesses=True)
+    assert open_units == 4
+    assert (checker.last_profile["executor"], checker.last_profile["jobs"]) == ("serial", 1)
+    assert _dump(report) == expected
+    with pytest.raises(AssertionError, match="must not build a pool"):
+        SatisfiabilityChecker(schema, cache=False).check_schema(jobs=2)
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_wins_and_reports_do_not_depend_on_the_executor(name):
     schema = load(name)

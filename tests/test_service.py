@@ -538,6 +538,35 @@ class TestHttpService:
         status, body = client.request("GET", "/v1/nope")
         assert status == 405 and body["error"]["code"] == "E_SERVICE"
 
+    def test_default_service_never_forks(self, service, large_graph, monkeypatch):
+        """With no ``jobs`` the daemon runs ``/v1/sat`` on a schema with
+        open units, and ``/v1/validate`` of a graph above the process
+        threshold, inline -- on any core count -- with inline bodies."""
+        import concurrent.futures
+
+        import repro.resilience.ladder as ladder_module
+        from repro.satisfiability import SatisfiabilityChecker
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("the default service started a process pool")
+
+        monkeypatch.setattr(ladder_module, "usable_cores", lambda: 8)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        client, _thread = service
+        diagram_b = CORPUS["diagram_b"].sdl
+        assert client.register("acme", "diagram_b", diagram_b)[0] == 200
+        status, sat = client.sat("acme", "diagram_b")
+        assert status == 200
+        inline = SatisfiabilityChecker(parse_schema(diagram_b), cache=False)
+        assert sat["report"] == inline.check_schema(jobs=1).to_json()
+        assert inline.last_profile["wins"].get("tableau", 0) > 0  # open units
+
+        graph, _naive = large_graph
+        client.register("acme", "users", SDL)
+        status, report = client.validate("acme", "users", graph)
+        assert status == 200
+        assert json.dumps(report, sort_keys=True) == canonical(validate(SCHEMA, graph))
+
     def test_lint_sat_stats_endpoints(self, service, graph):
         client, _thread = service
         client.register("acme", "users", SDL)

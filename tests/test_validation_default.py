@@ -99,7 +99,7 @@ def test_default_path_creates_no_pool(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     # a many-core host and a graph above the process threshold: an explicit
     # jobs would pick the process pool here
-    monkeypatch.setattr(parallel_module, "usable_cores", lambda: 8)
+    monkeypatch.setattr(ladder_module, "usable_cores", lambda: 8)
     graph = _corrupted(1000)
     assert len(graph) >= ParallelValidator.SMALL_GRAPH_THRESHOLD
     validator = make_validator(SCHEMA)

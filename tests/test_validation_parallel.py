@@ -81,16 +81,16 @@ class TestExecutorSelection:
         assert validator.choose_executor(_graph()) == "serial"
 
     def test_single_core_hosts_stay_serial(self, monkeypatch):
-        import repro.validation.parallel as parallel_module
+        import repro.resilience.ladder as ladder_module
 
-        monkeypatch.setattr(parallel_module, "usable_cores", lambda: 1)
+        monkeypatch.setattr(ladder_module, "usable_cores", lambda: 1)
         validator = ParallelValidator(SCHEMA, jobs=4)
         assert validator.choose_executor(_graph()) == "serial"
 
     def test_small_graphs_stay_serial_on_multicore(self, monkeypatch):
-        import repro.validation.parallel as parallel_module
+        import repro.resilience.ladder as ladder_module
 
-        monkeypatch.setattr(parallel_module, "usable_cores", lambda: 8)
+        monkeypatch.setattr(ladder_module, "usable_cores", lambda: 8)
         validator = ParallelValidator(SCHEMA, jobs=4)
         small = _graph()
         assert len(small) < ParallelValidator.SMALL_GRAPH_THRESHOLD
@@ -98,9 +98,9 @@ class TestExecutorSelection:
         assert validator.shard_count == 4
 
     def test_large_graphs_use_processes_on_multicore(self, monkeypatch):
-        import repro.validation.parallel as parallel_module
+        import repro.resilience.ladder as ladder_module
 
-        monkeypatch.setattr(parallel_module, "usable_cores", lambda: 8)
+        monkeypatch.setattr(ladder_module, "usable_cores", lambda: 8)
         schema = load("user_session_edge_props")
         validator = ParallelValidator(schema, jobs=4)
         large = user_session_graph(1024, sessions_per_user=2, seed=0)
@@ -117,8 +117,10 @@ class TestExecutorSelection:
 
 
 class TestWorkerCounts:
-    def test_jobs_default_to_usable_cores(self):
-        assert ParallelValidator(SCHEMA).jobs == usable_cores()
+    def test_no_jobs_means_one_worker_except_under_explicit_process(self):
+        assert ParallelValidator(SCHEMA).jobs == 1
+        assert ParallelValidator(SCHEMA, executor="serial").jobs == 1
+        assert ParallelValidator(SCHEMA, executor="process").jobs == usable_cores()
 
     def test_jobs_clamped_to_at_least_one(self):
         assert ParallelValidator(SCHEMA, jobs=0).jobs == 1
