@@ -17,6 +17,7 @@ fingerprint keying comparability in the ``pgschema perf`` profile store.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -395,34 +396,56 @@ def e12_parallel_validation() -> None:
 
 
 def e12_executor_sweep(schema, plan) -> tuple[int, list[dict]]:
-    """The measurement behind the default executor policy: the plan kernel
+    """The measurement behind the default rung policy: the plan kernel
     inline on one shard (the default) against ``jobs=usable_cores()``
     shards run serially and on a process pool, on user/session graphs of
-    5k to 200k elements (five elements per user)."""
+    5k to 200k elements (five elements per user).  The serial and process
+    legs pin their rung with :func:`pinned_rung`."""
     from repro.validation.parallel import usable_cores
 
     jobs = usable_cores()
-    validators = {
+    legs = {
         "inline": ParallelValidator(schema, plan=plan),
-        "serial": ParallelValidator(schema, jobs=jobs, executor="serial", plan=plan),
-        "process": ParallelValidator(schema, jobs=jobs, executor="process", plan=plan),
+        "serial": ParallelValidator(schema, jobs=jobs, plan=plan),
+        "process": ParallelValidator(schema, jobs=jobs, plan=plan),
     }
     print(f"executor sweep at jobs={jobs} (best of 3, ms)")
     print(f"{'n':>7} | {'inline':>8} | {'serial':>8} | {'process':>8}")
     rows = []
     for num_users in (100, 400) if QUICK else (1_000, 4_000, 16_000, 40_000):
         graph = user_session_graph(num_users, 2, seed=42)
-        reference = validators["inline"].validate(graph).keys()
+        reference = legs["inline"].validate(graph).keys()
         row: dict = {"n": len(graph)}
-        for name, validator in validators.items():
-            assert validator.validate(graph).keys() == reference, name
-            row[f"{name}_s"] = timed(validator.validate, graph)
+        for name, validator in legs.items():
+            with pinned_rung("process" if name == "process" else "serial"):
+                assert validator.choose_executor(graph) == (
+                    "process" if name == "process" else "serial"
+                ), name
+                assert validator.validate(graph).keys() == reference, name
+                row[f"{name}_s"] = timed(validator.validate, graph)
         rows.append(row)
         print(
             f"{row['n']:>7} | {row['inline_s'] * 1000:>8.1f} | "
             f"{row['serial_s'] * 1000:>8.1f} | {row['process_s'] * 1000:>8.1f}"
         )
     return jobs, rows
+
+
+@contextlib.contextmanager
+def pinned_rung(rung: str):
+    """Land every ``jobs > 1`` validation on *rung*, at any graph size and
+    on any host, by faking the two observations of the one rung policy
+    (``choose_rung``) as the tests' ``process_rung`` fixture does: the
+    usable cores and ``ParallelValidator.SMALL_GRAPH_THRESHOLD``."""
+    from repro.resilience import ladder
+
+    saved = ladder.usable_cores, ParallelValidator.SMALL_GRAPH_THRESHOLD
+    ladder.usable_cores = (lambda: 2) if rung == "process" else (lambda: 1)
+    ParallelValidator.SMALL_GRAPH_THRESHOLD = 0
+    try:
+        yield
+    finally:
+        ladder.usable_cores, ParallelValidator.SMALL_GRAPH_THRESHOLD = saved
 
 
 def e13_portfolio_sat() -> None:

@@ -68,13 +68,14 @@ def _print_profile(checker) -> None:
         print(f"  decided by: {won}", file=sys.stderr)
     info = sat_cache_info()
     print(
-        f"  sat cache: {info['hits']} hit(s), {info['misses']} miss(es), "
-        f"{info['types']} type / {info['fields']} field / "
-        f"{info['bounded']} bounded verdict(s) over {info['schemas']} schema(s)",
+        f"  sat cache: {info['hits']} hit(s), {info['misses']} miss(es) over all "
+        f"processes; stored in this one: {info['types']} type / {info['fields']} "
+        f"field / {info['bounded']} bounded verdict(s) over {info['schemas']} schema(s)",
         file=sys.stderr,
     )
     print(
-        f"  label cache: {info['label_hits']} hit(s), "
-        f"{info['label_misses']} miss(es), {info['label_entries']} stored label set(s)",
+        f"  label cache: {info['label_hits']} hit(s), {info['label_misses']} "
+        f"miss(es) over all processes; stored in this one: "
+        f"{info['label_entries']} label set(s)",
         file=sys.stderr,
     )

@@ -4,11 +4,12 @@
 validation, portfolio satisfiability, the service batcher -- on one
 contract, and :func:`choose_rung` is the one policy that picks the rung
 each starts on: no worker count means inline, and the process rung is
-opt-in through an explicit ``jobs``.  An engine supplies only what it
-knows:
+opt-in through an explicit ``jobs``.  :data:`MAX_RETRIES` and
+:func:`backoff` are the one retry policy, CDC commits included.  An
+engine supplies only what it knows:
 
 * **the task** -- a module-level function ``task(state, payload, attempt,
-  executor)``; module level, so the process rung pickles it by reference;
+  rung)``; module level, so the process rung pickles it by reference;
 * **the data** -- the parent's ``state`` and a ``{index: payload}`` mapping,
   one payload per task;
 * **the workers** -- a picklable ``(build, args)`` pair; ``build(*args)``
@@ -19,7 +20,7 @@ knows:
 The ladder does everything else, identically for every engine:
 
 * it fires the engine's fault site before every task attempt, with context
-  ``{log_key: index, "attempt": ..., "executor": ...}`` plus the run's
+  ``{log_key: index, "attempt": ..., "executor": <rung>}`` plus the run's
   fixed extra keys (:func:`~repro.resilience.faults.fault_point`);
 * it runs the batch on one rung (``serial`` inline, ``process`` on a
   ``ProcessPoolExecutor`` whose one initializer marks the worker, installs
@@ -36,10 +37,9 @@ The ladder does everything else, identically for every engine:
 * a task attempt can fail three ways -- the worker process dies
   (``BrokenExecutor``), the task raises, or the attempt exceeds
   ``task_timeout`` (a stuck worker, whose pool slot stays taken).  Failed
-  tasks are retried with exponential backoff
-  (``retry_base_delay * 2**attempt``); once ``max_retries`` same-rung
-  retries are spent, the *failing tasks* fall from the process rung to
-  the serial rung while completed results are kept;
+  tasks are retried after :func:`backoff`; once :data:`MAX_RETRIES`
+  same-rung retries are spent, the *failing tasks* fall from the process
+  rung to the serial rung while completed results are kept;
 * a task that trips a :class:`~repro.resilience.Budget` re-raises
   :class:`~repro.errors.BudgetExhaustedError` in the caller -- that is an
   answer, not a crash -- and when even the serial rung fails the last cause
@@ -63,13 +63,21 @@ from . import faults
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import Future
 
-__all__ = ["EXECUTORS", "ExecutorLadder", "choose_rung", "usable_cores"]
+    from .budget import Budget
+
+__all__ = ["EXECUTORS", "MAX_RETRIES", "RETRY_BASE_DELAY", "ExecutorLadder", "backoff",
+           "choose_rung", "usable_cores"]
 
 #: Executor rungs a ladder run may start on; failing tasks fall from
 #: ``process`` to ``serial``.
 EXECUTORS = ("serial", "process")
 
-#: ``task(state, payload, attempt, executor)`` -- one fan-out task.
+#: Same-rung retries of a failing task or CDC commit before it falls to the
+#: next rung or its failure propagates; the first sleeps RETRY_BASE_DELAY s.
+MAX_RETRIES = 2
+RETRY_BASE_DELAY = 0.05
+
+#: ``task(state, payload, attempt, rung)`` -- one fan-out task.
 Task = Callable[..., object]
 
 
@@ -81,34 +89,35 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def choose_rung(executor: str, jobs: int | None, big_enough: bool = False) -> tuple[str, int]:
-    """The rung and the width of one fan-out: the one jobs policy of every
-    engine.
+def choose_rung(jobs: int | None, big_enough: bool = False) -> tuple[str, int]:
+    """The rung and the width of one fan-out: the whole fan-out policy of
+    every engine.  ``jobs=None`` is width 1.
 
-    No worker count means inline: with ``jobs=None`` the width is 1 under
-    ``"auto"`` and ``"serial"``, and the usable cores only under an
-    explicit ``"process"``.  ``"auto"`` picks the process rung only when
-    the caller asked for ``jobs > 1``, the host has more than one usable
-    core, and *big_enough* -- the engine's one size test (validation: a
-    graph of at least ``SMALL_GRAPH_THRESHOLD`` elements; satisfiability:
-    at least ``jobs`` open units) -- holds.  Everything else runs inline:
-    the tasks are pure-Python CPU work, and on the measured hosts process
-    start-up outweighed what the pool saved (docs/PERFORMANCE.md).  An
-    explicit executor is kept as given.
+    The process rung is chosen only when the caller asked for ``jobs > 1``,
+    the host has more than one usable core, and *big_enough* -- the
+    engine's one size test (validation: a graph of at least
+    ``SMALL_GRAPH_THRESHOLD`` elements; satisfiability: at least ``jobs``
+    open units) -- holds.  Everything else runs inline: on the measured
+    hosts process start-up outweighed what the pool saved
+    (docs/PERFORMANCE.md).  The rung changes only speed, never a report.
     """
-    if executor != "auto" and executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {('auto', *EXECUTORS)}"
-        )
-    if jobs is None:
-        width = usable_cores() if executor == "process" else 1
-    else:
-        width = max(1, jobs)
-    if executor != "auto":
-        return executor, width
+    width = 1 if jobs is None else max(1, jobs)
     if width > 1 and big_enough and usable_cores() > 1:
         return "process", width
     return "serial", width
+
+
+def backoff(attempt: int, budget: "Budget | None" = None) -> None:
+    """Sleep before retry number *attempt* (1-based):
+    ``RETRY_BASE_DELAY * 2**(attempt - 1)`` seconds, cut to what *budget*
+    has left."""
+    delay = RETRY_BASE_DELAY * (2 ** (attempt - 1))
+    if budget is not None:
+        remaining = budget.remaining_seconds()
+        if remaining is not None:
+            delay = min(delay, remaining)
+    if delay > 0:
+        time.sleep(delay)
 
 
 class ExecutorLadder:
@@ -116,36 +125,27 @@ class ExecutorLadder:
 
     Args:
         jobs: Maximum tasks in flight (pool workers) on the process rung.
-        max_retries: Same-rung retries per ladder rung before falling back.
-        retry_base_delay: Base of the exponential backoff sleep.
         task_timeout: Wall seconds one task attempt may take, counted from
             its submission, before it is treated as a stuck worker and
             recovered.
         site: Budget site string used for deadline checks between attempts.
         log_key: Name of the task-index key in ``recovery_log`` entries,
             fault contexts and failure messages (``"shard"`` for validation,
-            ``"unit"`` for portfolio satisfiability).
-        timeout_label: Name of the timeout knob in stuck-worker messages
-            (kept configurable so existing logs stay grep-stable).
+            ``"unit"`` for portfolio satisfiability); stuck-worker messages
+            name the timeout ``<log_key>_timeout``.
     """
 
     def __init__(
         self,
         jobs: int,
-        max_retries: int = 2,
-        retry_base_delay: float = 0.05,
         task_timeout: float | None = None,
         site: str = "resilience.ladder",
         log_key: str = "task",
-        timeout_label: str = "task_timeout",
     ) -> None:
         self.jobs = max(1, jobs)
-        self.max_retries = max(0, max_retries)
-        self.retry_base_delay = retry_base_delay
         self.task_timeout = task_timeout
         self.site = site
         self.log_key = log_key
-        self.timeout_label = timeout_label
         #: recovery events of the last run: one dict per failed attempt.
         self.recovery_log: list[dict] = []
 
@@ -168,19 +168,19 @@ class ExecutorLadder:
         """Fill ``results[index]`` for every index of *payloads*, starting on
         rung *mode*.
 
-        Every attempt runs ``task(state, payloads[index], attempt,
-        executor)`` -- in a process worker with the state ``build(*args)``
-        made from *worker* -- after firing *fault_site* with the task's
-        index, attempt and executor plus the fixed *context* keys.
+        Every attempt runs ``task(state, payloads[index], attempt, rung)``
+        -- in a process worker with the state ``build(*args)`` made from
+        *worker* -- after firing *fault_site* with the task's index, attempt
+        and rung plus the fixed *context* keys.
         """
         if mode not in EXECUTORS:
-            raise ValueError(f"unknown executor {mode!r}; expected one of {EXECUTORS}")
+            raise ValueError(f"unknown rung {mode!r}; expected one of {EXECUTORS}")
         if mode == "process" and worker is None:
             raise ValueError("the process rung needs a worker (build, args) pair")
         job = (task, state, payloads, (fault_site, self.log_key, context), worker)
         pending = list(payloads)
         attempt = 0
-        retries_left = self.max_retries
+        retries_left = MAX_RETRIES
         self.recovery_log.clear()
         while pending:
             if budget is not None:
@@ -221,10 +221,10 @@ class ExecutorLadder:
             if retries_left > 0:
                 retries_left -= 1
                 obs.count("ladder.retries")
-                self._backoff(attempt, budget)
+                backoff(attempt, budget)
             elif mode == "process":
                 mode = "serial"
-                retries_left = self.max_retries
+                retries_left = MAX_RETRIES
                 obs.count("ladder.fallbacks")
             else:
                 index, error = failures[0]
@@ -234,15 +234,6 @@ class ExecutorLadder:
                     shard=index,
                     attempts=attempt,
                 ) from error
-
-    def _backoff(self, attempt: int, budget) -> None:
-        delay = self.retry_base_delay * (2 ** (attempt - 1))
-        if budget is not None:
-            remaining = budget.remaining_seconds()
-            if remaining is not None:
-                delay = min(delay, remaining)
-        if delay > 0:
-            time.sleep(delay)
 
     # ------------------------------------------------------------------ #
     # one attempt on one rung
@@ -369,7 +360,7 @@ class ExecutorLadder:
                             index,
                             WorkerFailureError(
                                 f"{self.log_key} {index} attempt exceeded "
-                                f"{self.timeout_label}={self.task_timeout}s",
+                                f"{self.log_key}_timeout={self.task_timeout}s",
                                 shard=index,
                             ),
                         )
@@ -400,17 +391,15 @@ class ExecutorLadder:
 # --------------------------------------------------------------------------- #
 
 
-def _run_task(task: Task, state, payload, index: int, attempt: int, executor: str, fault):
+def _run_task(task: Task, state, payload, index: int, attempt: int, rung: str, fault):
     """One task attempt on any rung: fire the fault site, run the task.  In a
     process worker the task gets the state the worker built, and its result
     ships back with the spans and metrics the worker recorded for it."""
     site, log_key, context = fault
-    faults.fault_point(
-        site, **{log_key: index}, attempt=attempt, executor=executor, **context
-    )
-    if executor != "process":
-        return task(state, payload, attempt, executor)
-    return obs.package(task(_worker_state, payload, attempt, executor))
+    faults.fault_point(site, **{log_key: index}, attempt=attempt, executor=rung, **context)
+    if rung != "process":
+        return task(state, payload, attempt, rung)
+    return obs.package(task(_worker_state, payload, attempt, rung))
 
 
 #: The state ``build(*args)`` made in this worker process.

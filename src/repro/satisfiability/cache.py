@@ -211,6 +211,20 @@ class SatCache:
                 self.misses += 1
         obs.count("sat.cache.hits" if hit else "sat.cache.misses")
 
+    def lookups(self) -> tuple[int, int, int, int]:
+        """Verdict hits, verdict misses, label hits, label misses so far."""
+        return self.hits, self.misses, self.labels.hits, self.labels.misses
+
+    def add_lookups(self, counts: tuple[int, ...]) -> None:
+        """Count a sat worker's lookups (per unit) as this cache's."""
+        hits, misses, label_hits, label_misses = counts
+        with self._lock:
+            self.hits += hits
+            self.misses += misses
+        with self.labels._lock:
+            self.labels.hits += label_hits
+            self.labels.misses += label_misses
+
     def cache_info(self) -> dict:
         """Hit/miss counters for the verdict layer and the label layer."""
         label_info = self.labels.info()

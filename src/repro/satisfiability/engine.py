@@ -60,7 +60,7 @@ _ENGINES = ("portfolio", "serial")
 
 
 def profile_from_registry(
-    registry: "obs.MetricsRegistry", engine: str, executor: str, jobs: int
+    registry: "obs.MetricsRegistry", engine: str, rung: str, jobs: int
 ) -> dict:
     """Derive the ``last_profile`` dict from a per-run metrics registry.
 
@@ -81,7 +81,7 @@ def profile_from_registry(
     }
     return {
         "engine": engine,
-        "executor": executor,
+        "executor": rung,
         "jobs": jobs,
         "units": int(snapshot["counters"].get("sat.units", 0)),
         "wins": wins,
@@ -198,7 +198,7 @@ class SchemaSatisfiabilityReport(Record, frozen=False):
         """A canonical, JSON-serializable rendering of every verdict.
 
         Deterministic engines produce byte-identical dumps for any ``jobs``
-        / executor combination -- the portfolio determinism tests serialize
+        count or rung -- the portfolio determinism tests serialize
         reports through this and compare the bytes.
         """
         types = {}
@@ -589,9 +589,6 @@ class SatisfiabilityChecker:
         *,
         jobs: int | None = None,
         engine: str = "portfolio",
-        executor: str = "auto",
-        max_retries: int = 2,
-        retry_base_delay: float = 0.05,
         unit_timeout: float | None = None,
     ) -> SchemaSatisfiabilityReport:
         """Check every object type and every relationship definition.
@@ -607,10 +604,9 @@ class SatisfiabilityChecker:
         * ``"serial"`` -- the element-by-element loop over
           :meth:`check_type` and :meth:`check_field`.
 
-        The remaining keywords mirror the PR 3 validation fan-out (retry
-        with backoff, process→serial fallback, stuck-worker
-        ``unit_timeout``).  After any run, ``self.last_profile`` holds the
-        executor used, unit count and per-engine win counts.
+        ``unit_timeout`` is the stuck-worker ceiling of the executor ladder.
+        After any run, ``self.last_profile`` holds the rung used (key
+        ``executor``), unit count and per-engine win counts.
         """
         if engine not in _ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
@@ -631,9 +627,6 @@ class SatisfiabilityChecker:
             self,
             find_witnesses=find_witnesses,
             jobs=jobs,
-            executor=executor,
-            max_retries=max_retries,
-            retry_base_delay=retry_base_delay,
             unit_timeout=unit_timeout,
         )
 

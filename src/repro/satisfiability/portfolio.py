@@ -29,7 +29,7 @@ at a time.  This module turns the sweep into a portfolio:
   decides in milliseconds, and a pool's start-up cost more than it saved
   on every committed measurement (docs/PERFORMANCE.md).
   Results merge into canonical report order, so reports are
-  byte-identical for any ``jobs`` count or executor rung, and
+  byte-identical for any ``jobs`` count or rung, and
   process-worker verdicts are absorbed into the parent's cache.
 
 Verdict soundness of the batch decomposition: the batch concept is the
@@ -87,12 +87,14 @@ class SatUnit(Record):
 
 
 class UnitResult(Record, frozen=False):
-    """The picklable outcome of one unit (crosses process boundaries)."""
+    """The picklable outcome of one unit (crosses process boundaries); on
+    the process rung it carries the worker cache's lookup deltas."""
 
     index: int
     type_verdict: TypeSatisfiability | None
     fields: dict[tuple[str, str], bool | None]
     wins: dict[str, int] = {}
+    lookups: tuple[int, ...] | None = None
 
     def win(self, engine: str) -> None:
         self.wins[engine] = self.wins.get(engine, 0) + 1
@@ -166,14 +168,16 @@ def check_unit(
     checker: SatisfiabilityChecker,
     work: tuple[SatUnit, bool],
     attempt: int,
-    executor: str,
+    rung: str,
 ) -> UnitResult:
     """Decide one open unit: batch concept, then the staged fallback.
 
     The ladder task of :func:`run_portfolio`: *work* is the unit and whether
     to find witnesses; the verdicts do not depend on *attempt* or
-    *executor*."""
+    *rung*."""
     unit, find_witnesses = work
+    cache = checker.cache if rung == "process" else None
+    before = cache.lookups() if cache is not None else ()
     with obs.span(
         "sat.batch",
         unit=unit.index,
@@ -182,7 +186,9 @@ def check_unit(
     ):
         result = UnitResult(unit.index, None, {})
         result.type_verdict = _decide_batch(checker, unit, result, find_witnesses)
-        return result
+    if cache is not None:
+        result.lookups = tuple(now - then for now, then in zip(cache.lookups(), before))
+    return result
 
 
 def _decide_batch(
@@ -262,9 +268,6 @@ def run_portfolio(
     *,
     find_witnesses: bool = False,
     jobs: int | None = None,
-    executor: str = "auto",
-    max_retries: int = 2,
-    retry_base_delay: float = 0.05,
     unit_timeout: float | None = None,
 ) -> SchemaSatisfiabilityReport:
     """The portfolio ``check_schema``: ladder, batch, fan out, merge, memoize.
@@ -289,16 +292,13 @@ def run_portfolio(
             decided.append(result)
             if remainder is not None:
                 open_units[unit.index] = remainder
-        mode, width = choose_rung(executor, jobs, len(open_units) >= (jobs or 1))
+        mode, width = choose_rung(jobs, len(open_units) >= (jobs or 1))
         span.set(executor=mode, jobs=width, open=len(open_units))
         ladder = ExecutorLadder(
             jobs=width,
-            max_retries=max_retries,
-            retry_base_delay=retry_base_delay,
             task_timeout=unit_timeout,
             site="satisfiability.portfolio",
             log_key="unit",
-            timeout_label="unit_timeout",
         )
         ladder.run(
             mode,
@@ -349,11 +349,14 @@ def _merge(
 
     *decided* holds the ladder's verdicts (already in the parent's cache);
     *worked* the open units' results.  Results computed in worker processes
-    never touched the parent cache, so theirs are absorbed here.
+    never touched the parent cache, so their verdicts are absorbed here and
+    their cache lookups added to its counters.
     """
     cache = checker.cache
     if cache is not None:
         for result in worked:
+            if result.lookups is not None:
+                cache.add_lookups(result.lookups)
             for key, verdict in result.fields.items():
                 cache.put_field(key, verdict)
             verdict = result.type_verdict

@@ -22,17 +22,27 @@ warm-cache serving sustains >= 3x the throughput of per-request cold
 subprocess invocation, with p50/p99 latencies from the obs histograms.
 """
 
-from .batching import BatchingValidator
-from .client import ServiceClient
-from .registry import SchemaRecord, SchemaRegistry
-from .server import ServiceThread, ValidationService, report_payload
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BatchingValidator",
-    "SchemaRecord",
-    "SchemaRegistry",
-    "ServiceClient",
-    "ServiceThread",
-    "ValidationService",
-    "report_payload",
-]
+from .. import _lazy_exports
+
+if TYPE_CHECKING:
+    from .batching import BatchingValidator
+    from .client import ServiceClient
+    from .registry import SchemaRecord, SchemaRegistry
+    from .server import ServiceThread, ValidationService, report_payload
+
+# Exported name -> the submodule that defines it (PEP 562): the daemon
+# never loads the HTTP client.  Keep in step with TYPE_CHECKING.
+_EXPORTS = {
+    "BatchingValidator": "batching",
+    "ServiceClient": "client",
+    "SchemaRecord": "registry",
+    "SchemaRegistry": "registry",
+    "ServiceThread": "server",
+    "ValidationService": "server",
+    "report_payload": "server",
+}
+__all__ = list(_EXPORTS)
+
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -121,22 +121,19 @@ class BatchingValidator:
         max_queue: int = 256,
         max_batch: int = 32,
         deadline: float | None = None,
-        max_retries: int = 2,
     ) -> None:
         """``deadline`` is the default per-request seconds (``submit`` may
-        override per call); ``max_retries`` bounds the retries of a failing
-        request before it gets :class:`~repro.errors.WorkerFailureError`;
-        ``jobs`` sizes the process pool of big-graph requests.  Left at
-        None it is 1: every request is validated inline and no pool is
-        made (:func:`~repro.resilience.ladder.choose_rung`)."""
-        _rung, self.jobs = choose_rung("auto", jobs)
+        override per call); a failing request is retried
+        :data:`~repro.resilience.ladder.MAX_RETRIES` times before it gets
+        :class:`~repro.errors.WorkerFailureError`; ``jobs`` sizes the process
+        pool of big-graph requests.  Left at None it is 1: every request is
+        validated inline and no pool is made
+        (:func:`~repro.resilience.ladder.choose_rung`)."""
+        _rung, self.jobs = choose_rung(jobs)
         self.max_queue = max_queue
         self.max_batch = max(1, max_batch)
         self.deadline = deadline
-        self.max_retries = max(0, max_retries)
-        self._ladder = ExecutorLadder(
-            jobs=1, max_retries=self.max_retries, site=BATCH_FAULT_SITE, log_key="request"
-        )
+        self._ladder = ExecutorLadder(jobs=1, site=BATCH_FAULT_SITE, log_key="request")
         #: the last batch's ladder log (one dict per failed request
         #: attempt), as ``ParallelValidator.recovery_log``, so chaos tests
         #: can assert a fault fired and was survived
@@ -317,7 +314,7 @@ def _validate_request(
     state: tuple[tuple[str, ...], int],
     request: _Request,
     attempt: int,
-    executor: str,
+    rung: str,
 ) -> ValidationReport:
     """The ladder task of one request (*state* is the batch's rules and the
     job count of big-graph requests).

@@ -145,7 +145,6 @@ class ValidationService:
         max_batch: int = 32,
         jobs: int | None = None,
         deadline: float | None = None,
-        max_retries: int = 2,
         perf_store: str = ".perf",
     ) -> None:
         self.host = host
@@ -157,7 +156,6 @@ class ValidationService:
             max_queue=max_queue,
             max_batch=max_batch,
             deadline=deadline,
-            max_retries=max_retries,
         )
         self._server: asyncio.Server | None = None
         self.address: tuple[str, int] | None = None

@@ -54,7 +54,7 @@ from ..evolution import SchemaDiff, diff_schemas
 from ..pg.io import graph_from_dict, graph_to_dict
 from ..pg.model import PropertyGraph
 from ..record import Record
-from ..resilience import faults
+from ..resilience import faults, ladder
 from ..resilience.durable import atomic_write
 from ..schema.build import parse_schema
 from ..schema.printer import print_schema
@@ -256,8 +256,9 @@ class CDCConsumer:
             *before* the commit applies, so exhaustion always leaves the
             consumer at a commit boundary.
         on_budget: ``"unknown"`` (partial report) or ``"error"`` (raise).
-        retry_attempts: Extra attempts for transient apply failures.
-        retry_base_delay: Backoff base (doubles per retry).
+
+    Transient apply failures retry on the ladder's one retry policy
+    (:data:`~repro.resilience.ladder.MAX_RETRIES`); a ``ReproError`` is permanent.
     """
 
     def __init__(
@@ -271,8 +272,6 @@ class CDCConsumer:
         events_path: "str | os.PathLike[str] | None" = None,
         budget: "Budget | None" = None,
         on_budget: str = "unknown",
-        retry_attempts: int = 2,
-        retry_base_delay: float = 0.05,
     ) -> None:
         check_on_budget(on_budget)
         if checkpoint_every < 1:
@@ -291,8 +290,6 @@ class CDCConsumer:
         self._events_path = os.fspath(events_path) if events_path is not None else None
         self.budget = budget
         self.on_budget = on_budget
-        self.retry_attempts = retry_attempts
-        self.retry_base_delay = retry_base_delay
         if self._checkpoint_dir is not None:
             os.makedirs(self._checkpoint_dir, exist_ok=True)
         # consume-time state (set by _start)
@@ -599,15 +596,13 @@ class CDCConsumer:
             except ReproError:
                 raise  # permanent: the journal cannot apply to this graph
             except Exception:
-                if attempt >= self.retry_attempts:
+                if attempt >= ladder.MAX_RETRIES:
                     raise
                 attempt += 1
                 self._retries += 1
                 obs.count("cdc.apply.retries")
                 obs.instant("cdc.retry", commit=commit_index, attempt=attempt)
-                delay = self.retry_base_delay * (2 ** (attempt - 1))
-                if delay > 0:
-                    time.sleep(delay)
+                ladder.backoff(attempt)
 
     def _apply_event(self, event: MutationEvent) -> None:
         assert self._validator is not None

@@ -38,7 +38,6 @@ def make_validator(
     schema: "GraphQLSchema",
     engine: str = "parallel",
     jobs: int | None = None,
-    executor: str = "auto",
     budget: "Budget | None" = None,
     on_budget: str = "unknown",
 ):
@@ -47,11 +46,9 @@ def make_validator(
     Args:
         engine: ``"parallel"`` (default), ``"indexed"`` or ``"naive"``.
         jobs: Worker count for the parallel engine.  None (default) runs
-            its kernel inline on one shard under ``executor="auto"``; an
-            explicit count fans out over a pool.  Ignored by the
+            its kernel inline on one shard; an explicit count shards it,
+            over a process pool on a large graph.  Ignored by the
             sequential engines.
-        executor: Executor policy for the parallel engine (``"auto"``,
-            ``"serial"`` or ``"process"``).
         budget: Template :class:`~repro.resilience.Budget`; each
             ``validate()`` call runs under a fresh renewal of it.
         on_budget: ``"unknown"`` (default) turns budget exhaustion into a
@@ -72,7 +69,6 @@ def make_validator(
         return ParallelValidator(
             schema,
             jobs=jobs,
-            executor=executor,
             plan=compile_plan(schema),
             budget=budget,
             on_budget=on_budget,

@@ -18,7 +18,7 @@ through the plan's per-label records: one dict hit per element resolves
 every rule that can apply to it.  This is where the engine's single-core
 speedup comes from; the shard fan-out adds multi-core scaling on top.
 
-Executor selection is the project's one jobs policy,
+Rung selection is the project's one fan-out policy,
 :func:`~repro.resilience.ladder.choose_rung`, with the graph size as the
 engine's size test:
 
@@ -34,7 +34,7 @@ engine's size test:
   serialise its shards.
 
 Two runs over the same graph produce byte-identical reports regardless of
-the executor: shard assignment uses a process-stable hash, shard results are
+the rung: shard assignment uses a process-stable hash, shard results are
 merged in shard order, and the final violation list is canonically sorted.
 
 **Fan-out.**  Every shard is one task of the shared
@@ -44,11 +44,11 @@ in a ``validation.shard`` span, its state is ``(plan, graph)``, and a
 process worker builds that state once as ``(compile_plan(schema), graph)``
 -- the schema and graph are shipped once per worker and the plan's closures
 are never pickled.  The ladder owns the rest: pools, the ``parallel.worker``
-fault site, retries with exponential backoff, the fallback process →
+fault site, retries with :func:`~repro.resilience.ladder.backoff`, the fallback process →
 serial, stuck-worker timeouts (``shard_timeout``) and the recovery log.
 Because merging is positional (results land in a shard-indexed array) the
 recovered report is byte-identical to an undisturbed run no matter which
-executor finally produced each shard.  When even the serial rung fails,
+rung finally produced each shard.  When even the serial rung fails,
 the last cause is re-raised wrapped in
 :class:`~repro.errors.WorkerFailureError`.  Recovery decisions are
 recorded in :attr:`ParallelValidator.recovery_log` so chaos tests can
@@ -114,8 +114,8 @@ class ParallelValidator:
     process pool on a large graph) when ``jobs`` asks for workers.  Agrees
     with the naive and indexed engines on every input."""
 
-    #: Below this graph size (|V| + |E|), "auto" runs the shards inline
-    #: rather than on processes: worker startup and graph transfer would
+    #: Below this graph size (|V| + |E|) the shards run inline even when
+    #: ``jobs`` asks for workers: worker startup and graph transfer would
     #: dominate.
     SMALL_GRAPH_THRESHOLD = 4096
 
@@ -123,17 +123,13 @@ class ParallelValidator:
         self,
         schema: "GraphQLSchema",
         jobs: int | None = None,
-        executor: str = "auto",
         plan: ValidationPlan | None = None,
         budget: "Budget | None" = None,
         on_budget: str = "unknown",
-        max_retries: int = 2,
-        retry_base_delay: float = 0.05,
         shard_timeout: float | None = None,
     ) -> None:
         """``jobs`` is the worker count and the shard count; left at None it
-        is 1 -- the kernel runs inline on one shard -- except under an
-        explicit ``executor="process"``, which takes the usable cores
+        is 1 -- the kernel runs inline on one shard
         (:func:`~repro.resilience.ladder.choose_rung`).
 
         Resilience knobs (all optional; the defaults leave healthy runs
@@ -143,21 +139,15 @@ class ParallelValidator:
           ``validate()`` call runs under a fresh renewal of it.
         * ``on_budget`` -- ``"unknown"`` returns a partial report on
           exhaustion, ``"error"`` raises.
-        * ``max_retries`` -- same-executor retries per ladder rung before
-          failing shards fall from the process rung to the serial rung.
-        * ``retry_base_delay`` -- base of the exponential backoff sleep.
         * ``shard_timeout`` -- wall seconds one shard attempt may take
           before it is treated as a stuck worker and recovered.
         """
-        _rung, self.jobs = choose_rung(executor, jobs)
+        _rung, self.jobs = choose_rung(jobs)
         check_on_budget(on_budget)
         self.schema = schema
         self.plan = plan if plan is not None else compile_plan(schema)
-        self.executor = executor
         self.budget = budget
         self.on_budget = on_budget
-        self.max_retries = max(0, max_retries)
-        self.retry_base_delay = retry_base_delay
         self.shard_timeout = shard_timeout
         #: recovery events of the last run: one dict per failed attempt
         #: (keys: shard, executor, attempt, error).
@@ -220,12 +210,9 @@ class ParallelValidator:
         interruption: "BudgetReason | None" = None
         ladder = ExecutorLadder(
             jobs=self.jobs,
-            max_retries=self.max_retries,
-            retry_base_delay=self.retry_base_delay,
             task_timeout=self.shard_timeout,
             site="validation.parallel",
             log_key="shard",
-            timeout_label="shard_timeout",
         )
         self.recovery_log = ladder.recovery_log
         try:
@@ -255,9 +242,7 @@ class ParallelValidator:
     def choose_executor(self, graph: "PropertyGraph | GraphRecords") -> str:
         """The rung :func:`~repro.resilience.ladder.choose_rung` picks for
         this graph."""
-        return choose_rung(
-            self.executor, self.jobs, len(graph) >= self.SMALL_GRAPH_THRESHOLD
-        )[0]
+        return choose_rung(self.jobs, len(graph) >= self.SMALL_GRAPH_THRESHOLD)[0]
 
     def _merge(
         self,
@@ -337,14 +322,12 @@ def _shard_task(
     state: "tuple[ValidationPlan, PropertyGraph | GraphRecords]",
     payload: "tuple[GraphShard | GraphRecords, tuple[str, ...], Budget | None]",
     attempt: int,
-    executor: str,
+    rung: str,
 ) -> ShardResult:
     """One shard attempt on any rung: the fused kernel in a span."""
     plan, graph = state
     shard, rules, budget = payload
-    with obs.span(
-        "validation.shard", shard=shard.index, attempt=attempt, executor=executor
-    ):
+    with obs.span("validation.shard", shard=shard.index, attempt=attempt, executor=rung):
         return validate_shard(plan, graph, shard, rules, budget)
 
 

@@ -49,6 +49,22 @@ def _sigalrm_test_timeout(request):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture
+def process_rung(monkeypatch):
+    """Put every fan-out that asks for ``jobs > 1`` on the process rung.
+
+    Fakes the two observations of the one rung policy,
+    :func:`repro.resilience.ladder.choose_rung`: a multi-core host
+    (``usable_cores``) and a graph that passes the validation size test
+    (``ParallelValidator.SMALL_GRAPH_THRESHOLD``).  A sat sweep still needs
+    at least ``jobs`` open units, its own size test."""
+    from repro.resilience import ladder
+    from repro.validation import ParallelValidator
+
+    monkeypatch.setattr(ladder, "usable_cores", lambda: 8)
+    monkeypatch.setattr(ParallelValidator, "SMALL_GRAPH_THRESHOLD", 0)
+
+
 def rules_fired(schema, graph, mode="strong", engine="indexed"):
     """The set of rule ids violated by the graph."""
     report = validate(schema, graph, mode=mode, engine=engine)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.errors import BudgetExhaustedError, GraphLoadError
 from repro.pg.model import PropertyGraph
-from repro.resilience import Budget, faults
+from repro.resilience import Budget, faults, ladder
 from repro.resilience.faults import InjectedCrashError
 from repro.schema import parse_schema
 from repro.validation import (
@@ -461,7 +461,6 @@ def crash_then_resume(tmp_path, schema, journal_path, fault_spec, label,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
         events_path=events_path,
-        retry_attempts=0,
     )
     plan = faults.install(fault_spec)
     crashed = False
@@ -480,6 +479,11 @@ def crash_then_resume(tmp_path, schema, journal_path, fault_spec, label,
 
 
 class TestCrashResume:
+    @pytest.fixture(autouse=True)
+    def _no_retries(self, monkeypatch):
+        """An injected crash must stop the consumer, not be retried away."""
+        monkeypatch.setattr(ladder, "MAX_RETRIES", 0)
+
     @pytest.mark.parametrize("crash_commit", list(range(1, COMMITS + 1)))
     def test_crash_at_every_commit(self, tmp_path, schema, crash_commit):
         journal_path, events, keys, summary = baseline(tmp_path, schema, seed=5)
@@ -510,7 +514,7 @@ class TestCrashResume:
         work.mkdir()
         kwargs = dict(
             checkpoint_dir=str(work / "ckpt"), checkpoint_every=3,
-            events_path=str(work / "events.jsonl"), retry_attempts=0,
+            events_path=str(work / "events.jsonl"),
         )
         faults.install("crash@cdc.apply:commit=8")
         with pytest.raises(InjectedCrashError):
@@ -535,7 +539,7 @@ class TestCrashResume:
         work.mkdir()
         kwargs = dict(
             checkpoint_dir=str(work / "ckpt"), checkpoint_every=2,
-            events_path=str(work / "events.jsonl"), retry_attempts=0,
+            events_path=str(work / "events.jsonl"),
         )
         faults.install("crash@cdc.apply:commit=9")
         with pytest.raises(InjectedCrashError):
@@ -558,7 +562,7 @@ class TestCrashResume:
         work.mkdir()
         kwargs = dict(
             checkpoint_dir=str(work / "ckpt"), checkpoint_every=2,
-            events_path=str(work / "events.jsonl"), retry_attempts=0,
+            events_path=str(work / "events.jsonl"),
         )
         faults.install("crash@cdc.apply:commit=9")
         with pytest.raises(InjectedCrashError):
@@ -582,7 +586,7 @@ class TestCrashResume:
         work.mkdir()
         kwargs = dict(
             checkpoint_dir=str(work / "ckpt"), checkpoint_every=2,
-            events_path=str(work / "events.jsonl"), retry_attempts=0,
+            events_path=str(work / "events.jsonl"),
         )
         faults.install("crash@cdc.apply:commit=9")
         with pytest.raises(InjectedCrashError):
@@ -608,7 +612,7 @@ class TestCrashResume:
         work.mkdir()
         kwargs = dict(
             checkpoint_dir=str(work / "ckpt"), checkpoint_every=2,
-            events_path=str(work / "events.jsonl"), retry_attempts=0,
+            events_path=str(work / "events.jsonl"),
         )
         faults.install("crash@cdc.apply:commit=9")
         with pytest.raises(InjectedCrashError):
@@ -677,14 +681,16 @@ class TestCrashResume:
 
 
 class TestRetry:
+    @pytest.fixture(autouse=True)
+    def _no_backoff(self, monkeypatch):
+        monkeypatch.setattr(ladder, "RETRY_BASE_DELAY", 0.0)
+
     def test_transient_faults_are_retried(self, tmp_path, schema):
         path = make_journal(tmp_path, commits=5, seed=12)
         reference = CDCConsumer(schema, path).run()
         plan = faults.install("crash@cdc.apply:attempt=0")
         try:
-            result = CDCConsumer(
-                schema, path, retry_attempts=2, retry_base_delay=0.0
-            ).run()
+            result = CDCConsumer(schema, path).run()
         finally:
             faults.uninstall()
         assert result.retries == result.commits
@@ -694,16 +700,17 @@ class TestRetry:
             e.to_json() for e in reference.events
         ]
 
-    def test_exhausted_retries_propagate(self, tmp_path, schema):
+    def test_exhausted_retries_propagate(self, tmp_path, schema, monkeypatch):
         path = make_journal(tmp_path, commits=5, seed=12)
-        faults.install("crash@cdc.apply")
+        monkeypatch.setattr(ladder, "MAX_RETRIES", 1)
+        plan = faults.install("crash@cdc.apply")
         try:
             with pytest.raises(InjectedCrashError):
-                CDCConsumer(
-                    schema, path, retry_attempts=1, retry_base_delay=0.0
-                ).run()
+                CDCConsumer(schema, path).run()
         finally:
             faults.uninstall()
+        # one first attempt and MAX_RETRIES retries, then the crash propagates
+        assert plan.fired_count("cdc.apply") == 2
 
     def test_permanent_apply_error_not_retried(self, tmp_path, schema):
         journal = MutationJournal(str(tmp_path / "j.jsonl"))
@@ -712,7 +719,7 @@ class TestRetry:
             {"op": "commit"},
         ])
         with pytest.raises(GraphLoadError, match="remove_node") as err:
-            CDCConsumer(schema, journal, retry_attempts=3).run()
+            CDCConsumer(schema, journal).run()
         assert err.value.line == 2
 
 
@@ -830,7 +837,7 @@ class TestSchemaChange:
             {"op": "commit"},
         ])
         with pytest.raises(GraphLoadError, match="set_schema"):
-            CDCConsumer(schema, journal, retry_attempts=2).run()
+            CDCConsumer(schema, journal).run()
 
 
 class TestMigratedValidator:

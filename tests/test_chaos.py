@@ -13,7 +13,9 @@ CI runs this module twice: once clean, and once with ``PGSCHEMA_FAULTS``
 already set to a worker-crash plan (the chaos-smoke job).  Tests therefore
 install their plans explicitly -- ``install()`` overrides the env plan,
 ``install(None)`` disables injection for baseline runs -- and restore the
-environment plan with ``uninstall()``.
+environment plan with ``uninstall()``.  A test reaches the process rung
+through the ``process_rung`` fixture (tests/conftest.py); retries are
+shortened by patching the ladder's two retry constants.
 """
 
 import multiprocessing
@@ -25,7 +27,7 @@ import time
 import pytest
 
 from repro.errors import BudgetExhaustedError, WorkerFailureError
-from repro.resilience import Budget, faults
+from repro.resilience import Budget, faults, ladder
 from repro.sat import pigeonhole, solve
 from repro.satisfiability import SatisfiabilityChecker
 from repro.schema import parse_schema
@@ -42,12 +44,18 @@ type B { a: A @required }
 """
 
 
-def _run(spec, graph=GRAPH, *, executor, jobs=4, budget=None, **kwargs):
-    """Validate under an installed fault plan; always restore the env plan."""
-    kwargs.setdefault("retry_base_delay", 0.01)
+@pytest.fixture(autouse=True)
+def _short_backoff(monkeypatch):
+    monkeypatch.setattr(ladder, "RETRY_BASE_DELAY", 0.01)
+
+
+def _run(spec, graph=GRAPH, *, jobs=4, budget=None, **kwargs):
+    """Validate under an installed fault plan; always restore the env plan.
+    The graph is below the process threshold, so the shards run inline
+    unless the test takes the ``process_rung`` fixture."""
     faults.install(spec)
     try:
-        validator = ParallelValidator(SCHEMA, jobs=jobs, executor=executor, **kwargs)
+        validator = ParallelValidator(SCHEMA, jobs=jobs, **kwargs)
         report = validator.validate(graph, budget=budget)
     finally:
         faults.uninstall()
@@ -59,7 +67,7 @@ def baseline():
     """The undisturbed report (fault injection hard-disabled)."""
     faults.install(None)
     try:
-        return ParallelValidator(SCHEMA, jobs=4, executor="serial").validate(GRAPH)
+        return ParallelValidator(SCHEMA, jobs=4).validate(GRAPH)
     finally:
         faults.uninstall()
 
@@ -68,7 +76,7 @@ def baseline():
 def bad_baseline():
     faults.install(None)
     try:
-        return ParallelValidator(SCHEMA, jobs=4, executor="serial").validate(BAD_GRAPH)
+        return ParallelValidator(SCHEMA, jobs=4).validate(BAD_GRAPH)
     finally:
         faults.uninstall()
 
@@ -85,51 +93,44 @@ def _assert_identical(report, expected):
 # --------------------------------------------------------------------------- #
 
 
-def test_hard_worker_kill_recovers_byte_identically(baseline):
+def test_hard_worker_kill_recovers_byte_identically(baseline, process_rung):
     """An os._exit(70) in a pool worker (the segfault/OOM-kill simulation)
     surfaces as BrokenProcessPool; retry must reproduce the exact report."""
-    validator, report = _run(
-        "crash@parallel.worker:shard=1,attempt=0,mode=exit", executor="process"
-    )
+    validator, report = _run("crash@parallel.worker:shard=1,attempt=0,mode=exit")
     _assert_identical(report, baseline)
     assert validator.recovery_log  # the fault fired and was survived
     assert any(entry["executor"] == "process" for entry in validator.recovery_log)
 
 
-def test_hard_worker_kill_with_violations_present(bad_baseline):
+def test_hard_worker_kill_with_violations_present(bad_baseline, process_rung):
     """Recovery must also preserve a *failing* report byte-for-byte."""
-    validator, report = _run(
-        "crash@parallel.worker:shard=1,attempt=0,mode=exit",
-        BAD_GRAPH,
-        executor="process",
-    )
+    validator, report = _run("crash@parallel.worker:shard=1,attempt=0,mode=exit", BAD_GRAPH)
     _assert_identical(report, bad_baseline)
     assert not report.conforms  # sanity: the corruption survived recovery
     assert validator.recovery_log
 
 
-def test_raised_worker_crash_recovers(baseline):
-    validator, report = _run(
-        "crash@parallel.worker:shard=0,attempt=0", executor="process"
-    )
+def test_raised_worker_crash_recovers(baseline, process_rung):
+    validator, report = _run("crash@parallel.worker:shard=0,attempt=0")
     _assert_identical(report, baseline)
     assert validator.recovery_log
 
 
-@pytest.mark.parametrize("executor", ["serial"])
-def test_crash_recovery_on_lighter_executors(baseline, executor):
-    validator, report = _run(
-        "crash@parallel.worker:shard=0,attempt=0", executor=executor
-    )
+@pytest.mark.parametrize("rung", ["serial"])
+def test_crash_recovery_on_lighter_executors(baseline, rung):
+    """jobs=4 on a graph below the process threshold: the shards run, and
+    recover, inline."""
+    validator, report = _run("crash@parallel.worker:shard=0,attempt=0")
     _assert_identical(report, baseline)
     assert validator.recovery_log
     assert validator.recovery_log[0]["shard"] == 0
     assert validator.recovery_log[0]["attempt"] == 0
+    assert {entry["executor"] for entry in validator.recovery_log} == {rung}
 
 
-def test_non_matching_plan_changes_nothing(baseline):
+def test_non_matching_plan_changes_nothing(baseline, process_rung):
     """A plan that never matches must leave run and report untouched."""
-    validator, report = _run("crash@parallel.worker:shard=999", executor="process")
+    validator, report = _run("crash@parallel.worker:shard=999")
     _assert_identical(report, baseline)
     assert validator.recovery_log == []
 
@@ -139,27 +140,23 @@ def test_non_matching_plan_changes_nothing(baseline):
 # --------------------------------------------------------------------------- #
 
 
-def test_ladder_falls_all_the_way_to_serial(baseline):
+def test_ladder_falls_all_the_way_to_serial(baseline, process_rung, monkeypatch):
     """Crash *every* process attempt: after its retry each shard must fall
     to the serial rung and still produce the identical report."""
-    validator, report = _run(
-        "crash@parallel.worker:executor=process", executor="process", max_retries=1
-    )
+    monkeypatch.setattr(ladder, "MAX_RETRIES", 1)
+    validator, report = _run("crash@parallel.worker:executor=process")
     _assert_identical(report, baseline)
     assert {entry["executor"] for entry in validator.recovery_log} == {"process"}
     assert {entry["attempt"] for entry in validator.recovery_log} == {0, 1}
 
 
-def test_exhausted_ladder_raises_typed_worker_failure():
+def test_exhausted_ladder_raises_typed_worker_failure(process_rung, monkeypatch):
     """When even the serial rung crashes, the run must end in E_WORKER --
     not a hang, not a partial report pretending to be complete."""
+    monkeypatch.setattr(ladder, "MAX_RETRIES", 0)
+    monkeypatch.setattr(ladder, "RETRY_BASE_DELAY", 0.0)
     with pytest.raises(WorkerFailureError) as caught:
-        _run(
-            "crash@parallel.worker",
-            executor="process",
-            max_retries=0,
-            retry_base_delay=0.0,
-        )
+        _run("crash@parallel.worker")
     assert caught.value.code == "E_WORKER"
     assert caught.value.shard is not None
 
@@ -169,13 +166,12 @@ def test_exhausted_ladder_raises_typed_worker_failure():
 # --------------------------------------------------------------------------- #
 
 
-def test_stuck_worker_hits_shard_timeout_and_recovers(baseline):
+def test_stuck_worker_hits_shard_timeout_and_recovers(baseline, process_rung):
     """A worker sleeping past shard_timeout is treated as stuck; the retry
     (where the attempt=0 matcher no longer fires) must recover, and the
     stuck worker is terminated rather than left sleeping."""
     validator, report = _run(
         "delay@parallel.worker:shard=0,attempt=0,seconds=5",
-        executor="process",
         shard_timeout=0.2,
     )
     _assert_identical(report, baseline)
@@ -187,13 +183,12 @@ def test_stuck_worker_hits_shard_timeout_and_recovers(baseline):
     assert not multiprocessing.active_children()
 
 
-def test_deadline_during_stuck_worker_yields_partial_report():
+def test_deadline_during_stuck_worker_yields_partial_report(process_rung):
     """When the *run deadline* (not the shard ceiling) expires while a
     worker sleeps, the result is a typed partial report -- never a report
     claiming completeness."""
     _validator, report = _run(
         "delay@parallel.worker:shard=0,attempt=0,seconds=1.5",
-        executor="process",
         budget=Budget(deadline=0.2),
     )
     assert not report.complete
@@ -232,7 +227,7 @@ def test_merge_fault_cannot_kill_the_main_process():
     """``mode=exit`` outside a registered pool worker degrades to a raised
     InjectedCrashError: a stray plan must never hard-kill the parent."""
     with pytest.raises(faults.InjectedCrashError):
-        _run("crash@parallel.merge:mode=exit", executor="serial")
+        _run("crash@parallel.merge:mode=exit")
 
 
 # --------------------------------------------------------------------------- #
@@ -302,9 +297,7 @@ def test_recovery_log_entries_carry_site_and_ordered_timestamps(baseline):
     """Every recovery entry names its ladder site and carries a monotonic
     ``at`` timestamp, so the fault -> recovery sequence of a run can be
     reconstructed from the log alone."""
-    validator, report = _run(
-        "crash@parallel.worker:shard=0,attempt=0", executor="serial"
-    )
+    validator, report = _run("crash@parallel.worker:shard=0,attempt=0")
     _assert_identical(report, baseline)
     assert validator.recovery_log
     for entry in validator.recovery_log:
@@ -322,9 +315,7 @@ def test_trace_records_fault_then_recovery(baseline):
 
     obs.uninstall()
     with obs.observed(trace=True, metrics=True) as observation:
-        validator, report = _run(
-            "crash@parallel.worker:shard=0,attempt=0", executor="serial"
-        )
+        validator, report = _run("crash@parallel.worker:shard=0,attempt=0")
     _assert_identical(report, baseline)
     events = observation.tracer.events()
     fault_instants = [e for e in events if e.name == "fault.crash"]

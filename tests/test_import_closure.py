@@ -234,6 +234,32 @@ def test_sat_with_open_units_loads_no_process_pool_machinery(inputs):
     assert _loaded_after(_run_cli(["sat", inputs["diagram_b"]]), watched) == []
 
 
+_HTTP_CLIENT = ("repro.service.client", "http.client")
+
+
+def test_a_serving_daemon_loads_no_http_client():
+    # the daemon answers a request over a raw socket; only the harnesses
+    # that talk to it need the keep-alive client
+    code = (
+        "import socket\n"
+        "import repro.commands.serve\n"
+        "from repro.service import ServiceThread\n"
+        "thread = ServiceThread(port=0)\n"
+        "host, port = thread.start()\n"
+        "with socket.create_connection((host, port), timeout=30) as sock:\n"
+        "    sock.sendall(b'GET /v1/healthz HTTP/1.1\\r\\nHost: x\\r\\n'\n"
+        "                 b'Connection: close\\r\\n\\r\\n')\n"
+        "    assert sock.recv(64).startswith(b'HTTP/1.1 200'), 'no 200'\n"
+        "thread.stop()\n"
+    )
+    assert _loaded_after(code, _HTTP_CLIENT) == []
+
+
+def test_the_service_package_still_exports_its_client():
+    code = "from repro.service import ServiceClient\nassert ServiceClient.__name__\n"
+    assert _loaded_after(code, _HTTP_CLIENT) == sorted(_HTTP_CLIENT)
+
+
 # Printers run only where a schema is printed (api, CDC checkpoints, ...),
 # never on the one-shot path.
 _PRINTERS = ("repro.schema.printer", "repro.sdl.printer")

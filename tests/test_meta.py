@@ -160,6 +160,7 @@ class TestPublicAPI:
             "repro.obs",
             "repro.resilience",
             "repro.lint",
+            "repro.service",
         ),
     )
     def test_lazy_subpackage_exports_match_the_table(self, package_name):

@@ -272,7 +272,8 @@ def _contains(outer: SpanEvent, inner: SpanEvent) -> bool:
 
 def test_serial_fanout_spans_nest_inside_run_span():
     with obs.observed(trace=True, metrics=True) as observation:
-        validator = ParallelValidator(SCHEMA, jobs=2, executor="serial")
+        validator = ParallelValidator(SCHEMA, jobs=2)
+        assert validator.choose_executor(GRAPH) == "serial"  # below the threshold
         report = validator.validate(GRAPH)
     assert report.complete
     events = observation.tracer.events()
@@ -293,10 +294,10 @@ def test_serial_fanout_spans_nest_inside_run_span():
     assert counters["validation.checks.DS1"] == GRAPH.num_edges
 
 
-def test_process_fanout_merges_worker_spans_and_keeps_report_identical():
-    baseline = ParallelValidator(SCHEMA, jobs=2, executor="process").validate(GRAPH)
+def test_process_fanout_merges_worker_spans_and_keeps_report_identical(process_rung):
+    baseline = ParallelValidator(SCHEMA, jobs=2).validate(GRAPH)
     with obs.observed(trace=True, metrics=True) as observation:
-        traced = ParallelValidator(SCHEMA, jobs=2, executor="process").validate(GRAPH)
+        traced = ParallelValidator(SCHEMA, jobs=2).validate(GRAPH)
     # contract 2 of docs/RESILIENCE.md survives tracing: identical reports
     assert traced.complete and traced.conforms == baseline.conforms
     assert traced.keys() == baseline.keys()
@@ -595,9 +596,7 @@ def test_every_engine_emits_run_span_and_counters():
         "indexed": lambda: IndexedValidator(
             SCHEMA, plan=compile_plan(SCHEMA)
         ).validate(small),
-        "parallel": lambda: ParallelValidator(
-            SCHEMA, jobs=1, executor="serial"
-        ).validate(small),
+        "parallel": lambda: ParallelValidator(SCHEMA, jobs=1).validate(small),
         "incremental": lambda: IncrementalValidator(SCHEMA, small).report(),
     }
     for engine, run in engines.items():

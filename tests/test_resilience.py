@@ -26,6 +26,7 @@ from repro.errors import (
     render_error,
 )
 from repro.resilience import Budget, ExecutorLadder, faults
+from repro.resilience import ladder as ladder_module
 from repro.resilience.ladder import EXECUTORS
 from repro.sat import CNF, pigeonhole, solve
 from repro.satisfiability import SatisfiabilityChecker
@@ -406,11 +407,12 @@ class TestBudgetedValidation:
         assert report.verdict == "unknown"
         assert report.interruption.dimension == "deadline"
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_parallel_partial_report(self, session_schema, session_graph, executor):
-        validator = ParallelValidator(
-            session_schema, jobs=2, executor=executor, budget=Budget(max_nodes=1)
-        )
+    @pytest.mark.parametrize("rung", ["serial", "process"])
+    def test_parallel_partial_report(self, session_schema, session_graph, rung, request):
+        if rung == "process":
+            request.getfixturevalue("process_rung")
+        validator = ParallelValidator(session_schema, jobs=2, budget=Budget(max_nodes=1))
+        assert validator.choose_executor(session_graph) == rung
         report = validator.validate(session_graph)
         assert report.verdict == "unknown"
         assert report.interruption.dimension == "nodes"
@@ -513,6 +515,37 @@ def test_crash_before_rename_keeps_previous_file(tmp_path, site, case):
     assert recovered()
 
 
+def test_atomic_write_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    """The rename is durable only once its directory is synced: the last
+    fsync of a write is the parent directory's, after ``os.replace``."""
+    import stat
+
+    from repro.resilience import durable
+
+    calls = []
+    real_replace, real_fsync = os.replace, os.fsync
+
+    def replace(src, dst):
+        calls.append(("replace", os.path.basename(dst)))
+        real_replace(src, dst)
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        calls.append(("fsync", kind, os.path.realpath(f"/proc/self/fd/{fd}")))
+        real_fsync(fd)
+
+    monkeypatch.setattr(durable.os, "replace", replace)
+    monkeypatch.setattr(durable.os, "fsync", fsync)
+    target = tmp_path / "version.json"
+    durable.atomic_write(str(target), b"{}", "registry.persist")
+    assert target.read_bytes() == b"{}"
+    assert [call[:2] for call in calls] == [
+        ("fsync", "file"), ("replace", "version.json"), ("fsync", "dir")
+    ]
+    if os.path.exists("/proc/self/fd"):
+        assert calls[-1][2] == os.path.realpath(tmp_path)
+
+
 # --------------------------------------------------------------------------- #
 # the executor ladder: one task contract on every rung
 # --------------------------------------------------------------------------- #
@@ -529,7 +562,7 @@ def _toy_state(offset):
     return offset, os.getpid(), _toy_builds
 
 
-def _toy_task(state, payload, attempt, executor):
+def _toy_task(state, payload, attempt, rung):
     offset, pid, builds = state
     return payload * payload + offset, pid, builds
 
@@ -541,13 +574,14 @@ def _fault_context(entry):
     return ast.literal_eval(match.group(1))
 
 
-def test_ladder_runs_one_task_contract_on_every_rung():
+def test_ladder_runs_one_task_contract_on_every_rung(monkeypatch):
     payloads = {0: 3, 2: 5, 3: 7, 6: 11}  # sparse: results stay positional
     expected = [9 + 100, None, 25 + 100, 49 + 100, None, None, 121 + 100, None]
+    monkeypatch.setattr(ladder_module, "RETRY_BASE_DELAY", 0.0)
     faults.install("crash@resilience.toy:attempt=0")  # every first attempt
     try:
         for rung in EXECUTORS:
-            ladder = ExecutorLadder(jobs=2, retry_base_delay=0.0, log_key="item")
+            ladder = ExecutorLadder(jobs=2, log_key="item")
             results = [None] * len(expected)
             ladder.run(
                 rung,
@@ -607,40 +641,51 @@ def test_queued_tasks_are_not_taken_for_stuck_workers():
     ids=["ParallelValidator", "check_schema", "ExecutorLadder.run"],
 )
 def test_thread_executor_is_rejected(session_schema, start):
-    with pytest.raises(ValueError, match="unknown executor 'thread'"):
+    """The engines take no executor option at all -- the rung is chosen,
+    never named -- and the ladder runs only its two rungs."""
+    with pytest.raises((TypeError, ValueError), match="executor|unknown rung 'thread'"):
         start(session_schema)
 
 
 @pytest.mark.parametrize(
-    "executor, jobs, big_enough, cores, expected",
+    "jobs, big_enough, cores, expected",
     [
         # no worker count means inline, on any host and any size
-        ("auto", None, True, 8, ("serial", 1)),
-        ("serial", None, True, 8, ("serial", 1)),
-        # an explicit process rung without jobs takes the usable cores
-        ("process", None, False, 8, ("process", 8)),
-        # auto forks only for jobs > 1, more than one core and a big input
-        ("auto", 4, True, 8, ("process", 4)),
-        ("auto", 4, False, 8, ("serial", 4)),
-        ("auto", 4, True, 1, ("serial", 4)),
-        ("auto", 1, True, 8, ("serial", 1)),
-        ("auto", 0, True, 8, ("serial", 1)),
-        # an explicit executor is kept as given
-        ("serial", 4, True, 8, ("serial", 4)),
-        ("process", 2, False, 1, ("process", 2)),
+        (None, True, 8, ("serial", 1)),
+        # the process rung needs jobs > 1, more than one core and a big input
+        (4, True, 8, ("process", 4)),
+        (4, False, 8, ("serial", 4)),
+        (4, True, 1, ("serial", 4)),
+        (1, True, 8, ("serial", 1)),
+        (0, True, 8, ("serial", 1)),
     ],
 )
 def test_choose_rung_is_the_one_jobs_policy(
-    monkeypatch, executor, jobs, big_enough, cores, expected
+    monkeypatch, jobs, big_enough, cores, expected
 ):
-    from repro.resilience import ladder
-
-    monkeypatch.setattr(ladder, "usable_cores", lambda: cores)
-    assert ladder.choose_rung(executor, jobs, big_enough) == expected
+    monkeypatch.setattr(ladder_module, "usable_cores", lambda: cores)
+    assert ladder_module.choose_rung(jobs, big_enough) == expected
 
 
 def test_choose_rung_rejects_unknown_executors():
-    from repro.resilience.ladder import choose_rung
+    """Nothing names a rung: the policy takes the worker count and the size
+    test, and no executor at all."""
+    with pytest.raises(TypeError, match="executor"):
+        ladder_module.choose_rung(executor="process", jobs=2)
 
-    with pytest.raises(ValueError, match=r"unknown executor 'gpu'; expected one of"):
-        choose_rung("gpu", None)
+
+def test_one_retry_policy_backs_off_within_the_budget(monkeypatch):
+    """``backoff`` doubles from RETRY_BASE_DELAY and never sleeps past what
+    the budget has left."""
+    slept = []
+    monkeypatch.setattr(ladder_module.time, "sleep", slept.append)
+    for attempt in (1, 2, 3):
+        ladder_module.backoff(attempt)
+    assert slept == [0.05, 0.1, 0.2]
+    slept.clear()
+    ladder_module.backoff(3, Budget(deadline=0.03))
+    assert len(slept) == 1 and 0 < slept[0] <= 0.03
+    slept.clear()
+    monkeypatch.setattr(ladder_module, "RETRY_BASE_DELAY", 0.0)
+    ladder_module.backoff(1)
+    assert slept == []

@@ -5,16 +5,19 @@ The contracts under test (docs/PERFORMANCE.md, E13):
 
 1. the portfolio engine's ``check_schema`` report is *byte-identical*
    (through ``to_json()``) to the serial engine's, for any jobs count or
-   executor, cold or warm cache -- including diagram (b), where the
+   rung, cold or warm cache -- including diagram (b), where the
    tableau and the bounded finder genuinely diverge;
 2. the decision ladder (cache → lint → analysis) runs in the calling
    process: only units with open elements reach a worker, a fully decided
-   schema builds no pool, and win counts do not depend on the executor;
+   schema builds no pool, and win counts do not depend on the rung;
 3. the :class:`SatCache` memoizes decided verdicts across
    ``check_type`` / ``check_field`` / ``check_schema`` and across checker
    instances, and never caches budget-exhausted UNKNOWNs;
-4. a hard worker kill during a process-executor sweep is recovered by the
+4. a hard worker kill during a process-rung sweep is recovered by the
    executor ladder with the report unchanged.
+
+A test reaches the process rung through the ``process_rung`` fixture
+(tests/conftest.py) and at least ``jobs`` open units.
 """
 
 import concurrent.futures
@@ -23,7 +26,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.resilience import Budget, faults
+from repro.resilience import Budget, faults, ladder
 from repro.satisfiability import (
     SatCache,
     SatisfiabilityChecker,
@@ -47,6 +50,15 @@ def _fresh_registry():
 
 def _dump(report):
     return json.dumps(report.to_json(), sort_keys=True)
+
+
+def _jobs_for(rung, request):
+    """A ``jobs`` that reaches *rung*: 1 runs inline; 2 on the
+    ``process_rung`` fixture's faked multi-core host forks."""
+    if rung == "process":
+        request.getfixturevalue("process_rung")
+        return 2
+    return 1
 
 
 def _observed_sweep(checker, **kwargs):
@@ -76,9 +88,9 @@ def test_portfolio_reports_byte_identical_across_jobs(jobs):
         assert _dump(warm) == expected, (name, "warm replay must not differ")
 
 
-@pytest.mark.parametrize("executor", ["serial", "process"])
+@pytest.mark.parametrize("rung", ["serial", "process"])
 @pytest.mark.parametrize("name", ["example_6_1_a", "diagram_b"])
-def test_portfolio_reports_byte_identical_across_executors(executor, name):
+def test_portfolio_reports_byte_identical_across_executors(rung, name, request):
     # analysis off: the ladder would decide every example_6_1_a element in
     # the parent; this way the tableau decides them on the executor rung,
     # dead OT1 and the units pointing at it (the batch-UNSAT staged fallback)
@@ -92,10 +104,11 @@ def test_portfolio_reports_byte_identical_across_executors(executor, name):
         schema, cache=SatCache(schema), analysis_precheck=False
     )
     report, open_units = _observed_sweep(
-        checker, find_witnesses=True, jobs=4, engine="portfolio", executor=executor
+        checker, find_witnesses=True, jobs=_jobs_for(rung, request), engine="portfolio"
     )
     assert _dump(report) == expected
     assert open_units > 0, "no unit reached the executor rung under test"
+    assert checker.last_profile["executor"] == rung
 
 
 def test_portfolio_with_witnesses_matches_serial():
@@ -117,13 +130,13 @@ def test_portfolio_with_witnesses_matches_serial():
 # --------------------------------------------------------------------------- #
 
 
-def test_portfolio_preserves_diagram_b_infinite_model_divergence():
+def test_portfolio_preserves_diagram_b_infinite_model_divergence(process_rung):
     """Diagram (b)'s OT2 is tableau-SAT but has no finite model: the
     portfolio must report it satisfiable with the bounded search
     empty-handed, not let the bounded failure masquerade as a verdict."""
     schema = load("diagram_b")
     report = SatisfiabilityChecker(schema, cache=SatCache(schema)).check_schema(
-        find_witnesses=True, jobs=2, engine="portfolio", executor="process"
+        find_witnesses=True, jobs=2, engine="portfolio"
     )
     ot2 = report.types["OT2"]
     assert ot2.tableau_satisfiable is True
@@ -140,7 +153,7 @@ def _elements(schema):
     )
 
 
-def test_warm_shared_cache_decides_everything_without_a_pool(monkeypatch):
+def test_warm_shared_cache_decides_everything_without_a_pool(monkeypatch, process_rung):
     schema = load("diagram_b")  # every unit needs the tableau when cold
     SatisfiabilityChecker(schema).check_schema(jobs=1)
 
@@ -149,21 +162,17 @@ def test_warm_shared_cache_decides_everything_without_a_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     second = SatisfiabilityChecker(schema)
-    report, open_units = _observed_sweep(
-        second, jobs=2, engine="portfolio", executor="process"
-    )
+    report, open_units = _observed_sweep(second, jobs=2, engine="portfolio")
     assert open_units == 0
     assert second.last_profile["wins"] == {"cache": _elements(schema)}
     assert not second.last_recovery_log
     assert report.sound
 
 
-def test_no_jobs_runs_open_units_inline_on_a_many_core_host(monkeypatch):
+def test_no_jobs_runs_open_units_inline_on_a_many_core_host(monkeypatch, process_rung):
     """Diagram (b) leaves 4 units open.  Without ``jobs`` they run in the
     calling process, whatever the core count; ``jobs=2`` still picks the
     process rung."""
-    import repro.resilience.ladder as ladder_module
-
     schema = load("diagram_b")
     expected = _dump(
         SatisfiabilityChecker(schema, cache=False).check_schema(
@@ -174,7 +183,6 @@ def test_no_jobs_runs_open_units_inline_on_a_many_core_host(monkeypatch):
     def no_pool(*_args, **_kwargs):
         raise AssertionError("a sweep without jobs must not build a pool")
 
-    monkeypatch.setattr(ladder_module, "usable_cores", lambda: 8)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     checker = SatisfiabilityChecker(schema, cache=False)
     report, open_units = _observed_sweep(checker, find_witnesses=True)
@@ -186,12 +194,12 @@ def test_no_jobs_runs_open_units_inline_on_a_many_core_host(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_wins_and_reports_do_not_depend_on_the_executor(name):
+def test_wins_and_reports_do_not_depend_on_the_executor(name, process_rung):
     schema = load(name)
     inline = SatisfiabilityChecker(schema, cache=SatCache(schema))
     inline_report = inline.check_schema(jobs=1)
     pooled = SatisfiabilityChecker(schema, cache=SatCache(schema))
-    pooled_report = pooled.check_schema(jobs=2, executor="process")
+    pooled_report = pooled.check_schema(jobs=2)
     assert _dump(pooled_report) == _dump(inline_report)
     assert pooled.last_profile["wins"] == inline.last_profile["wins"]
 
@@ -225,8 +233,9 @@ def test_unknown_engine_and_executor_rejected():
     checker = SatisfiabilityChecker(schema, cache=False)
     with pytest.raises(ValueError, match="unknown engine"):
         checker.check_schema(engine="quantum")
-    with pytest.raises(ValueError, match="unknown executor"):
-        checker.check_schema(executor="gpu")
+    # the rung is chosen, never named: there is no executor option
+    with pytest.raises(TypeError, match="executor"):
+        checker.check_schema(executor="process")
 
 
 # --------------------------------------------------------------------------- #
@@ -312,7 +321,7 @@ def test_sat_cache_info_aggregates_registry():
 # --------------------------------------------------------------------------- #
 
 
-def test_hard_worker_kill_recovers_byte_identically():
+def test_hard_worker_kill_recovers_byte_identically(process_rung, monkeypatch):
     """An os._exit kill of a portfolio pool worker must be retried by the
     executor ladder and produce the undisturbed report byte-for-byte."""
     schema = load("library")
@@ -332,9 +341,8 @@ def test_hard_worker_kill_recovers_byte_identically():
         checker = SatisfiabilityChecker(
             schema, cache=SatCache(schema), analysis_precheck=False
         )
-        report = checker.check_schema(
-            jobs=2, engine="portfolio", executor="process", retry_base_delay=0.01
-        )
+        monkeypatch.setattr(ladder, "RETRY_BASE_DELAY", 0.01)
+        report = checker.check_schema(jobs=2, engine="portfolio")
     finally:
         faults.uninstall()
     assert _dump(report) == expected
@@ -345,8 +353,8 @@ def test_hard_worker_kill_recovers_byte_identically():
     assert all(entry["executor"] == "process" for entry in checker.last_recovery_log)
 
 
-@pytest.mark.parametrize("executor", ["serial"])
-def test_raised_worker_crash_recovers_on_lighter_executors(executor):
+@pytest.mark.parametrize("rung", ["serial"])
+def test_raised_worker_crash_recovers_on_lighter_executors(rung, monkeypatch):
     schema = load("library")
     faults.install(None)
     try:
@@ -362,19 +370,53 @@ def test_raised_worker_crash_recovers_on_lighter_executors(executor):
         checker = SatisfiabilityChecker(
             schema, cache=SatCache(schema), analysis_precheck=False
         )
-        report = checker.check_schema(
-            jobs=2, engine="portfolio", executor=executor, retry_base_delay=0.01
-        )
+        monkeypatch.setattr(ladder, "RETRY_BASE_DELAY", 0.01)
+        report = checker.check_schema(jobs=1, engine="portfolio")
     finally:
         faults.uninstall()
     assert _dump(report) == expected
     assert checker.last_recovery_log
     assert checker.last_recovery_log[0]["unit"] == 0
+    assert {entry["executor"] for entry in checker.last_recovery_log} == {rung}
 
 
 # --------------------------------------------------------------------------- #
 # profile surface
 # --------------------------------------------------------------------------- #
+
+
+def _cli_sat_profile(capsys, path, *argv):
+    """``pgschema sat PATH --profile ARGV`` on fresh caches: stdout, and the
+    hit + miss totals of the sat cache and the label cache."""
+    import re
+
+    from repro.cli import main
+
+    sat_cache_clear()
+    main(["sat", str(path), "--profile", *argv])
+    out, err = capsys.readouterr()
+    totals = [
+        int(hits) + int(misses)
+        for hits, misses in re.findall(r"(\d+) hit\(s\), (\d+) miss\(es\)", err)
+    ]
+    assert len(totals) == 2, err
+    return out, err, totals
+
+
+def test_process_rung_profile_counts_the_workers_cache_lookups(
+    tmp_path, capsys, process_rung
+):
+    """diagram_b's 4 open units run in workers under ``--jobs 2``: the
+    profile adds the workers' lookups to the parent's, so both caches
+    report the inline run's lookup totals, and stdout is unchanged."""
+    path = tmp_path / "diagram_b.graphql"
+    path.write_text(CORPUS["diagram_b"].sdl)
+    inline_out, _err, inline_totals = _cli_sat_profile(capsys, path)
+    forked_out, forked_err, forked_totals = _cli_sat_profile(capsys, path, "--jobs", "2")
+    assert "executor=process jobs=2" in forked_err
+    assert forked_out == inline_out
+    assert forked_totals == inline_totals
+    assert inline_totals[1] > 0  # the label cache was consulted at all
 
 
 def test_last_profile_records_engine_and_wins():

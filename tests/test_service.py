@@ -288,7 +288,7 @@ class TestBatching:
         attempt on the serial rung still produces the identical report."""
         faults.install("crash@service.batch:times=2")
         try:
-            batcher = BatchingValidator(jobs=2, max_retries=2)
+            batcher = BatchingValidator(jobs=2)
             try:
                 report = batcher.submit(record, graph).result(timeout=60)
             finally:
@@ -325,10 +325,13 @@ class TestBatching:
         assert batcher.batches == 2
         assert {entry["request"] for entry in batcher.recovery_log} == {1}
 
-    def test_total_failure_is_worker_failure_error(self, record, graph):
+    def test_total_failure_is_worker_failure_error(self, record, graph, monkeypatch):
+        import repro.resilience.ladder as ladder_module
+
+        monkeypatch.setattr(ladder_module, "MAX_RETRIES", 0)
         faults.install("crash@service.batch")
         try:
-            batcher = BatchingValidator(jobs=2, max_retries=0)
+            batcher = BatchingValidator(jobs=2)
             try:
                 future = batcher.submit(record, graph)
                 with pytest.raises(WorkerFailureError):
@@ -432,10 +435,11 @@ class TestBatchingInputs:
             batcher.close()
         assert canonical(report) == expected
 
-    def test_process_rung_pickles_records_view(self, large_graph):
+    def test_process_rung_pickles_records_view(self, large_graph, process_rung):
         graph, expected = large_graph
         view = records_from_dict(graph_to_dict(graph))
-        validator = ParallelValidator(SCHEMA, jobs=2, executor="process")
+        validator = ParallelValidator(SCHEMA, jobs=2)
+        assert validator.choose_executor(view) == "process"
         assert canonical(validator.validate(view)) == expected
 
 
@@ -538,19 +542,19 @@ class TestHttpService:
         status, body = client.request("GET", "/v1/nope")
         assert status == 405 and body["error"]["code"] == "E_SERVICE"
 
-    def test_default_service_never_forks(self, service, large_graph, monkeypatch):
+    def test_default_service_never_forks(
+        self, service, large_graph, monkeypatch, process_rung
+    ):
         """With no ``jobs`` the daemon runs ``/v1/sat`` on a schema with
         open units, and ``/v1/validate`` of a graph above the process
         threshold, inline -- on any core count -- with inline bodies."""
         import concurrent.futures
 
-        import repro.resilience.ladder as ladder_module
         from repro.satisfiability import SatisfiabilityChecker
 
         def no_pool(*_args, **_kwargs):
             raise AssertionError("the default service started a process pool")
 
-        monkeypatch.setattr(ladder_module, "usable_cores", lambda: 8)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         client, _thread = service
         diagram_b = CORPUS["diagram_b"].sdl

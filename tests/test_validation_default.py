@@ -79,13 +79,17 @@ def test_cli_default_matches_reference_engine(files, capsys, engine, num_users):
         assert f"\n  {rule} " in default_out, rule
 
 
-def test_default_report_equals_serial_and_process_fan_out():
+def test_default_report_equals_serial_and_process_fan_out(request):
     graph = _corrupted(300)
     default = validate(SCHEMA, graph)
     assert default.violations
-    for executor in ("serial", "process"):
-        fanned = make_validator(SCHEMA, jobs=2, executor=executor).validate(graph)
-        assert _render(fanned) == _render(default), executor
+    for rung in ("serial", "process"):
+        if rung == "process":
+            request.getfixturevalue("process_rung")
+        validator = make_validator(SCHEMA, jobs=2)
+        assert validator.choose_executor(graph) == rung
+        fanned = validator.validate(graph)
+        assert _render(fanned) == _render(default), rung
         assert fanned.complete == default.complete
 
 

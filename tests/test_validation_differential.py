@@ -152,11 +152,11 @@ class TestEmptyGraph:
 
 class TestParallelDeterminism:
     """Two parallel runs over the same input render byte-identical reports,
-    regardless of worker count or executor (stable shard hash + canonical
+    regardless of worker count or rung (stable shard hash + canonical
     merge order)."""
 
     @pytest.mark.parametrize("rule", ("WS4", "DS1", "DS7"))
-    def test_reports_are_byte_identical(self, rule):
+    def test_reports_are_byte_identical(self, rule, request):
         from repro.workloads import library_graph
 
         schema = SCHEMAS["library"]
@@ -165,16 +165,16 @@ class TestParallelDeterminism:
         if corrupted is None:
             pytest.skip(f"no corruption opportunity for {rule} in this schema")
 
-        def render(jobs, executor):
-            report = ParallelValidator(schema, jobs=jobs, executor=executor).validate(
-                corrupted
-            )
+        def render(jobs):
+            report = ParallelValidator(schema, jobs=jobs).validate(corrupted)
             return "\n".join(str(violation) for violation in report.violations)
 
-        reference = render(1, "serial")
+        reference = render(1)
         assert reference  # the corruption must actually produce violations
         for jobs in PARALLEL_JOBS:
-            assert render(jobs, "serial") == reference, jobs
+            assert render(jobs) == reference, jobs
+        request.getfixturevalue("process_rung")  # and one leg on processes
+        assert render(2) == reference
 
 
 class TestExtendedMode:

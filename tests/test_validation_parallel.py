@@ -1,8 +1,8 @@
-"""The parallel engine's machinery: partitioning, executors, merging.
+"""The parallel engine's machinery: partitioning, rungs, merging.
 
 Agreement with the sequential engines is covered by
 ``test_validation_differential.py``; this module tests the moving parts --
-scope-respecting shard assignment, executor selection, worker-count
+scope-respecting shard assignment, rung selection, worker-count
 clamping, and the facade wiring.
 """
 
@@ -16,7 +16,6 @@ from repro.validation import (
     partition_graph,
     validate,
 )
-from repro.validation.parallel import usable_cores
 from repro.workloads import corrupt_graph, library_graph, load, user_session_graph
 
 SCHEMA = load("library")
@@ -84,6 +83,7 @@ class TestExecutorSelection:
         import repro.resilience.ladder as ladder_module
 
         monkeypatch.setattr(ladder_module, "usable_cores", lambda: 1)
+        monkeypatch.setattr(ParallelValidator, "SMALL_GRAPH_THRESHOLD", 0)
         validator = ParallelValidator(SCHEMA, jobs=4)
         assert validator.choose_executor(_graph()) == "serial"
 
@@ -107,37 +107,43 @@ class TestExecutorSelection:
         assert len(large) >= ParallelValidator.SMALL_GRAPH_THRESHOLD
         assert validator.choose_executor(large) == "process"
 
-    def test_explicit_executor_wins(self):
-        validator = ParallelValidator(SCHEMA, jobs=4, executor="process")
-        assert validator.choose_executor(_graph()) == "process"
+    def test_explicit_executor_wins(self, process_rung):
+        """Only an explicit ``jobs`` reaches the process rung: without one
+        even a big graph on a many-core host runs inline."""
+        assert ParallelValidator(SCHEMA).choose_executor(_graph()) == "serial"
+        assert ParallelValidator(SCHEMA, jobs=4).choose_executor(_graph()) == "process"
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            ParallelValidator(SCHEMA, executor="fibers")
+        # the rung is chosen, never named: there is no executor option
+        with pytest.raises(TypeError, match="executor"):
+            ParallelValidator(SCHEMA, executor="process")
 
 
 class TestWorkerCounts:
-    def test_no_jobs_means_one_worker_except_under_explicit_process(self):
+    def test_no_jobs_means_one_worker_except_under_explicit_process(self, process_rung):
+        # no worker count is one worker, whatever the host and the graph;
+        # there is no longer an explicit process rung to make an exception
         assert ParallelValidator(SCHEMA).jobs == 1
-        assert ParallelValidator(SCHEMA, executor="serial").jobs == 1
-        assert ParallelValidator(SCHEMA, executor="process").jobs == usable_cores()
+        assert ParallelValidator(SCHEMA, jobs=3).jobs == 3
 
     def test_jobs_clamped_to_at_least_one(self):
         assert ParallelValidator(SCHEMA, jobs=0).jobs == 1
         assert ParallelValidator(SCHEMA, jobs=-3).jobs == 1
 
-    @pytest.mark.parametrize("executor", ("serial",))
-    def test_every_executor_path_agrees(self, executor):
+    @pytest.mark.parametrize("rung", ("serial",))
+    def test_every_executor_path_agrees(self, rung):
         graph = _graph()
         expected = IndexedValidator(SCHEMA).validate(graph)
-        got = ParallelValidator(SCHEMA, jobs=3, executor=executor).validate(graph)
-        assert got.keys() == expected.keys()
+        validator = ParallelValidator(SCHEMA, jobs=3)
+        assert validator.choose_executor(graph) == rung
+        assert validator.validate(graph).keys() == expected.keys()
 
-    def test_process_executor_smoke(self):
+    def test_process_executor_smoke(self, process_rung):
         graph = library_graph(3, 5, num_series=1, num_publishers=1, seed=1)
         expected = IndexedValidator(SCHEMA).validate(graph)
-        got = ParallelValidator(SCHEMA, jobs=2, executor="process").validate(graph)
-        assert got.keys() == expected.keys()
+        validator = ParallelValidator(SCHEMA, jobs=2)
+        assert validator.choose_executor(graph) == "process"
+        assert validator.validate(graph).keys() == expected.keys()
 
     def test_more_jobs_than_elements(self):
         graph = library_graph(1, 1, seed=0)
